@@ -33,18 +33,6 @@ class ConfigError(ValueError):
     pass
 
 
-def thread_cap():
-    """Worker-thread cap from TTM_LAB_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("TTM_LAB_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"TTM_LAB_THREADS must be an integer, got {raw!r}")
-    if cap < 0:
-        raise ConfigError("TTM_LAB_THREADS must be >= 0")
-    return cap if cap > 0 else (os.cpu_count() or 1)
-
-
 # defaults for the blocks that are plain dicts rather than dataclasses
 _SWEEP_DEFAULTS = {"t_min": 0.1, "t_max": 1.0, "steps": 10,
                    "log_spacing": False}
@@ -320,8 +308,7 @@ def cmd_sweep(resolved, model_cfg, train_cfg, task_spec, args):
     dataset = training.make_task(task_spec)
     t_star, curve = dynamics.temperature_sweep(
         lambda m: training.dataset_loss(params, dataset, m),
-        blk["t_min"], blk["t_max"], blk["steps"], blk["log_spacing"],
-        max_workers=thread_cap())
+        blk["t_min"], blk["t_max"], blk["steps"], blk["log_spacing"])
     with open(os.path.join(out_dir, "sweep.csv"), "w") as fh:
         fh.write("step,value\n")
         for mult, loss in curve:

@@ -140,14 +140,12 @@ def convergence_rate_fit(residuals):
     return 1.0 - gamma, gamma
 
 
-def temperature_sweep(eval_loss, t_min, t_max, steps, log_spacing=False,
-                      max_workers=1):
+def temperature_sweep(eval_loss, t_min, t_max, steps, log_spacing=False):
     """Grid search over a global temperature multiplier.
 
     `eval_loss(multiplier)` returns the mean dataset loss with every field
     scaled by the multiplier. Returns the grid argmin (ties -> smallest
-    multiplier) and the full loss curve. Grid points may evaluate on
-    `max_workers` threads; the reduction stays ordered by grid index.
+    multiplier) and the full loss curve.
     """
     if not t_min < t_max:
         raise ValueError("t_min must be below t_max")
@@ -159,11 +157,6 @@ def temperature_sweep(eval_loss, t_min, t_max, steps, log_spacing=False,
         grid = np.exp(np.linspace(np.log(t_min), np.log(t_max), steps))
     else:
         grid = np.linspace(t_min, t_max, steps)
-    if max_workers and max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            losses = [float(v) for v in pool.map(eval_loss, grid.tolist())]
-    else:
-        losses = [float(eval_loss(float(t))) for t in grid]
+    losses = [float(eval_loss(float(t))) for t in grid]
     best = min(range(steps), key=lambda i: (losses[i], grid[i]))
     return float(grid[best]), list(zip(grid.tolist(), losses))

@@ -33,7 +33,6 @@ class GsotConfig:
     tau_h: float = 0.3          # hidden temperature threshold
     tau_backtrack: float = 0.1  # recovery threshold on mean temperature
     K: int = 1                  # step budget for scheduled extraction
-    max_paths: int = 64
 
     def __post_init__(self):
         for name in ("theta", "tau_p", "tau_h", "tau_backtrack"):
@@ -121,7 +120,6 @@ class TraceStep:
     mean_temperature: float
     decision: str
     op_count: int             # cumulative multiply-accumulate count
-    field: object = None      # per-step TemperatureField snapshot
 
 
 @dataclass
@@ -209,6 +207,21 @@ def schedule_target(n, K, k):
     return ((K - k) * n) // K
 
 
+def _admit_hidden(x, context, universe, cfg):
+    """Hidden ids admitted for primary token x, and the MACs of scoring them.
+
+    A candidate enters iff its probability strictly exceeds theta and its
+    relevance-scaled temperature strictly exceeds tau_h.
+    """
+    probs = hidden_token_probs(x, context, universe)
+    base = universe.vocab_size
+    admitted = [base + j for j, p in enumerate(probs)
+                if p > cfg.theta
+                and hidden_temperature(base + j, p, universe) > cfg.tau_h]
+    macs = universe.hidden_count * (universe.W_h.shape[1] + universe.primary.shape[1])
+    return admitted, macs
+
+
 def integrated_token_processing(X, context, universe, params, cfg):
     """Single-pass activation of primary and hidden tokens.
 
@@ -227,29 +240,22 @@ def integrated_token_processing(X, context, universe, params, cfg):
     for i, x in enumerate(X):
         if temps[i] > cfg.tau_p:
             v_active.append(i)
-            probs = hidden_token_probs(x, context, universe)
-            ops += universe.hidden_count * (universe.W_h.shape[1] + universe.primary.shape[1])
-            base = universe.vocab_size
-            for j, p in enumerate(probs):
-                if p > cfg.theta:
-                    hid = base + j
-                    if hidden_temperature(hid, p, universe) > cfg.tau_h:
-                        h_active.append(hid)
+            admitted, macs = _admit_hidden(x, context, universe, cfg)
+            h_active += admitted
+            ops += macs
         trace.add(step=i + 1, active_primary=list(v_active),
                   active_hidden=list(h_active),
                   mean_temperature=float(temps[:i + 1].mean()),
-                  decision=CONTINUE, op_count=ops,
-                  field=fields[-1].detach())
+                  decision=CONTINUE, op_count=ops)
     return v_active, h_active, trace
 
 
-def recovery_step(field_summary, cfg, state):
+def recovery_step(field_summary, cfg):
     """Backtrack iff the temperature summary drops below tau_backtrack.
 
-    A backtrack pops the last trace step and re-executes its alternate
-    branch; a step whose alternate is already spent fails the trace instead.
-    `state` is the ReasoningTrace being built, plus a per-step alternate
-    budget tracked by the caller.
+    Only the decision is made here; `gsot_pipeline` acts on a backtrack by
+    retrying the step once on its alternate branch, and fails the trace when
+    that alternate is already spent.
     """
     if not 0.0 <= field_summary <= 1.0:
         raise ValueError("field summary must lie in [0, 1]")
@@ -282,8 +288,7 @@ def gsot_pipeline(X, universe, params, cfg, context=None):
         active = [i for i in active if temps[i] > cfg.tau_p]
         mean_t = float(temps.mean())
         trace.add(step=1, active_primary=list(active), active_hidden=[],
-                  mean_temperature=mean_t, decision=CONTINUE, op_count=ops,
-                  field=fields[-1].detach())
+                  mean_temperature=mean_t, decision=CONTINUE, op_count=ops)
     else:
         for k in range(1, cfg.K):
             prev_active = list(active)
@@ -302,21 +307,19 @@ def gsot_pipeline(X, universe, params, cfg, context=None):
                         f"primary extraction emptied the active set at step {k}")
                 kept_temps = temps[[prev_active.index(i) for i in candidate]]
                 mean_t = float(kept_temps.mean())
-                decision = recovery_step(mean_t, cfg, trace)
+                decision = recovery_step(mean_t, cfg)
                 if decision == CONTINUE:
                     active = candidate
                     trace.add(step=k, active_primary=list(active),
                               active_hidden=[], mean_temperature=mean_t,
-                              decision=CONTINUE, op_count=ops,
-                              field=fields[-1].detach())
+                              decision=CONTINUE, op_count=ops)
                     break
                 if alternates_left == 0:
                     trace.failed = True
                     active = candidate
                     trace.add(step=k, active_primary=list(active),
                               active_hidden=[], mean_temperature=mean_t,
-                              decision=BACKTRACK, op_count=ops,
-                              field=fields[-1].detach())
+                              decision=BACKTRACK, op_count=ops)
                     break
                 # alternate branch: drop the coldest survivor
                 alternates_left -= 1
@@ -329,14 +332,9 @@ def gsot_pipeline(X, universe, params, cfg, context=None):
     # stage 2: hidden generation and integration
     h_active = []
     for i in active:
-        probs = hidden_token_probs(X[i], context, universe)
-        ops += universe.hidden_count * (universe.W_h.shape[1] + universe.primary.shape[1])
-        base = universe.vocab_size
-        for j, p in enumerate(probs):
-            if p > cfg.theta:
-                hid = base + j
-                if hidden_temperature(hid, p, universe) > cfg.tau_h:
-                    h_active.append(hid)
+        admitted, macs = _admit_hidden(X[i], context, universe, cfg)
+        h_active += admitted
+        ops += macs
 
     # stage 3: integrated forward and reasoning head
     rows = [universe.primary[X[i]] for i in active]
@@ -351,7 +349,7 @@ def gsot_pipeline(X, universe, params, cfg, context=None):
     trace.add(step=final_step, active_primary=list(active),
               active_hidden=list(h_active),
               mean_temperature=float(_token_temps(fields[-1]).mean()),
-              decision=CONTINUE, op_count=ops, field=fields[-1].detach())
+              decision=CONTINUE, op_count=ops)
     return probs, trace
 
 

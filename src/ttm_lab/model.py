@@ -8,6 +8,7 @@ never changes per-position argmax.
 """
 
 import json
+import math
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -47,7 +48,6 @@ class ModelConfig:
     temp_init_mean: float = 0.5
     temp_init_std: float = 0.01
     seed: int = 0
-    dropout: float = 0.0
     max_seq_len: int = 64
 
     def __post_init__(self):
@@ -95,6 +95,9 @@ class BlockParams:
 
 @dataclass
 class ContextProcessorParams:
+    """Weights of `context_processor` and `token_importance`; not part of
+    ModelParams, callers build them."""
+
     W_lin: Tensor
     b_lin: Tensor
     ln_gain: Tensor
@@ -108,6 +111,41 @@ def _temp_logit_std(cfg):
     # spread of the pre-squash logit that yields a field std of temp_init_std
     slope = 0.25 * (1.0 - 2.0 * cfg.eps_min)
     return cfg.temp_init_std / slope
+
+
+def param_specs(cfg):
+    """Ordered (name, shape, init) of every learnable tensor of a model.
+
+    `init` is the std of a zero-mean normal draw, or "zeros" / "ones" for a
+    constant fill. Draws are taken in list order, so the order fixes which
+    tensor gets which part of the init stream.
+    """
+    d, h, dk, dff = cfg.d_model, cfg.heads, cfg.d_k, cfg.d_ff
+    proj_std = d ** -0.5
+    logit_std = _temp_logit_std(cfg)
+    specs = [("embed.tok", (cfg.vocab_size, d), 0.02),
+             ("embed.pos", (cfg.max_seq_len, d), 0.02)]
+    for l in range(cfg.layers):
+        p = f"block{l}."
+        for head in range(h):
+            specs += [(p + f"attn.w{kind}{head}", (d, dk), proj_std)
+                      for kind in "qkv"]
+        specs += [
+            (p + "attn.wo", (h * dk, d), proj_std),
+            (p + "ffn.w1", (d, dff), proj_std),
+            (p + "ffn.b1", (dff,), "zeros"),
+            (p + "ffn.w2", (dff, d), dff ** -0.5),
+            (p + "ffn.b2", (d,), "zeros"),
+            (p + "ln1.gain", (d,), "ones"),
+            (p + "ln1.bias", (d,), "zeros"),
+            (p + "ln2.gain", (d,), "ones"),
+            (p + "ln2.bias", (d,), "zeros"),
+            (p + "temp.wt", (h, d), logit_std * proj_std),
+            (p + "temp.bt", (h,), logit_std),
+        ]
+    specs += [("head.w_out", (d, cfg.vocab_size), proj_std),
+              ("head.w_reason", (d + h, cfg.vocab_size), (d + h) ** -0.5)]
+    return specs
 
 
 class ModelParams:
@@ -124,43 +162,15 @@ class ModelParams:
 
     @staticmethod
     def _init_tensors(cfg, rng):
-        d, h, dk = cfg.d_model, cfg.heads, cfg.d_k
         t = OrderedDict()
-
-        def param(name, values):
+        for name, shape, init in param_specs(cfg):
+            if init == "zeros":
+                values = np.zeros(shape)
+            elif init == "ones":
+                values = np.ones(shape)
+            else:
+                values = rng.normal(shape, 0.0, init)
             t[name] = Tensor(values, requires_grad=True)
-
-        param("embed.tok", rng.normal((cfg.vocab_size, d), 0.0, 0.02))
-        param("embed.pos", rng.normal((cfg.max_seq_len, d), 0.0, 0.02))
-        proj_std = d ** -0.5
-        logit_std = _temp_logit_std(cfg)
-        for l in range(cfg.layers):
-            p = f"block{l}."
-            for head in range(h):
-                param(p + f"attn.wq{head}", rng.normal((d, dk), 0.0, proj_std))
-                param(p + f"attn.wk{head}", rng.normal((d, dk), 0.0, proj_std))
-                param(p + f"attn.wv{head}", rng.normal((d, dk), 0.0, proj_std))
-            param(p + "attn.wo", rng.normal((h * dk, d), 0.0, proj_std))
-            param(p + "ffn.w1", rng.normal((d, cfg.d_ff), 0.0, proj_std))
-            param(p + "ffn.b1", np.zeros(cfg.d_ff))
-            param(p + "ffn.w2", rng.normal((cfg.d_ff, d), 0.0, cfg.d_ff ** -0.5))
-            param(p + "ffn.b2", np.zeros(d))
-            param(p + "ln1.gain", np.ones(d))
-            param(p + "ln1.bias", np.zeros(d))
-            param(p + "ln2.gain", np.ones(d))
-            param(p + "ln2.bias", np.zeros(d))
-            param(p + "temp.wt", rng.normal((h, d), 0.0, logit_std * proj_std))
-            param(p + "temp.bt", rng.normal((h,), 0.0, logit_std))
-            param(p + "temp.wc", rng.normal((h, cfg.d_c), 0.0, logit_std * cfg.d_c ** -0.5))
-        param("ctx.w_lin", rng.normal((d, d), 0.0, proj_std))
-        param("ctx.b_lin", np.zeros(d))
-        param("ctx.ln_gain", np.ones(d))
-        param("ctx.ln_bias", np.zeros(d))
-        param("ctx.w_proj", rng.normal((3 * d, cfg.d_c), 0.0, (3 * d) ** -0.5))
-        param("ctx.w_imp", rng.normal((cfg.d_c, 1), 0.0, cfg.d_c ** -0.5))
-        param("ctx.b_imp", np.zeros(1))
-        param("head.w_out", rng.normal((d, cfg.vocab_size), 0.0, proj_std))
-        param("head.w_reason", rng.normal((d + h, cfg.vocab_size), 0.0, (d + h) ** -0.5))
         return t
 
     def _build_views(self):
@@ -175,7 +185,6 @@ class ModelParams:
                 W_o=t[p + "attn.wo"])
             temp = TemperatureHeadParams(W_t=t[p + "temp.wt"],
                                          b_t=t[p + "temp.bt"],
-                                         W_c=t[p + "temp.wc"],
                                          eps_min=cfg.eps_min)
             self.blocks.append(BlockParams(
                 attn=attn,
@@ -184,10 +193,6 @@ class ModelParams:
                 ln1_gain=t[p + "ln1.gain"], ln1_bias=t[p + "ln1.bias"],
                 ln2_gain=t[p + "ln2.gain"], ln2_bias=t[p + "ln2.bias"],
                 temp=temp))
-        self.context = ContextProcessorParams(
-            W_lin=t["ctx.w_lin"], b_lin=t["ctx.b_lin"],
-            ln_gain=t["ctx.ln_gain"], ln_bias=t["ctx.ln_bias"],
-            W_proj=t["ctx.w_proj"], W_imp=t["ctx.w_imp"], b_imp=t["ctx.b_imp"])
         self.tok_emb = t["embed.tok"]
         self.pos_emb = t["embed.pos"]
         self.W_out = t["head.w_out"]
@@ -265,7 +270,7 @@ def forward_embedded(x, params, temp_multiplier=1.0):
     return logits * mean_t, fields, x
 
 
-def model_forward(tokens, params, cfg=None, temp_multiplier=1.0):
+def model_forward(tokens, params, temp_multiplier=1.0):
     """Logits (n, vocab) scaled by the final field's mean, plus all fields."""
     x = embed_tokens(tokens, params)
     logits, fields, _ = forward_embedded(x, params, temp_multiplier)
@@ -310,18 +315,18 @@ class ParamCount:
 
 
 def count_parameters(cfg):
-    """Count actually allocated parameters, by category."""
-    params = ModelParams(cfg)
+    """Count the parameters a model of this config has, by category."""
     buckets = {"attention": 0, "ffn": 0, "temperature": 0, "embeddings": 0}
-    for name, tensor in params.named_tensors():
+    for name, shape, _ in param_specs(cfg):
+        size = math.prod(shape)
         if ".attn." in name:
-            buckets["attention"] += tensor.size
+            buckets["attention"] += size
         elif ".ffn." in name or ".ln1." in name or ".ln2." in name:
-            buckets["ffn"] += tensor.size
-        elif ".temp." in name or name.startswith("ctx."):
-            buckets["temperature"] += tensor.size
+            buckets["ffn"] += size
+        elif ".temp." in name:
+            buckets["temperature"] += size
         else:
-            buckets["embeddings"] += tensor.size
+            buckets["embeddings"] += size
     return ParamCount(total=sum(buckets.values()), **buckets)
 
 
@@ -387,17 +392,25 @@ def checkpoint_load(path, cfg=None):
             n_values = int(np.prod(shape)) if shape else 1
             raw = _read_exact(fh, 8 * n_values, f"values of {name}")
             values = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            if name in tensors:
+                raise CheckpointFormatError(f"duplicate tensor {name}")
             tensors[name] = Tensor(values, requires_grad=True)
     if cfg is None:
+        if "embed.pos" not in tensors:
+            raise CheckpointFormatError("checkpoint missing tensor embed.pos")
         with open(path + ".json") as fh:
             cfg = ModelConfig.from_checkpoint_json(
                 fh.read(), max_seq_len=tensors["embed.pos"].shape[0])
-    expected = ModelParams(cfg)
-    for name, tensor in expected.named_tensors():
+    specs = {name: shape for name, shape, _ in param_specs(cfg)}
+    for name, shape in specs.items():
         if name not in tensors:
             raise CheckpointFormatError(f"checkpoint missing tensor {name}")
-        if tensors[name].shape != tensor.shape:
+        if tensors[name].shape != shape:
             raise CheckpointFormatError(
                 f"shape mismatch for tensor {name}: checkpoint has "
-                f"{tensors[name].shape}, config expects {tensor.shape}")
+                f"{tensors[name].shape}, config expects {shape}")
+    for name in tensors:
+        if name not in specs:
+            raise CheckpointFormatError(
+                f"checkpoint has tensor {name}, which the config does not define")
     return ModelParams(cfg, tensors=tensors)

@@ -3,8 +3,7 @@ import os
 
 import pytest
 
-from ttm_lab.cli import (EXIT_OK, EXIT_USAGE, load_config, main,
-                         thread_cap)
+from ttm_lab.cli import EXIT_OK, EXIT_USAGE, load_config, main
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -43,6 +42,13 @@ class TestConfigLoading:
         code, _ = run(tmp_path, "check", {"model": {"n_heads": 2}})
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("block,key", [("model", "dropout"),
+                                           ("gsot_cfg", "max_paths")])
+    def test_removed_keys_rejected(self, tmp_path, capsys, block, key):
+        code, _ = run(tmp_path, "check", {block: {key: 1}})
+        assert code == EXIT_USAGE
+        assert key in capsys.readouterr().err
+
     def test_invalid_value_rejected_at_load(self, tmp_path):
         code, _ = run(tmp_path, "check", {"model": {"eps_min": 0.6}})
         assert code == EXIT_USAGE
@@ -71,25 +77,6 @@ class TestConfigLoading:
         assert resolved["model"]["d_model"] == 8
         assert set(resolved) >= {"model", "train", "task", "sweep", "gsot",
                                  "bench", "stats", "seed", "output_dir"}
-
-
-class TestThreadCap:
-    def test_default_positive(self, monkeypatch):
-        monkeypatch.delenv("TTM_LAB_THREADS", raising=False)
-        assert thread_cap() >= 1
-
-    def test_explicit_value(self, monkeypatch):
-        monkeypatch.setenv("TTM_LAB_THREADS", "3")
-        assert thread_cap() == 3
-
-    def test_bad_values_rejected(self, monkeypatch):
-        from ttm_lab.cli import ConfigError
-        monkeypatch.setenv("TTM_LAB_THREADS", "many")
-        with pytest.raises(ConfigError):
-            thread_cap()
-        monkeypatch.setenv("TTM_LAB_THREADS", "-2")
-        with pytest.raises(ConfigError):
-            thread_cap()
 
 
 class TestCheck:

@@ -180,12 +180,6 @@ class TestSweep:
         best = min(losses, key=lambda k: (losses[k], k))
         assert t == best
 
-    def test_parallel_matches_serial(self):
-        f = lambda m: (m - 0.7) ** 4
-        serial = temperature_sweep(f, 0.1, 1.5, 9, max_workers=1)
-        parallel = temperature_sweep(f, 0.1, 1.5, 9, max_workers=4)
-        assert serial == parallel
-
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
             temperature_sweep(lambda m: m, 1.0, 0.5, 4)

@@ -212,14 +212,14 @@ class TestPipeline:
 
 class TestRecovery:
     def test_continue_above_threshold(self):
-        assert recovery_step(0.9, GsotConfig(tau_backtrack=0.5), None) == CONTINUE
+        assert recovery_step(0.9, GsotConfig(tau_backtrack=0.5)) == CONTINUE
 
     def test_backtrack_below_threshold(self):
-        assert recovery_step(0.3, GsotConfig(tau_backtrack=0.5), None) == BACKTRACK
+        assert recovery_step(0.3, GsotConfig(tau_backtrack=0.5)) == BACKTRACK
 
     def test_out_of_range_summary(self):
         with pytest.raises(ValueError):
-            recovery_step(1.5, GsotConfig(), None)
+            recovery_step(1.5, GsotConfig())
 
     def test_forced_low_temperature_records_one_backtrack(self):
         # drive the mean temperature below the recovery threshold so the

@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
-from ttm_lab.model import (CheckpointFormatError, ModelConfig, ModelParams,
-                           block_forward, checkpoint_load, checkpoint_save,
+from ttm_lab.model import (CheckpointFormatError, ContextProcessorParams,
+                           ModelConfig, ModelParams, block_forward,
+                           checkpoint_load, checkpoint_save,
                            context_processor, count_parameters,
                            model_forward, published_scale_comparison,
                            reasoning_head, token_importance)
@@ -15,6 +18,18 @@ def toy_cfg(**kw):
                 seed=0, max_seq_len=8)
     base.update(kw)
     return ModelConfig(**base)
+
+
+def toy_context(seed=0, d=8, d_c=4):
+    rng = Rng(seed)
+    return ContextProcessorParams(
+        W_lin=Tensor(rng.normal((d, d), 0.0, d ** -0.5)),
+        b_lin=Tensor(rng.normal((d,), 0.0, 0.1)),
+        ln_gain=Tensor(rng.normal((d,), 1.0, 0.1)),
+        ln_bias=Tensor(rng.normal((d,), 0.0, 0.1)),
+        W_proj=Tensor(rng.normal((3 * d, d_c), 0.0, (3 * d) ** -0.5)),
+        W_imp=Tensor(rng.normal((d_c, 1), 0.0, d_c ** -0.5)),
+        b_imp=Tensor(rng.normal((1,), 0.0, 0.1)))
 
 
 class TestConfig:
@@ -147,8 +162,7 @@ class TestModelForward:
 
 class TestHeads:
     def test_context_processor_zero_input(self):
-        params = ModelParams(toy_cfg())
-        cp = params.context
+        cp = toy_context()
         cp.b_lin.values[:] = 0.0
         cp.ln_bias.values[:] = 0.0
         out = context_processor(Tensor(np.zeros((3, 8))), cp)
@@ -159,8 +173,7 @@ class TestHeads:
         assert abs(float(gelu(Tensor([10.0])).values[0]) - 10.0) < 1e-6
 
     def test_context_processor_staged_oracle(self):
-        params = ModelParams(toy_cfg(seed=9))
-        cp = params.context
+        cp = toy_context(seed=9)
         x = Rng(10).normal((2, 8))
         lin = x @ cp.W_lin.values + cp.b_lin.values
         mu = x.mean(axis=-1, keepdims=True)
@@ -172,8 +185,7 @@ class TestHeads:
         assert np.abs(got - want).max() < 1e-12
 
     def test_token_importance_neutral_and_monotone(self):
-        params = ModelParams(toy_cfg())
-        cp = params.context
+        cp = toy_context()
         cp.W_imp.values[:] = 0.0
         cp.b_imp.values[:] = 0.0
         ctx = Tensor(Rng(11).normal((3, 4)))
@@ -214,8 +226,7 @@ class TestParameterCount:
         d, h, dk, dff, V, dc = 8, 2, 4, 16, 11, 4
         attention = h * 3 * d * dk + h * dk * d
         ffn = d * dff + dff + dff * d + d + 4 * d  # FFN + two layer norms
-        temperature = (h * d + h + h * dc) \
-            + (d * d + d + 2 * d + 3 * d * dc + dc + 1)  # head + context stack
+        temperature = h * d + h
         embeddings = V * d + cfg.max_seq_len * d + d * V + (d + h) * V
         got = count_parameters(cfg)
         assert got.attention == attention
@@ -223,6 +234,12 @@ class TestParameterCount:
         assert got.temperature == temperature
         assert got.embeddings == embeddings
         assert got.total == attention + ffn + temperature + embeddings
+
+    @pytest.mark.parametrize("layers,heads", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_matches_allocated_tensors(self, layers, heads):
+        cfg = toy_cfg(layers=layers, heads=heads)
+        allocated = sum(t.size for _, t in ModelParams(cfg).named_tensors())
+        assert count_parameters(cfg).total == allocated
 
     def test_layer_doubling(self):
         one = count_parameters(toy_cfg(layers=1))
@@ -275,3 +292,39 @@ class TestCheckpoint:
         checkpoint_save(ModelParams(toy_cfg()), path)
         with pytest.raises(CheckpointFormatError, match="shape mismatch for tensor"):
             checkpoint_load(path, cfg=toy_cfg(d_ff=32))
+
+    def test_extra_tensor_rejected_by_name(self, tmp_path):
+        path = str(tmp_path / "extra.ckpt")
+        params = ModelParams(toy_cfg(layers=1))
+        params.tensors["block0.temp.wc"] = Tensor(np.zeros((2, 4)))
+        checkpoint_save(params, path)
+        with pytest.raises(CheckpointFormatError, match=r"block0\.temp\.wc"):
+            checkpoint_load(path)
+        with pytest.raises(CheckpointFormatError, match=r"block0\.temp\.wc"):
+            checkpoint_load(path, cfg=toy_cfg(layers=1))
+
+    def test_missing_tensor_named_without_cfg(self, tmp_path):
+        path = str(tmp_path / "nopos.ckpt")
+        params = ModelParams(toy_cfg(layers=1))
+        del params.tensors["embed.pos"]
+        checkpoint_save(params, path)
+        with pytest.raises(CheckpointFormatError, match="missing tensor embed.pos"):
+            checkpoint_load(path)
+
+    def test_duplicate_tensor_rejected(self, tmp_path):
+        path = str(tmp_path / "dup.ckpt")
+        params = ModelParams(toy_cfg(layers=1))
+        checkpoint_save(params, path)
+        records = [(n, t.values) for n, t in params.named_tensors()]
+        records.append(records[0])
+        body = b""
+        for name, values in records:
+            raw = name.encode("utf-8")
+            body += struct.pack("<I", len(raw)) + raw
+            body += struct.pack("<I", values.ndim)
+            body += b"".join(struct.pack("<Q", e) for e in values.shape)
+            body += values.astype("<f8").tobytes()
+        head = open(path, "rb").read()[:8] + struct.pack("<I", len(records))
+        open(path, "wb").write(head + body)
+        with pytest.raises(CheckpointFormatError, match="duplicate tensor embed.tok"):
+            checkpoint_load(path)
