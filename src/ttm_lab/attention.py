@@ -1,5 +1,10 @@
 """Scaled dot-product attention and its temperature-modulated variants.
 
+A block's query, key and value projections are one tensor W_qkv of shape
+(h, 3, d_model, d_k): W_qkv[i, 0], W_qkv[i, 1] and W_qkv[i, 2] are head i's
+W_q, W_k and W_v. One product x @ W_qkv projects every head at once, and all
+variants share one body that differs only in the logit multiplier.
+
 Two modulation forms exist side by side: a key-axis broadcast (each logit
 column j is scaled by T[h, j]) and an outer-product form (logit [i, j] scaled
 by T[h, i] * T[h, j]). Modulation multiplies pre-softmax logits, as defined;
@@ -11,10 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DimensionError, NumericError, Tensor, concat, softmax_rows
-
-BROADCAST_KEY = "key"
-BROADCAST_QUERY = "query"
+from .numerics import DimensionError, NumericError, Tensor, softmax_rows
 
 
 class AttentionConfigError(ValueError):
@@ -23,36 +25,34 @@ class AttentionConfigError(ValueError):
 
 @dataclass
 class AttentionParams:
-    """Per-head projections plus the output projection back to d_model.
+    """Stacked per-head projections plus the output projection back to d_model.
 
-    W_q, W_k, W_v are lists of (d_model, d_k) tensors, one per head; W_o maps
-    the concatenated head outputs (h * d_k wide) back to d_model.
+    W_qkv is (h, 3, d_model, d_k), holding each head's W_q, W_k and W_v in
+    that order; W_o maps the merged head outputs (h * d_k wide, head 0 first)
+    back to d_model.
     """
 
-    W_q: list
-    W_k: list
-    W_v: list
+    W_qkv: Tensor
     W_o: Tensor
 
     def __post_init__(self):
-        if not (len(self.W_q) == len(self.W_k) == len(self.W_v)):
-            raise AttentionConfigError("per-head projection lists must align")
-        if not self.W_q:
-            raise AttentionConfigError("need at least one head")
-        d_model, d_k = self.W_q[0].shape
-        if d_k == 0:
-            raise AttentionConfigError("d_k must be positive")
-        if len(self.W_q) * d_k > d_model:
+        shape = self.W_qkv.shape
+        if len(shape) != 4 or shape[1] != 3 or 0 in (shape[0], shape[3]):
             raise AttentionConfigError(
-                f"h * d_k = {len(self.W_q) * d_k} exceeds d_model = {d_model}")
+                f"W_qkv must have shape (h, 3, d_model, d_k) with h and d_k "
+                f"positive, got {shape}")
+        h, _, d_model, d_k = shape
+        if h * d_k > d_model:
+            raise AttentionConfigError(
+                f"h * d_k = {h * d_k} exceeds d_model = {d_model}")
 
     @property
     def head_count(self):
-        return len(self.W_q)
+        return self.W_qkv.shape[0]
 
     @property
     def d_k(self):
-        return self.W_q[0].shape[1]
+        return self.W_qkv.shape[3]
 
 
 @dataclass
@@ -62,28 +62,11 @@ class AttentionOutput:
     pre_softmax: Tensor     # (h, n, n) modulated logits
 
 
-def _head_logits(x, params):
-    """Stacked (h, n, n) scaled dot-product logits."""
-    scale = 1.0 / np.sqrt(params.d_k)
-    logits = []
-    for Wq, Wk in zip(params.W_q, params.W_k):
-        q = x @ Wq
-        k = x @ Wk
-        logits.append((q @ k.T * scale).reshape(1, x.shape[0], x.shape[0]))
-    return concat(logits, axis=0)
-
-
-def _finish(x, params, pre, mask=None):
-    if mask is not None:
-        pre = pre + Tensor(mask, check=False)
-    weights = softmax_rows(pre)
-    heads = [weights[h] @ values_h for h, values_h in enumerate(_per_head_values(x, params))]
-    out = concat(heads, axis=1) @ params.W_o
-    return AttentionOutput(values=out, weights=weights, pre_softmax=pre)
-
-
-def _per_head_values(x, params):
-    return [x @ Wv for Wv in params.W_v]
+def merge_heads(head_values, W_o):
+    """(h, n, d_k) per-head outputs, laid side by side as (n, h * d_k) with
+    head 0 first, projected by W_o."""
+    h, n, d_k = head_values.shape
+    return head_values.transpose(0, 1).reshape(n, h * d_k) @ W_o
 
 
 def _causal_mask(n):
@@ -92,12 +75,24 @@ def _causal_mask(n):
     return m[None, :, :]
 
 
+def _attend(x, params, mod=None, causal=False):
+    """All heads at once: logits q k^T / sqrt(d_k), times `mod` if given,
+    masked if causal, softmax, then the weighted values merged."""
+    qkv = x @ params.W_qkv                      # (h, 3, n, d_k)
+    q, k, v = qkv[:, 0], qkv[:, 1], qkv[:, 2]
+    pre = q @ k.T * (1.0 / np.sqrt(params.d_k))
+    if mod is not None:
+        pre = pre * mod
+    if causal:
+        pre = pre + Tensor(_causal_mask(x.shape[0]), check=False)
+    weights = softmax_rows(pre)
+    return AttentionOutput(values=merge_heads(weights @ v, params.W_o),
+                           weights=weights, pre_softmax=pre)
+
+
 def attention_baseline(x, params, causal=False):
-    """softmax(Q K^T / sqrt(d_k)) V per head, heads concatenated and projected."""
-    x = Tensor._coerce(x)
-    pre = _head_logits(x, params)
-    mask = _causal_mask(x.shape[0]) if causal else None
-    return _finish(x, params, pre, mask)
+    """softmax(Q K^T / sqrt(d_k)) V per head, heads merged and projected."""
+    return _attend(Tensor._coerce(x), params, causal=causal)
 
 
 def _check_field(x, field, params):
@@ -107,40 +102,29 @@ def _check_field(x, field, params):
             f"h={params.head_count}, n={x.shape[0]}")
 
 
-def attention_temp_broadcast(x, params, field, axis=BROADCAST_KEY, causal=False):
-    """Temperature-modulated attention, single-axis broadcast.
+def attention_temp_broadcast(x, params, field):
+    """Temperature-modulated attention, key-axis broadcast.
 
-    With the default key axis, logit [h, i, j] is multiplied by T[h, j]:
-    temperature rates each token as an information source. `axis="query"`
-    multiplies rows instead.
+    Logit [h, i, j] is multiplied by T[h, j]: temperature rates each token as
+    an information source.
     """
     x = Tensor._coerce(x)
     _check_field(x, field, params)
-    pre = _head_logits(x, params)
-    t = field.values
-    if axis == BROADCAST_KEY:
-        mod = t.reshape(field.head_count, 1, field.seq_len)
-    elif axis == BROADCAST_QUERY:
-        mod = t.reshape(field.head_count, field.seq_len, 1)
-    else:
-        raise AttentionConfigError(f"unknown broadcast axis {axis!r}")
-    mask = _causal_mask(x.shape[0]) if causal else None
-    return _finish(x, params, pre * mod, mask)
+    mod = field.values.reshape(field.head_count, 1, field.seq_len)
+    return _attend(x, params, mod)
 
 
-def attention_temp_outer(x, params, field, causal=False):
+def attention_temp_outer(x, params, field):
     """Temperature-modulated attention, outer-product form.
 
     Logit [h, i, j] is multiplied by T[h, i] * T[h, j].
     """
     x = Tensor._coerce(x)
     _check_field(x, field, params)
-    pre = _head_logits(x, params)
     t = field.values
     outer = t.reshape(field.head_count, field.seq_len, 1) \
         * t.reshape(field.head_count, 1, field.seq_len)
-    mask = _causal_mask(x.shape[0]) if causal else None
-    return _finish(x, params, pre * outer, mask)
+    return _attend(x, params, outer)
 
 
 def residual_blend(base_weights, modulated_weights, alpha):

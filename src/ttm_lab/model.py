@@ -23,11 +23,11 @@ from .temperature import (DEFAULT_EPS_MIN, TemperatureField,
 VARIANTS = ("baseline", "broadcast", "outer")
 
 MAGIC = b"QSR1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 CONFIG_KEYS = ["d_model", "heads", "layers", "d_ff", "vocab_size", "d_c",
                "eps_min", "blend_alpha", "attention_variant",
-               "temp_init_mean", "temp_init_std", "seed"]
+               "temp_init_std", "seed"]
 
 
 class CheckpointFormatError(ValueError):
@@ -45,7 +45,6 @@ class ModelConfig:
     eps_min: float = DEFAULT_EPS_MIN
     blend_alpha: float = 0.0
     attention_variant: str = "broadcast"
-    temp_init_mean: float = 0.5
     temp_init_std: float = 0.01
     seed: int = 0
     max_seq_len: int = 64
@@ -127,10 +126,8 @@ def param_specs(cfg):
              ("embed.pos", (cfg.max_seq_len, d), 0.02)]
     for l in range(cfg.layers):
         p = f"block{l}."
-        for head in range(h):
-            specs += [(p + f"attn.w{kind}{head}", (d, dk), proj_std)
-                      for kind in "qkv"]
         specs += [
+            (p + "attn.wqkv", (h, 3, d, dk), proj_std),
             (p + "attn.wo", (h * dk, d), proj_std),
             (p + "ffn.w1", (d, dff), proj_std),
             (p + "ffn.b1", (dff,), "zeros"),
@@ -178,11 +175,8 @@ class ModelParams:
         self.blocks = []
         for l in range(cfg.layers):
             p = f"block{l}."
-            attn = attn_mod.AttentionParams(
-                W_q=[t[p + f"attn.wq{i}"] for i in range(cfg.heads)],
-                W_k=[t[p + f"attn.wk{i}"] for i in range(cfg.heads)],
-                W_v=[t[p + f"attn.wv{i}"] for i in range(cfg.heads)],
-                W_o=t[p + "attn.wo"])
+            attn = attn_mod.AttentionParams(W_qkv=t[p + "attn.wqkv"],
+                                            W_o=t[p + "attn.wo"])
             temp = TemperatureHeadParams(W_t=t[p + "temp.wt"],
                                          b_t=t[p + "temp.bt"],
                                          eps_min=cfg.eps_min)
@@ -233,8 +227,8 @@ def block_forward(x, block, cfg, temp_multiplier=1.0):
             mod = attn_mod.attention_temp_outer(x, block.attn, field)
         if cfg.blend_alpha > 0.0:
             w = attn_mod.residual_blend(base.weights, mod.weights, cfg.blend_alpha)
-            heads = [w[h] @ (x @ block.attn.W_v[h]) for h in range(cfg.heads)]
-            att_values = concat(heads, axis=1) @ block.attn.W_o
+            v = x @ block.attn.W_qkv[:, 2]
+            att_values = attn_mod.merge_heads(w @ v, block.attn.W_o)
         else:
             att_values = mod.values
     h1 = layer_norm(x + att_values, block.ln1_gain, block.ln1_bias)
@@ -380,7 +374,9 @@ def checkpoint_load(path, cfg=None):
             raise CheckpointFormatError("bad magic bytes; not a checkpoint")
         version, = struct.unpack("<I", _read_exact(fh, 4, "version"))
         if version != CHECKPOINT_VERSION:
-            raise CheckpointFormatError(f"unsupported checkpoint version {version}")
+            raise CheckpointFormatError(
+                f"unsupported checkpoint version {version}; this build reads "
+                f"version {CHECKPOINT_VERSION}")
         count, = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
         for _ in range(count):
             name_len, = struct.unpack("<I", _read_exact(fh, 4, "name length"))
@@ -395,6 +391,8 @@ def checkpoint_load(path, cfg=None):
             if name in tensors:
                 raise CheckpointFormatError(f"duplicate tensor {name}")
             tensors[name] = Tensor(values, requires_grad=True)
+        if fh.read(1):
+            raise CheckpointFormatError("trailing bytes after the last tensor")
     if cfg is None:
         if "embed.pos" not in tensors:
             raise CheckpointFormatError("checkpoint missing tensor embed.pos")

@@ -276,12 +276,17 @@ class Tensor:
 
     # -- elementwise nonlinearities ------------------------------------------
 
+    # The backward rules of exp and tanh keep the result array, not `out`:
+    # a closure that refers to its own node makes a reference cycle, and the
+    # cycle would hold the whole upstream tape until the cyclic collector ran.
+
     def exp(self):
-        out = Tensor(np.exp(self.values), _parents=(self,))
+        e = np.exp(self.values)
+        out = Tensor(e, _parents=(self,))
 
         def backward(g):
             if self.requires_grad:
-                self._accumulate(g * out.values)
+                self._accumulate(g * e)
 
         out._backward = backward if out.requires_grad else None
         return out
@@ -297,11 +302,12 @@ class Tensor:
         return out
 
     def tanh(self):
-        out = Tensor(np.tanh(self.values), _parents=(self,))
+        t = np.tanh(self.values)
+        out = Tensor(t, _parents=(self,))
 
         def backward(g):
             if self.requires_grad:
-                self._accumulate(g * (1.0 - out.values ** 2))
+                self._accumulate(g * (1.0 - t ** 2))
 
         out._backward = backward if out.requires_grad else None
         return out

@@ -8,6 +8,7 @@ variants) can leave the range and are clamped back in.
 """
 
 import io
+import math
 import warnings
 from dataclasses import dataclass, field as dc_field
 
@@ -182,7 +183,7 @@ def clip_temperature_grad(grad, tau):
 
 def default_grad_clip_tau(d_k):
     """Explosion threshold 1 / sqrt(d_k)."""
-    return 1.0 / np.sqrt(d_k)
+    return 1.0 / math.sqrt(d_k)
 
 
 def normalize_temperature(field, norm_eps=1e-12):

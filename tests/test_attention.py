@@ -14,9 +14,7 @@ from ttm_lab.temperature import TemperatureField
 def make_params(h, d_model, d_k, seed=0):
     rng = Rng(seed)
     return AttentionParams(
-        W_q=[Tensor(rng.normal((d_model, d_k))) for _ in range(h)],
-        W_k=[Tensor(rng.normal((d_model, d_k))) for _ in range(h)],
-        W_v=[Tensor(rng.normal((d_model, d_k))) for _ in range(h)],
+        W_qkv=Tensor(rng.normal((h, 3, d_model, d_k))),
         W_o=Tensor(rng.normal((h * d_k, d_model))))
 
 
@@ -45,9 +43,9 @@ class TestBaseline:
     def test_hand_case_matches_stepwise_oracle(self):
         p = make_params(1, 4, 2, seed=3)
         x = Rng(4).normal((3, 4))
-        q = x @ p.W_q[0].values
-        k = x @ p.W_k[0].values
-        v = x @ p.W_v[0].values
+        q = x @ p.W_qkv.values[0, 0]
+        k = x @ p.W_qkv.values[0, 1]
+        v = x @ p.W_qkv.values[0, 2]
         logits = q @ k.T / np.sqrt(2.0)
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
         w = e / e.sum(axis=-1, keepdims=True)
@@ -80,7 +78,8 @@ class TestModulatedVariants:
         p = make_params(1, 4, 2, seed=8)
         x = Rng(9).normal((2, 4))
         t = np.array([[0.9, 0.1]])
-        logits = (x @ p.W_q[0].values) @ (x @ p.W_k[0].values).T / np.sqrt(2.0)
+        W = p.W_qkv.values[0]
+        logits = (x @ W[0]) @ (x @ W[1]).T / np.sqrt(2.0)
         mod = logits * t  # column j scaled by t[j]
         e = np.exp(mod - mod.max(axis=-1, keepdims=True))
         w = e / e.sum(axis=-1, keepdims=True)
@@ -102,7 +101,8 @@ class TestModulatedVariants:
         p = make_params(1, 4, 2, seed=12)
         x = Rng(13).normal((2, 4))
         t = np.array([[0.8, 0.3]])
-        logits = (x @ p.W_q[0].values) @ (x @ p.W_k[0].values).T / np.sqrt(2.0)
+        W = p.W_qkv.values[0]
+        logits = (x @ W[0]) @ (x @ W[1]).T / np.sqrt(2.0)
         mod = logits * np.outer(t[0], t[0])
         e = np.exp(mod - mod.max(axis=-1, keepdims=True))
         want = e / e.sum(axis=-1, keepdims=True)
@@ -114,6 +114,41 @@ class TestModulatedVariants:
         with pytest.raises(Exception, match="match"):
             attention_temp_broadcast(Tensor(np.zeros((3, 4))), p,
                                      random_field(1, 5))
+
+
+def reference_attention(x, p, mult=None):
+    """Per-head numpy reference: logits times mult[i] for head i, softmax,
+    head outputs side by side in head order, then W_o."""
+    W = p.W_qkv.values
+    outs, weights = [], []
+    for i in range(p.head_count):
+        q, k, v = (x @ W[i, j] for j in range(3))
+        logits = q @ k.T / np.sqrt(p.d_k)
+        if mult is not None:
+            logits = logits * mult[i]
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        w = e / e.sum(axis=-1, keepdims=True)
+        outs.append(w @ v)
+        weights.append(w)
+    return np.concatenate(outs, axis=1) @ p.W_o.values, np.stack(weights)
+
+
+class TestMultiHeadOracle:
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_all_variants_match_per_head_reference(self, h):
+        d_k, n = 3, 5
+        p = make_params(h, h * d_k + 1, d_k, seed=40 + h)
+        x = Rng(50 + h).normal((n, h * d_k + 1))
+        t = Rng(60 + h).uniform((h, n), 0.1, 0.9)
+        f = TemperatureField(t)
+        cases = [(attention_baseline(Tensor(x), p), None),
+                 (attention_temp_broadcast(Tensor(x), p, f), t[:, None, :]),
+                 (attention_temp_outer(Tensor(x), p, f),
+                  t[:, :, None] * t[:, None, :])]
+        for out, mult in cases:
+            values, weights = reference_attention(x, p, mult)
+            assert np.abs(out.values.values - values).max() < 1e-12
+            assert np.abs(out.weights.values - weights).max() < 1e-12
 
 
 class TestRowStochastic:
@@ -139,7 +174,7 @@ class TestStructuralProperties:
         found = 0
         while found < 20:
             x = rng.normal((3, 4))
-            logits = (x @ p.W_q[0].values) @ (x @ p.W_k[0].values).T
+            logits = (x @ p.W_qkv.values[0, 0]) @ (x @ p.W_qkv.values[0, 1]).T
             if logits.min() <= 0:
                 continue
             found += 1

@@ -43,6 +43,7 @@ class TestConfigLoading:
         assert code == EXIT_USAGE
 
     @pytest.mark.parametrize("block,key", [("model", "dropout"),
+                                           ("model", "temp_init_mean"),
                                            ("gsot_cfg", "max_paths")])
     def test_removed_keys_rejected(self, tmp_path, capsys, block, key):
         code, _ = run(tmp_path, "check", {block: {key: 1}})

@@ -87,9 +87,8 @@ class TestBlockForward:
         x = Tensor(Rng(3).normal((1, 8)))
         out, _ = block_forward(x, block, cfg)
         # single-token attention mixes only that token's value rows
-        from ttm_lab.numerics import concat
-        heads = [x @ wv for wv in block.attn.W_v]
-        attn = concat(heads, axis=1) @ block.attn.W_o
+        from ttm_lab.attention import merge_heads
+        attn = merge_heads(x @ block.attn.W_qkv[:, 2], block.attn.W_o)
         h1 = layer_norm(x + attn, block.ln1_gain, block.ln1_bias)
         ff = gelu(h1 @ block.W_ff1 + block.b_ff1) @ block.W_ff2 + block.b_ff2
         want = layer_norm(h1 + ff, block.ln2_gain, block.ln2_bias)
@@ -327,4 +326,21 @@ class TestCheckpoint:
         head = open(path, "rb").read()[:8] + struct.pack("<I", len(records))
         open(path, "wb").write(head + body)
         with pytest.raises(CheckpointFormatError, match="duplicate tensor embed.tok"):
+            checkpoint_load(path)
+
+    def test_older_version_rejected_by_number(self, tmp_path):
+        path = str(tmp_path / "v1.ckpt")
+        checkpoint_save(ModelParams(toy_cfg(layers=1)), path)
+        raw = bytearray(open(path, "rb").read())
+        raw[4:8] = struct.pack("<I", 1)
+        open(path, "wb").write(bytes(raw))
+        with pytest.raises(CheckpointFormatError, match="version 1"):
+            checkpoint_load(path)
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        path = str(tmp_path / "tail.ckpt")
+        checkpoint_save(ModelParams(toy_cfg(layers=1)), path)
+        with open(path, "ab") as fh:
+            fh.write(b"\0")
+        with pytest.raises(CheckpointFormatError, match="trailing bytes"):
             checkpoint_load(path)

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -174,6 +175,20 @@ class TestTensorBasics:
         t = Tensor(np.arange(6.0), requires_grad=True)
         t[np.array([0, 0, 5])].sum().backward()
         assert t.grad.tolist() == [2.0, 0, 0, 0, 0, 1.0]
+
+    def test_tape_freed_without_cycle_collector(self):
+        # a tape must be freed as soon as its last reference goes; a node
+        # caught in a reference cycle would hold every node upstream of it
+        x = Tensor(np.linspace(-1.0, 1.0, 4), requires_grad=True)
+        gc.collect()
+        gc.disable()
+        try:
+            loss = (x.exp() + x.tanh()).sum()
+            loss.backward()
+            del loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestRng:

@@ -200,6 +200,23 @@ class TestTrainLoop:
         assert len(lines) == 4
         assert METRIC_COLUMNS[0] == "step" and METRIC_COLUMNS[-1] == "event"
 
+    def test_metrics_csv_cells_are_plain_floats(self):
+        # grad_norm_temp exceeds tau = 1 / sqrt(d_k) here, which switches on
+        # the stability term; every logged number must still print as a float
+        params = ModelParams(ModelConfig(d_model=32, heads=2, layers=2,
+                                         d_ff=64, vocab_size=20, d_c=4,
+                                         max_seq_len=8))
+        data = make_task(TaskSpec(kind="arithmetic_chain", length=8, count=64))
+        history = train(params, data, TrainConfig(steps=2, batch=8))
+        assert history.rows[0]["grad_norm_temp"] > 0.25
+        buf = io.StringIO()
+        history.to_csv(buf)
+        lines = buf.getvalue().strip().split("\n")
+        for line in lines[1:]:
+            for col, cell in zip(METRIC_COLUMNS, line.split(",")):
+                if col != "event":
+                    float(cell)
+
     def test_loss_decreases_on_copy(self):
         params = toy_params(seed=9)
         data = make_task(TaskSpec(kind="copy", length=4, count=16, seed=9))
