@@ -2,8 +2,9 @@
 
 A block's query, key and value projections are one tensor W_qkv of shape
 (h, 3, d_model, d_k): W_qkv[i, 0], W_qkv[i, 1] and W_qkv[i, 2] are head i's
-W_q, W_k and W_v. One product x @ W_qkv projects every head at once, and all
-variants share one body that differs only in the logit multiplier.
+W_q, W_k and W_v. One product x @ W_qkv projects every head at once. Only the
+baseline projects: a modulated variant takes the baseline's output for the
+same x and params, multiplies its logits and weighs its value rows.
 
 Two modulation forms exist side by side: a key-axis broadcast (each logit
 column j is scaled by T[h, j]) and an outer-product form (logit [i, j] scaled
@@ -60,6 +61,7 @@ class AttentionOutput:
     values: Tensor          # (n, d_model)
     weights: Tensor         # (h, n, n), rows sum to 1
     pre_softmax: Tensor     # (h, n, n) modulated logits
+    v: Tensor               # (h, n, d_k) per-head value rows
 
 
 def merge_heads(head_values, W_o):
@@ -75,56 +77,53 @@ def _causal_mask(n):
     return m[None, :, :]
 
 
-def _attend(x, params, mod=None, causal=False):
-    """All heads at once: logits q k^T / sqrt(d_k), times `mod` if given,
-    masked if causal, softmax, then the weighted values merged."""
-    qkv = x @ params.W_qkv                      # (h, 3, n, d_k)
-    q, k, v = qkv[:, 0], qkv[:, 1], qkv[:, 2]
-    pre = q @ k.T * (1.0 / np.sqrt(params.d_k))
-    if mod is not None:
-        pre = pre * mod
-    if causal:
-        pre = pre + Tensor(_causal_mask(x.shape[0]), check=False)
+def _weigh(pre, v, W_o):
+    """Softmax over the logits `pre`, then the weighted values merged."""
     weights = softmax_rows(pre)
-    return AttentionOutput(values=merge_heads(weights @ v, params.W_o),
-                           weights=weights, pre_softmax=pre)
+    return AttentionOutput(values=merge_heads(weights @ v, W_o),
+                           weights=weights, pre_softmax=pre, v=v)
 
 
 def attention_baseline(x, params, causal=False):
     """softmax(Q K^T / sqrt(d_k)) V per head, heads merged and projected."""
-    return _attend(Tensor._coerce(x), params, causal=causal)
+    x = Tensor._coerce(x)
+    qkv = x @ params.W_qkv                      # (h, 3, n, d_k)
+    q, k, v = qkv[:, 0], qkv[:, 1], qkv[:, 2]
+    pre = q @ k.T * (1.0 / np.sqrt(params.d_k))
+    if causal:
+        pre = pre + Tensor(_causal_mask(x.shape[0]), check=False)
+    return _weigh(pre, v, params.W_o)
 
 
-def _check_field(x, field, params):
-    if field.head_count != params.head_count or field.seq_len != x.shape[0]:
+def _check_field(base, field, params):
+    n = base.weights.shape[-1]
+    if field.head_count != params.head_count or field.seq_len != n:
         raise DimensionError(
             f"field shape ({field.head_count}, {field.seq_len}) does not match "
-            f"h={params.head_count}, n={x.shape[0]}")
+            f"h={params.head_count}, n={n}")
 
 
-def attention_temp_broadcast(x, params, field):
+def attention_temp_broadcast(base, params, field):
     """Temperature-modulated attention, key-axis broadcast.
 
     Logit [h, i, j] is multiplied by T[h, j]: temperature rates each token as
     an information source.
     """
-    x = Tensor._coerce(x)
-    _check_field(x, field, params)
+    _check_field(base, field, params)
     mod = field.values.reshape(field.head_count, 1, field.seq_len)
-    return _attend(x, params, mod)
+    return _weigh(base.pre_softmax * mod, base.v, params.W_o)
 
 
-def attention_temp_outer(x, params, field):
+def attention_temp_outer(base, params, field):
     """Temperature-modulated attention, outer-product form.
 
     Logit [h, i, j] is multiplied by T[h, i] * T[h, j].
     """
-    x = Tensor._coerce(x)
-    _check_field(x, field, params)
+    _check_field(base, field, params)
     t = field.values
     outer = t.reshape(field.head_count, field.seq_len, 1) \
         * t.reshape(field.head_count, 1, field.seq_len)
-    return _attend(x, params, outer)
+    return _weigh(base.pre_softmax * outer, base.v, params.W_o)
 
 
 def residual_blend(base_weights, modulated_weights, alpha):

@@ -147,8 +147,8 @@ def _check_row_stochastic(model_cfg):
         base = attention_baseline(x, block.attn)
         field = compute_temperature(base.values, block.temp)
         for out in (base,
-                    attention_temp_broadcast(x, block.attn, field),
-                    attention_temp_outer(x, block.attn, field)):
+                    attention_temp_broadcast(base, block.attn, field),
+                    attention_temp_outer(base, block.attn, field)):
             sums = out.weights.values.sum(axis=-1)
             assert np.abs(sums - 1.0).max() < 1e-9, "attention row sum drift"
 
@@ -162,8 +162,8 @@ def _check_identity_reduction(model_cfg):
     unit = TemperatureField(Tensor(np.ones((model_cfg.heads, n))),
                             model_cfg.eps_min, validate=False)
     base = attention_baseline(x, block.attn)
-    for out in (attention_temp_broadcast(x, block.attn, unit),
-                attention_temp_outer(x, block.attn, unit)):
+    for out in (attention_temp_broadcast(base, block.attn, unit),
+                attention_temp_outer(base, block.attn, unit)):
         diff = np.abs(out.values.values - base.values.values).max()
         assert diff < 1e-12, f"unit field changed attention by {diff}"
 
@@ -293,7 +293,7 @@ def cmd_train(resolved, model_cfg, train_cfg, task_spec, args):
     history = training.train(params, dataset, train_cfg)
     history.to_csv(os.path.join(out_dir, "metrics.csv"))
     if history.aborted:
-        print("training aborted on non-finite loss; last good parameters kept",
+        print("training aborted on a non-finite value; last good parameters kept",
               file=sys.stderr)
         return EXIT_RUNTIME
     loss, acc = training.evaluate(params, dataset)

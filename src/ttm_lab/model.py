@@ -212,8 +212,8 @@ def block_forward(x, block, cfg, temp_multiplier=1.0):
     """One transformer block; returns the output and the field it used.
 
     Pipeline: plain attention -> field from its output -> modulated attention
-    per cfg.attention_variant (optionally blended back toward the plain
-    weights) -> LN1(x + attn) -> LN2(. + FFN(.)).
+    per cfg.attention_variant on the plain logits and values (optionally
+    blended back toward the plain weights) -> LN1(x + attn) -> LN2(. + FFN(.)).
     """
     base = attn_mod.attention_baseline(x, block.attn)
     field = compute_temperature(base.values, block.temp)
@@ -222,13 +222,12 @@ def block_forward(x, block, cfg, temp_multiplier=1.0):
         att_values = base.values
     else:
         if cfg.attention_variant == "broadcast":
-            mod = attn_mod.attention_temp_broadcast(x, block.attn, field)
+            mod = attn_mod.attention_temp_broadcast(base, block.attn, field)
         else:
-            mod = attn_mod.attention_temp_outer(x, block.attn, field)
+            mod = attn_mod.attention_temp_outer(base, block.attn, field)
         if cfg.blend_alpha > 0.0:
             w = attn_mod.residual_blend(base.weights, mod.weights, cfg.blend_alpha)
-            v = x @ block.attn.W_qkv[:, 2]
-            att_values = attn_mod.merge_heads(w @ v, block.attn.W_o)
+            att_values = attn_mod.merge_heads(w @ base.v, block.attn.W_o)
         else:
             att_values = mod.values
     h1 = layer_norm(x + att_values, block.ln1_gain, block.ln1_bias)

@@ -94,7 +94,11 @@ class Tensor:
         self.grad += g
 
     def backward(self):
-        """Reverse-mode sweep from this (scalar) tensor."""
+        """Reverse-mode sweep from this (scalar) tensor.
+
+        Raises NumericError if any leaf (a node without parents, such as a
+        parameter) ends the sweep with a non-finite gradient.
+        """
         if self.values.size != 1:
             raise DimensionError("backward() requires a scalar tensor")
         order = []
@@ -120,8 +124,11 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
-        if not np.all(np.isfinite(self.grad)):
-            raise NumericError("non-finite gradient at output")
+        for node in order:
+            if not node._parents and node.grad is not None \
+                    and not np.all(np.isfinite(node.grad)):
+                raise NumericError(
+                    f"non-finite gradient at a leaf tensor of shape {node.shape}")
 
     # -- arithmetic ---------------------------------------------------------
 

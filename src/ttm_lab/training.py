@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .model import model_forward
-from .numerics import Rng, Tensor
+from .numerics import NumericError, Rng, Tensor
 from .temperature import (clip_temperature_grad, collapse_penalty,
                           default_grad_clip_tau, detect_collapse)
 
@@ -230,8 +230,14 @@ def train(params, dataset, cfg, loss_injection=None):
     """Run the stability-monitored training protocol; returns the history.
 
     `loss_injection(step, loss)` may perturb the observed task loss (used to
-    script instability scenarios). A non-finite loss aborts and restores the
-    last good parameter values.
+    script instability scenarios). A non-finite task loss or temperature
+    gradient norm, or a NumericError raised inside a step, aborts the run
+    before that step's update and restores the last good parameter values.
+
+    The logged `total_loss` is the loss backward() ran on, task + lambda_T *
+    collapse penalty. `stability_penalty` is logged beside it, never added:
+    the tape has no second-order gradients, so a gradient-norm penalty cannot
+    join the objective.
     """
     rng = Rng(cfg.seed)
     tau = default_grad_clip_tau(params.cfg.d_k)
@@ -247,33 +253,39 @@ def train(params, dataset, cfg, loss_injection=None):
         task_acc = None
         penalty_acc = None
         field_min, field_max, collapse_frac = 1.0, 0.0, 0.0
-        for i in idx:
-            ex = dataset[int(i)]
-            logits, fields = model_forward(ex.inputs, params)
-            ce = cross_entropy(logits, ex.targets, ex.mask)
-            task_acc = ce if task_acc is None else task_acc + ce
-            pen = collapse_penalty(fields[-1], 1.0)
-            penalty_acc = pen if penalty_acc is None else penalty_acc + pen
-            rep = detect_collapse(fields[-1], cfg.collapse_eps)
-            field_min = min(field_min, rep.min_value)
-            field_max = max(field_max, rep.max_value)
-            collapse_frac = max(collapse_frac, rep.fraction)
-        task_mean = task_acc / float(cfg.batch)
-        penalty_mean = penalty_acc / float(cfg.batch)
-        loss = task_mean + penalty_mean * lam_T
-        loss.backward()
+        try:
+            for i in idx:
+                ex = dataset[int(i)]
+                logits, fields = model_forward(ex.inputs, params)
+                ce = cross_entropy(logits, ex.targets, ex.mask)
+                task_acc = ce if task_acc is None else task_acc + ce
+                pen = collapse_penalty(fields[-1], 1.0)
+                penalty_acc = pen if penalty_acc is None else penalty_acc + pen
+                rep = detect_collapse(fields[-1], cfg.collapse_eps)
+                field_min = min(field_min, rep.min_value)
+                field_max = max(field_max, rep.max_value)
+                collapse_frac = max(collapse_frac, rep.fraction)
+            task_mean = task_acc / float(cfg.batch)
+            penalty_mean = penalty_acc / float(cfg.batch)
+            loss = task_mean + penalty_mean * lam_T
+            loss.backward()
 
-        task_val = float(task_mean.values)
-        if loss_injection is not None:
-            task_val = loss_injection(t, task_val)
-        if not math.isfinite(task_val) or not math.isfinite(float(loss.values)):
+            task_val = float(task_mean.values)
+            if loss_injection is not None:
+                task_val = loss_injection(t, task_val)
+            grads_temp = [tensor.grad for name, tensor in params.named_tensors()
+                          if _is_temp_param(name) and tensor.grad is not None]
+            grad_norm_temp = math.sqrt(sum(float((g ** 2).sum()) for g in grads_temp))
+            if not (math.isfinite(task_val) and math.isfinite(grad_norm_temp)):
+                raise NumericError(f"non-finite task loss or temperature "
+                                   f"gradient norm at step {t}")
+        except NumericError:
             _restore(params, last_good)
             history.aborted = True
             break
-
-        grads_temp = [tensor.grad for name, tensor in params.named_tensors()
-                      if _is_temp_param(name) and tensor.grad is not None]
-        grad_norm_temp = math.sqrt(sum(float((g ** 2).sum()) for g in grads_temp))
+        penalty_val = float(penalty_mean.values)
+        # the loss backward() ran on; lam_T may double below for later steps
+        loss_val = task_val + lam_T * penalty_val
         stab = stability_excess(grad_norm_temp, tau)
 
         unstable = ((prev_task_loss is not None
@@ -305,10 +317,9 @@ def train(params, dataset, cfg, loss_injection=None):
         history.rows.append({
             "step": t,
             "task_loss": task_val,
-            "temp_penalty": float(penalty_mean.values),
+            "temp_penalty": penalty_val,
             "stability_penalty": stab * cfg.lambda_S,
-            "total_loss": task_val + lam_T * float(penalty_mean.values)
-                          + cfg.lambda_S * stab,
+            "total_loss": loss_val,
             "lr_main": lr_main,
             "lr_temp": lr_temp,
             "temp_min": field_min,

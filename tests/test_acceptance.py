@@ -70,8 +70,8 @@ def test_02_all_attention_variants_row_stochastic():
         base = attention_baseline(x, block.attn)
         field = compute_temperature(base.values, block.temp)
         for out in (base,
-                    attention_temp_broadcast(x, block.attn, field),
-                    attention_temp_outer(x, block.attn, field)):
+                    attention_temp_broadcast(base, block.attn, field),
+                    attention_temp_outer(base, block.attn, field)):
             worst = max(worst,
                         float(np.abs(out.weights.values.sum(axis=-1) - 1.0).max()))
     elapsed = time.time() - t0
@@ -92,10 +92,10 @@ def test_03_unit_field_reduces_to_baseline():
         x = Tensor(rng.normal((n, 8)))
         unit = TemperatureField(Tensor(np.ones((2, n))), eps_min=0.0,
                                 validate=False)
-        base = attention_baseline(x, block.attn).values.values
+        base = attention_baseline(x, block.attn)
         for fn in (attention_temp_broadcast, attention_temp_outer):
-            out = fn(x, block.attn, unit).values.values
-            worst = max(worst, float(np.abs(out - base).max()))
+            out = fn(base, block.attn, unit).values.values
+            worst = max(worst, float(np.abs(out - base.values.values).max()))
     ok = worst < 1e-12
     verdict(3, "unit temperature field is an exact identity",
             ok, f"worst deviation {worst:.2e}")

@@ -62,16 +62,16 @@ class TestModulatedVariants:
     def test_unit_field_equals_baseline(self):
         p = make_params(2, 8, 4, seed=5)
         x = Tensor(Rng(6).normal((5, 8)))
-        base = attention_baseline(x, p).values.values
+        base = attention_baseline(x, p)
         for variant in (attention_temp_broadcast, attention_temp_outer):
-            got = variant(x, p, unit_field(2, 5)).values.values
-            assert np.abs(got - base).max() < 1e-12
+            got = variant(base, p, unit_field(2, 5)).values.values
+            assert np.abs(got - base.values.values).max() < 1e-12
 
     def test_broadcast_zero_logits_stay_uniform(self):
         p = make_params(1, 4, 2, seed=7)
         x = Tensor(np.zeros((4, 4)))
         f = TemperatureField(np.full((1, 4), 0.7))
-        out = attention_temp_broadcast(x, p, f)
+        out = attention_temp_broadcast(attention_baseline(x, p), p, f)
         assert np.abs(out.weights.values - 0.25).max() < 1e-15
 
     def test_broadcast_two_token_closed_form(self):
@@ -83,7 +83,8 @@ class TestModulatedVariants:
         mod = logits * t  # column j scaled by t[j]
         e = np.exp(mod - mod.max(axis=-1, keepdims=True))
         w = e / e.sum(axis=-1, keepdims=True)
-        out = attention_temp_broadcast(Tensor(x), p, TemperatureField(t))
+        out = attention_temp_broadcast(attention_baseline(Tensor(x), p), p,
+                                       TemperatureField(t))
         assert np.abs(out.weights.values[0] - w).max() < 1e-12
 
     def test_outer_constant_field_scales_logits(self):
@@ -94,7 +95,7 @@ class TestModulatedVariants:
         scaled = base.pre_softmax.values * c * c
         e = np.exp(scaled - scaled.max(axis=-1, keepdims=True))
         want = e / e.sum(axis=-1, keepdims=True)
-        out = attention_temp_outer(x, p, TemperatureField(np.full((1, 3), c)))
+        out = attention_temp_outer(base, p, TemperatureField(np.full((1, 3), c)))
         assert np.abs(out.weights.values - want).max() < 1e-12
 
     def test_outer_hand_case(self):
@@ -106,14 +107,16 @@ class TestModulatedVariants:
         mod = logits * np.outer(t[0], t[0])
         e = np.exp(mod - mod.max(axis=-1, keepdims=True))
         want = e / e.sum(axis=-1, keepdims=True)
-        out = attention_temp_outer(Tensor(x), p, TemperatureField(t))
+        out = attention_temp_outer(attention_baseline(Tensor(x), p), p,
+                                   TemperatureField(t))
         assert np.abs(out.weights.values[0] - want).max() < 1e-12
 
     def test_field_length_mismatch(self):
         p = make_params(1, 4, 2)
         with pytest.raises(Exception, match="match"):
-            attention_temp_broadcast(Tensor(np.zeros((3, 4))), p,
-                                     random_field(1, 5))
+            attention_temp_broadcast(
+                attention_baseline(Tensor(np.zeros((3, 4))), p), p,
+                random_field(1, 5))
 
 
 def reference_attention(x, p, mult=None):
@@ -141,9 +144,10 @@ class TestMultiHeadOracle:
         x = Rng(50 + h).normal((n, h * d_k + 1))
         t = Rng(60 + h).uniform((h, n), 0.1, 0.9)
         f = TemperatureField(t)
-        cases = [(attention_baseline(Tensor(x), p), None),
-                 (attention_temp_broadcast(Tensor(x), p, f), t[:, None, :]),
-                 (attention_temp_outer(Tensor(x), p, f),
+        base = attention_baseline(Tensor(x), p)
+        cases = [(base, None),
+                 (attention_temp_broadcast(base, p, f), t[:, None, :]),
+                 (attention_temp_outer(base, p, f),
                   t[:, :, None] * t[:, None, :])]
         for out, mult in cases:
             values, weights = reference_attention(x, p, mult)
@@ -159,9 +163,10 @@ class TestRowStochastic:
         p = make_params(h, h * d_k + 1, d_k, seed=seed)
         x = Tensor(Rng(seed + 1).normal((n, h * d_k + 1)))
         f = random_field(h, n, seed=seed + 2)
-        for out in (attention_baseline(x, p),
-                    attention_temp_broadcast(x, p, f),
-                    attention_temp_outer(x, p, f)):
+        base = attention_baseline(x, p)
+        for out in (base,
+                    attention_temp_broadcast(base, p, f),
+                    attention_temp_outer(base, p, f)):
             sums = out.weights.values.sum(axis=-1)
             assert np.abs(sums - 1.0).max() < 1e-9
 
@@ -181,8 +186,9 @@ class TestStructuralProperties:
             t = rng.uniform((1, 3), 0.3, 0.9)
             lo = t.copy()
             lo[0, 1] *= 0.5
-            w_hi = attention_temp_broadcast(Tensor(x), p, TemperatureField(t))
-            w_lo = attention_temp_broadcast(Tensor(x), p, TemperatureField(lo))
+            base = attention_baseline(Tensor(x), p)
+            w_hi = attention_temp_broadcast(base, p, TemperatureField(t))
+            w_lo = attention_temp_broadcast(base, p, TemperatureField(lo))
             assert np.all(w_lo.weights.values[0][:, 1]
                           <= w_hi.weights.values[0][:, 1] + 1e-12)
 
@@ -191,9 +197,10 @@ class TestStructuralProperties:
         x = Rng(23).normal((5, 6))
         f = Rng(24).uniform((2, 5), 0.1, 0.9)
         perm = Rng(25).permutation(5)
-        direct = attention_temp_broadcast(Tensor(x[perm]), p,
-                                          TemperatureField(f[:, perm]))
-        original = attention_temp_broadcast(Tensor(x), p, TemperatureField(f))
+        direct = attention_temp_broadcast(attention_baseline(Tensor(x[perm]), p),
+                                          p, TemperatureField(f[:, perm]))
+        original = attention_temp_broadcast(attention_baseline(Tensor(x), p), p,
+                                            TemperatureField(f))
         assert np.abs(direct.values.values
                       - original.values.values[perm]).max() < 1e-12
 
@@ -202,7 +209,9 @@ class TestStructuralProperties:
         x = Tensor(Rng(27).normal((4, 6)))
         f = random_field(2, 4, seed=28)
         for variant in (attention_temp_broadcast, attention_temp_outer):
-            err = grad_check(lambda t: (variant(t, p, f).values ** 2).sum(), x)
+            err = grad_check(
+                lambda t: (variant(attention_baseline(t, p), p, f).values ** 2).sum(),
+                x)
             assert err < 1e-5
 
     def test_causal_mask_zeroes_future(self):

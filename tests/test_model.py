@@ -94,6 +94,23 @@ class TestBlockForward:
         want = layer_norm(h1 + ff, block.ln2_gain, block.ln2_bias)
         assert np.abs(out.values - want.values).max() < 1e-10
 
+    @pytest.mark.parametrize("variant, alpha", [("broadcast", 0.0),
+                                                ("outer", 0.0), ("outer", 0.3)])
+    def test_shared_projection_gradient(self, variant, alpha):
+        # W_qkv feeds both passes: the plain one and, through its logits and
+        # value rows, the modulated one (and the blend)
+        cfg = toy_cfg(layers=1, attention_variant=variant, blend_alpha=alpha)
+        block = ModelParams(cfg).blocks[0]
+        x = Tensor(Rng(4).normal((5, 8)))
+        w = Tensor(Rng(5).normal((5, 8)))
+
+        def loss(wqkv):
+            block.attn.W_qkv = wqkv
+            out, _ = block_forward(x, block, cfg)
+            return (out * w).sum()
+
+        assert grad_check(loss, block.attn.W_qkv) < 1e-4
+
 
 class TestModelForward:
     def test_out_of_range_token(self):

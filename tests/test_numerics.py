@@ -165,6 +165,12 @@ class TestTensorBasics:
         with pytest.raises(DimensionError):
             (t * 2.0).backward()
 
+    def test_non_finite_leaf_gradient_raises(self):
+        # 1/x is finite at x = 1e-200, but its gradient -1/x^2 overflows
+        x = Tensor([1e-200], requires_grad=True)
+        with np.errstate(all="ignore"), pytest.raises(NumericError):
+            (Tensor([1.0]) / x).sum().backward()
+
     def test_broadcast_add_gradient(self):
         a = Tensor(np.ones((3, 4)), requires_grad=True)
         b = Tensor(np.ones(4), requires_grad=True)

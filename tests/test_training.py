@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttm_lab.model import ModelConfig, ModelParams
-from ttm_lab.numerics import Tensor
-from ttm_lab.temperature import TemperatureField
+from ttm_lab.model import ModelConfig, ModelParams, model_forward
+from ttm_lab.numerics import Rng, Tensor
+from ttm_lab.temperature import TemperatureField, collapse_penalty
 from ttm_lab.training import (METRIC_COLUMNS, PUBLISHED_MEMORY_CLAIM_BYTES,
                               TOK_ADD, TOK_HALVE, TOK_INIT,
                               TOK_SUB, TaskSpec, TrainConfig,
@@ -24,6 +25,11 @@ def toy_params(seed=0, **kw):
                 seed=seed, max_seq_len=8)
     base.update(kw)
     return ModelParams(ModelConfig(**base))
+
+
+def arith_params():
+    return ModelParams(ModelConfig(d_model=32, heads=2, layers=2, d_ff=64,
+                                   vocab_size=20, d_c=4, max_seq_len=8))
 
 
 class TestLosses:
@@ -187,6 +193,54 @@ class TestTrainLoop:
         assert all(math.isfinite(float(t.values.sum()))
                    for _, t in params.named_tensors())
 
+    @pytest.mark.parametrize("scale, rows", [(1e305, 0), (1e150, 1)])
+    def test_real_overflow_aborts_and_restores(self, scale, rows):
+        # a huge output projection overflows the temperature gradient at
+        # step 1 (1e305) or the forward pass at step 2 (1e150)
+        def scaled_params():
+            params = arith_params()
+            params.W_out.values = params.W_out.values * scale
+            return params
+
+        data = make_task(TaskSpec(kind="arithmetic_chain", length=8, count=64))
+        cfg = TrainConfig(steps=5, batch=4)
+        want = scaled_params()
+        if rows:
+            train(want, data, dataclasses.replace(cfg, steps=rows))
+        params = scaled_params()
+        with np.errstate(all="ignore"):
+            history = train(params, data, cfg)
+        assert history.aborted
+        assert len(history.rows) == rows
+        for (name, t), (_, w) in zip(params.named_tensors(), want.named_tensors()):
+            assert np.all(np.isfinite(t.values)), name
+            assert np.array_equal(t.values, w.values), name
+
+    def test_logged_total_is_optimized_loss(self):
+        # lambda_S > 0 and an event at step 3: the logged total must still be
+        # task + lambda_T * penalty with the lambda_T that step optimized
+        params = arith_params()
+        data = make_task(TaskSpec(kind="arithmetic_chain", length=8, count=64))
+        cfg = TrainConfig(steps=4, batch=4, lambda_S=1.0)
+        idx = Rng(cfg.seed).integers(0, len(data), size=cfg.batch)
+        task, pen = 0.0, 0.0
+        for i in idx:
+            ex = data[int(i)]
+            logits, fields = model_forward(ex.inputs, params)
+            task += float(cross_entropy(logits, ex.targets, ex.mask).values)
+            pen += float(collapse_penalty(fields[-1], 1.0).values)
+        step1 = (task + cfg.lambda_T * pen) / cfg.batch
+
+        def inject(step, loss):
+            return loss * 100.0 if step == 3 else loss
+
+        history = train(params, data, cfg, loss_injection=inject)
+        assert [r["event"] for r in history.rows] == ["", "", "lr_halved", ""]
+        assert history.rows[0]["stability_penalty"] > 0.0
+        assert abs(history.rows[0]["total_loss"] - step1) < 1e-12
+        for row, lam in zip(history.rows, (0.1, 0.1, 0.1, 0.2)):
+            assert row["total_loss"] == row["task_loss"] + lam * row["temp_penalty"]
+
     def test_metrics_csv_columns(self):
         params = toy_params(seed=8)
         data = make_task(TaskSpec(kind="copy", length=4, count=8, seed=8))
@@ -203,9 +257,7 @@ class TestTrainLoop:
     def test_metrics_csv_cells_are_plain_floats(self):
         # grad_norm_temp exceeds tau = 1 / sqrt(d_k) here, which switches on
         # the stability term; every logged number must still print as a float
-        params = ModelParams(ModelConfig(d_model=32, heads=2, layers=2,
-                                         d_ff=64, vocab_size=20, d_c=4,
-                                         max_seq_len=8))
+        params = arith_params()
         data = make_task(TaskSpec(kind="arithmetic_chain", length=8, count=64))
         history = train(params, data, TrainConfig(steps=2, batch=8))
         assert history.rows[0]["grad_norm_temp"] > 0.25
