@@ -384,8 +384,12 @@ def cmd_stats(resolved, args):
     blk = resolved["stats"]
     samples = blk["samples"]
     if blk["samples_file"] is not None:
-        with open(blk["samples_file"]) as fh:
-            samples = [float(line) for line in fh if line.strip()]
+        try:
+            with open(blk["samples_file"]) as fh:
+                samples = [float(line) for line in fh if line.strip()]
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read samples_file "
+                              f"{blk['samples_file']}: {exc}")
     lo, hi = training.confidence_interval(samples, blk["level"])
     doc = {"n": len(samples), "mean": float(np.mean(samples)),
            "level": blk["level"], "ci_low": lo, "ci_high": hi}

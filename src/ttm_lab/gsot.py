@@ -99,13 +99,6 @@ def hidden_token_probs(x, context, universe):
     return e / e.sum()
 
 
-def hidden_tokens(x, context, universe, theta):
-    """Hidden ids whose conditional probability strictly exceeds theta."""
-    probs = hidden_token_probs(x, context, universe)
-    base = universe.vocab_size
-    return {base + i for i, p in enumerate(probs) if p > theta}
-
-
 def hidden_temperature(hidden_id, relevance, universe):
     """sigma(w_h . e_h + b_h) scaled by the context relevance factor."""
     e = universe.hidden_embedding(hidden_id)
@@ -149,30 +142,6 @@ class ReasoningTrace:
                 "op_count": s.op_count,
             }))
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-@dataclass
-class ReasoningPath:
-    id: int
-    steps: list
-    fn: object  # callable instance -> prediction
-
-
-def select_path(paths, dataset, loss_fn):
-    """Path with the least mean loss over the dataset; ties pick lowest id."""
-    if not paths:
-        raise ValueError("no reasoning paths given")
-    if not dataset:
-        raise ValueError("empty dataset")
-    losses = []
-    for path in paths:
-        total = 0.0
-        for x, y in dataset:
-            total += float(loss_fn(path.fn(x), y))
-        losses.append(total / len(dataset))
-    best_idx = min(range(len(paths)),
-                   key=lambda i: (losses[i], paths[i].id))
-    return paths[best_idx], losses
 
 
 def forward_macs(n, cfg):
@@ -220,34 +189,6 @@ def _admit_hidden(x, context, universe, cfg):
                 and hidden_temperature(base + j, p, universe) > cfg.tau_h]
     macs = universe.hidden_count * (universe.W_h.shape[1] + universe.primary.shape[1])
     return admitted, macs
-
-
-def integrated_token_processing(X, context, universe, params, cfg):
-    """Single-pass activation of primary and hidden tokens.
-
-    A primary token enters the active set iff its mean final-layer
-    temperature strictly exceeds tau_p; its hidden candidates enter iff their
-    relevance-scaled temperature strictly exceeds tau_h.
-    """
-    X = list(X)
-    context = np.asarray(context, dtype=np.float64)
-    emb = Tensor(universe.primary[X], check=False)
-    _, fields, _ = forward_embedded(emb, params)
-    temps = _token_temps(fields[-1])
-    trace = ReasoningTrace()
-    v_active, h_active = [], []
-    ops = forward_macs(len(X), params.cfg)
-    for i, x in enumerate(X):
-        if temps[i] > cfg.tau_p:
-            v_active.append(i)
-            admitted, macs = _admit_hidden(x, context, universe, cfg)
-            h_active += admitted
-            ops += macs
-        trace.add(step=i + 1, active_primary=list(v_active),
-                  active_hidden=list(h_active),
-                  mean_temperature=float(temps[:i + 1].mean()),
-                  decision=CONTINUE, op_count=ops)
-    return v_active, h_active, trace
 
 
 def recovery_step(field_summary, cfg):

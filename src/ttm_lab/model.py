@@ -9,8 +9,10 @@ never changes per-position argmax.
 
 import json
 import math
+import os
 import struct
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +52,8 @@ class ModelConfig:
     max_seq_len: int = 64
 
     def __post_init__(self):
+        if min(self.d_model, self.heads, self.d_ff) < 1:
+            raise ValueError("need d_model, heads and d_ff >= 1")
         if self.d_model % self.heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by heads {self.heads}")
         if self.layers < 1 or self.vocab_size < 2:
@@ -90,20 +94,6 @@ class BlockParams:
     ln2_gain: Tensor
     ln2_bias: Tensor
     temp: TemperatureHeadParams
-
-
-@dataclass
-class ContextProcessorParams:
-    """Weights of `context_processor` and `token_importance`; not part of
-    ModelParams, callers build them."""
-
-    W_lin: Tensor
-    b_lin: Tensor
-    ln_gain: Tensor
-    ln_bias: Tensor
-    W_proj: Tensor  # (3 * d_model, d_c)
-    W_imp: Tensor   # (d_c, 1)
-    b_imp: Tensor   # (1,)
 
 
 def _temp_logit_std(cfg):
@@ -270,24 +260,6 @@ def model_forward(tokens, params, temp_multiplier=1.0):
     return logits, fields
 
 
-def context_processor(x, cp):
-    """Three-stage context features (linear / layer norm / GELU),
-    concatenated feature-wise and projected to width d_c."""
-    x = Tensor._coerce(x)
-    stage_lin = x @ cp.W_lin + cp.b_lin
-    stage_ln = layer_norm(x, cp.ln_gain, cp.ln_bias)
-    stage_gelu = gelu(x)
-    stacked = concat([stage_lin, stage_ln, stage_gelu], axis=1)
-    return stacked @ cp.W_proj
-
-
-def token_importance(ctx, cp):
-    """Per-token importance in (0, 1) from context features."""
-    from .numerics import sigmoid_map
-    logits = ctx @ cp.W_imp + cp.b_imp
-    return sigmoid_map(logits.reshape(-1))
-
-
 def reasoning_head(attn_out, field, W_reason):
     """softmax(W_r . [attention output ; token temperatures]) per token."""
     if W_reason.shape[0] != attn_out.shape[1] + field.head_count:
@@ -339,9 +311,30 @@ def published_scale_comparison():
 # -- checkpoint I/O ----------------------------------------------------------
 
 
+@contextmanager
+def _replacing(path, mode):
+    """Write through a temporary file beside `path`, moved onto `path` only
+    when the block finishes; on any error the temporary file is removed and
+    `path` is left as it was."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def checkpoint_save(params, path):
-    """Binary checkpoint plus a JSON config sidecar at `path + ".json"`."""
-    with open(path, "wb") as fh:
+    """Binary checkpoint plus a JSON config sidecar at `path + ".json"`.
+
+    Both files are written in full before either replaces its old version,
+    so a save that fails leaves the previous checkpoint loadable.
+    """
+    with _replacing(path + ".json", "w") as side, _replacing(path, "wb") as fh:
+        side.write(params.cfg.to_checkpoint_json())
         fh.write(MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(params.tensors)))
@@ -354,15 +347,16 @@ def checkpoint_save(params, path):
             for extent in shape:
                 fh.write(struct.pack("<Q", extent))
             fh.write(tensor.values.astype("<f8").tobytes())
-    with open(path + ".json", "w") as fh:
-        fh.write(params.cfg.to_checkpoint_json())
 
 
 def _read_exact(fh, count, what):
-    data = fh.read(count)
-    if len(data) != count:
-        raise CheckpointFormatError(f"truncated checkpoint while reading {what}")
-    return data
+    """`count` bytes, checked against the bytes left before reading, so a
+    corrupt length field cannot ask for more memory than the file holds."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if count > left:
+        raise CheckpointFormatError(
+            f"truncated checkpoint while reading {what} ({left} bytes left)")
+    return fh.read(count)
 
 
 def checkpoint_load(path, cfg=None):
@@ -379,21 +373,31 @@ def checkpoint_load(path, cfg=None):
         count, = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
         for _ in range(count):
             name_len, = struct.unpack("<I", _read_exact(fh, 4, "name length"))
-            name = _read_exact(fh, name_len, "name").decode("utf-8")
+            raw_name = _read_exact(fh, name_len, "name")
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointFormatError(
+                    f"tensor name {raw_name!r} is not UTF-8") from None
             rank, = struct.unpack("<I", _read_exact(fh, 4, "rank"))
-            shape = tuple(
-                struct.unpack("<Q", _read_exact(fh, 8, f"extent of {name}"))[0]
-                for _ in range(rank))
-            n_values = int(np.prod(shape)) if shape else 1
-            raw = _read_exact(fh, 8 * n_values, f"values of {name}")
-            values = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            shape = struct.unpack(f"<{rank}Q",
+                                  _read_exact(fh, 8 * rank, f"shape of {name}"))
+            raw = _read_exact(fh, 8 * math.prod(shape), f"values of {name}")
+            try:
+                values = np.frombuffer(raw, dtype="<f8").reshape(shape)
+            except ValueError:
+                raise CheckpointFormatError(
+                    f"tensor {name} has unusable shape {shape}") from None
+            if not np.isfinite(values).all():
+                raise CheckpointFormatError(
+                    f"tensor {name} holds a non-finite value")
             if name in tensors:
                 raise CheckpointFormatError(f"duplicate tensor {name}")
-            tensors[name] = Tensor(values, requires_grad=True)
+            tensors[name] = Tensor(values.copy(), requires_grad=True)
         if fh.read(1):
             raise CheckpointFormatError("trailing bytes after the last tensor")
     if cfg is None:
-        if "embed.pos" not in tensors:
+        if "embed.pos" not in tensors or not tensors["embed.pos"].shape:
             raise CheckpointFormatError("checkpoint missing tensor embed.pos")
         with open(path + ".json") as fh:
             cfg = ModelConfig.from_checkpoint_json(

@@ -43,6 +43,8 @@ class TrainConfig:
             raise ValueError("need 0 < clip_lo <= clip_hi")
         if self.lambda_T < 0 or self.lambda_S < 0:
             raise ValueError("loss weights must be nonnegative")
+        if self.batch < 1 or self.steps < 0:
+            raise ValueError("need batch >= 1 and steps >= 0")
 
 
 @dataclass
@@ -58,6 +60,17 @@ class TaskSpec:
             raise ValueError(f"unknown task kind {self.kind!r}")
         if self.alphabet < 2:
             raise ValueError("alphabet must have at least 2 symbols")
+        if self.count < 1 or self.length < 1:
+            raise ValueError("need count >= 1 and length >= 1")
+        if self.kind == "arithmetic_chain":
+            if self.length < 2:
+                raise ValueError("arithmetic_chain needs length >= 2 for [INIT v]")
+            capacity = arith_program_count(self.length)
+            if self.count > capacity:
+                raise ValueError(
+                    f"arithmetic_chain of length {self.length} has only "
+                    f"{capacity} distinct programs; count {self.count} "
+                    f"cannot be filled")
 
 
 # arithmetic token layout: value tokens 0..MAX_VALUE, then operator tokens
@@ -97,6 +110,28 @@ def _arith_program(rng, max_len):
         if rng.uniform(()) < 0.35:
             break
     return tokens, value
+
+
+def arith_program_count(max_len):
+    """Number of distinct programs `_arith_program` can emit for max_len.
+
+    Every step appends HALVE (even values only), or ADD / SUB with an operand
+    that keeps the value in [0, MAX_VALUE]; the loop runs while the program
+    is shorter than max_len - 1, and at least one op is drawn whenever it
+    runs. ways[n][v] counts the programs of n tokens ending at value v.
+    """
+    if max_len <= 3:
+        return MAX_VALUE + 1  # the loop never runs: [INIT v] only
+    ways = [[0] * (MAX_VALUE + 1) for _ in range(max_len + 1)]
+    ways[2] = [1] * (MAX_VALUE + 1)
+    for n in range(2, max_len - 1):
+        for v, w in enumerate(ways[n]):
+            if v % 2 == 0:
+                ways[n + 1][v // 2] += w
+            for u in range(MAX_VALUE + 1):
+                if u != v:
+                    ways[n + 2][u] += w
+    return sum(sum(row) for row in ways[3:])
 
 
 def eval_arith_program(tokens):
@@ -160,16 +195,6 @@ def cross_entropy(logits, targets, mask):
     z = (logits - shift).exp().sum(axis=-1).log() + Tensor(shift[:, 0], check=False)
     picked = logits[rows, targets[rows]]
     return (z[rows] - picked).mean()
-
-
-def total_loss(task_loss, field, stability_term, cfg):
-    """task + lambda_T * collapse penalty + lambda_S * stability term."""
-    out = task_loss
-    if cfg.lambda_T > 0:
-        out = out + collapse_penalty(field, 1.0) * cfg.lambda_T
-    if cfg.lambda_S > 0:
-        out = out + Tensor._coerce(stability_term) * cfg.lambda_S
-    return out
 
 
 def stability_excess(grad_norm, tau):

@@ -54,6 +54,33 @@ class TestConfigLoading:
         code, _ = run(tmp_path, "check", {"model": {"eps_min": 0.6}})
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("doc", [
+        {"model": {"heads": 0}},
+        {"model": {"d_model": 0}},
+        {"model": {"d_ff": 0}},
+        {"train": {"batch": 0}},
+        {"train": {"steps": -1}},
+        {"task": {"count": 0}},
+        {"task": {"length": 0}},
+        {"task": {"kind": "arithmetic_chain", "length": 1}},
+        {"task": {"kind": "arithmetic_chain", "length": 3, "count": 17}},
+    ], ids=["heads-0", "d_model-0", "d_ff-0", "batch-0", "steps-negative",
+            "count-0", "length-0", "arith-length-1", "arith-count-unfillable"])
+    def test_bad_value_exits_usage(self, tmp_path, capsys, doc):
+        code, _ = run(tmp_path, "check", doc)
+        assert code == EXIT_USAGE
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [None, "1.0\nabc\n"],
+                             ids=["missing", "non-numeric"])
+    def test_bad_samples_file_exits_usage(self, tmp_path, capsys, text):
+        sf = tmp_path / "samples.txt"
+        if text is not None:
+            sf.write_text(text)
+        code, _ = run(tmp_path, "stats", {"stats": {"samples_file": str(sf)}})
+        assert code == EXIT_USAGE
+        assert "samples_file" in capsys.readouterr().err
+
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

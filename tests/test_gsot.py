@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from ttm_lab.gsot import (BACKTRACK, CONTINUE, EmptyPathError, GsotConfig,
-                          ReasoningPath, ReasoningTrace, TokenUniverse,
+                          ReasoningTrace, TokenUniverse, _admit_hidden,
                           active_set_schedule_check, build_universe,
                           complexity_fit, forward_macs, gsot_pipeline,
                           hidden_temperature, hidden_token_probs,
-                          hidden_tokens, integrated_token_processing,
-                          recovery_step, schedule_target, select_path)
-from ttm_lab.model import (ModelConfig, ModelParams, embed_tokens,
-                           forward_embedded, reasoning_head)
+                          recovery_step, schedule_target)
+from ttm_lab.model import (ModelConfig, ModelParams, forward_embedded,
+                           reasoning_head)
 from ttm_lab.numerics import Rng, Tensor
 
 
@@ -27,18 +26,44 @@ def toy_universe(params, hidden_count=4, seed=0):
     return build_universe(params, hidden_count, Rng(seed))
 
 
+def spread_universe(params, seed):
+    """Universe with larger weights than `build_universe` draws, so hidden
+    probabilities and temperatures differ enough for both admission
+    thresholds to bind."""
+    rng = Rng(seed)
+    d = params.cfg.d_model
+    return TokenUniverse(params.tok_emb.values * 25.0, rng.normal((5, d)),
+                         rng.normal((d, d + params.cfg.d_c), 0.0, 0.3),
+                         rng.normal((d,), 0.0, 1.5), 0.0)
+
+
+def admitted(x, context, universe, **cfg):
+    return _admit_hidden(x, context, universe, GsotConfig(**cfg))[0]
+
+
+def step1_active(X, universe, params, tau_p):
+    """Stage-1 survivors of a K = 1 pipeline run ([] when none survive)."""
+    try:
+        _, trace = gsot_pipeline(X, universe, params, GsotConfig(tau_p=tau_p))
+    except EmptyPathError:
+        return []
+    return trace.steps[0].active_primary
+
+
 class TestHiddenTokens:
     def test_threshold_above_mass_empty(self):
         params = toy_model()
         uni = toy_universe(params)
         probs = hidden_token_probs(1, np.zeros(4), uni)
         theta = float(probs.max())
-        assert hidden_tokens(1, np.zeros(4), uni, theta + 1e-12) == set()
+        assert admitted(1, np.zeros(4), uni, theta=theta + 1e-12,
+                        tau_h=1e-9) == []
 
     def test_single_hidden_always_included(self):
         params = toy_model()
         uni = toy_universe(params, hidden_count=1)
-        assert hidden_tokens(3, np.zeros(4), uni, 0.99) == {uni.vocab_size}
+        assert admitted(3, np.zeros(4), uni, theta=0.99,
+                        tau_h=1e-9) == [uni.vocab_size]
 
     def test_matches_softmax_threshold_oracle(self):
         params = toy_model(seed=2)
@@ -49,8 +74,8 @@ class TestHiddenTokens:
         e = np.exp(scores - scores.max())
         probs = e / e.sum()
         theta = 0.2
-        want = {uni.vocab_size + i for i, p in enumerate(probs) if p > theta}
-        assert hidden_tokens(5, ctx, uni, theta) == want
+        want = [uni.vocab_size + i for i, p in enumerate(probs) if p > theta]
+        assert admitted(5, ctx, uni, theta=theta, tau_h=1e-9) == want
         assert np.abs(hidden_token_probs(5, ctx, uni) - probs).max() < 1e-12
 
     def test_exact_threshold_excluded(self):
@@ -58,101 +83,31 @@ class TestHiddenTokens:
         uni = toy_universe(params)
         probs = hidden_token_probs(0, np.zeros(4), uni)
         theta = float(probs[0])
-        assert uni.vocab_size + 0 not in hidden_tokens(0, np.zeros(4), uni, theta)
+        assert uni.vocab_size + 0 not in admitted(0, np.zeros(4), uni,
+                                                  theta=theta, tau_h=1e-9)
+
+    def test_exact_tau_h_excluded(self):
+        params = toy_model()
+        uni = toy_universe(params)
+        probs = hidden_token_probs(0, np.zeros(4), uni)
+        hid = uni.vocab_size + 0
+        tau_h = hidden_temperature(hid, probs[0], uni)
+        got = admitted(0, np.zeros(4), uni, theta=1e-9, tau_h=tau_h)
+        assert hid not in got
+        assert got == [h for h in uni.hidden_ids()
+                       if hidden_temperature(h, probs[h - uni.vocab_size], uni)
+                       > tau_h]
+
+    def test_admission_macs_count_scored_candidates(self):
+        params = toy_model()
+        uni = toy_universe(params, hidden_count=5)
+        _, macs = _admit_hidden(1, np.zeros(4), uni, GsotConfig())
+        assert macs == 5 * ((8 + 4) + 8)
 
     def test_unknown_primary_token(self):
         uni = toy_universe(toy_model())
         with pytest.raises(ValueError):
             hidden_token_probs(99, np.zeros(4), uni)
-
-
-class TestIntegratedProcessing:
-    def test_ceiling_threshold_empties_both_sets(self):
-        params = toy_model(seed=5)
-        cfg = GsotConfig(tau_p=0.99)
-        v, h, _ = integrated_token_processing([1, 2, 3], np.zeros(4),
-                                              toy_universe(params), params, cfg)
-        assert v == [] and h == []
-
-    def test_floor_threshold_keeps_everything(self):
-        params = toy_model(seed=6)
-        cfg = GsotConfig(tau_p=0.01, theta=0.999)
-        v, h, _ = integrated_token_processing([1, 2, 3, 4], np.zeros(4),
-                                              toy_universe(params), params, cfg)
-        assert v == [0, 1, 2, 3]
-
-    def test_matches_reference_walk(self):
-        params = toy_model(seed=7)
-        uni = toy_universe(params, seed=8)
-        cfg = GsotConfig(theta=0.2, tau_p=0.45, tau_h=0.2)
-        X = [2, 9, 4, 7]
-        ctx = Rng(9).normal((4,))
-        v, h, trace = integrated_token_processing(X, ctx, uni, params, cfg)
-        # independent straight-line reimplementation
-        emb = Tensor(uni.primary[X])
-        _, fields, _ = forward_embedded(emb, params)
-        temps = fields[-1].array().mean(axis=0)
-        want_v, want_h = [], []
-        for i, x in enumerate(X):
-            if temps[i] > cfg.tau_p:
-                want_v.append(i)
-                probs = hidden_token_probs(x, ctx, uni)
-                for j, p in enumerate(probs):
-                    hid = uni.vocab_size + j
-                    if p > cfg.theta and hidden_temperature(hid, p, uni) > cfg.tau_h:
-                        want_h.append(hid)
-        assert v == want_v and h == want_h
-        assert len(trace.steps) == len(X)
-
-    def test_raising_threshold_shrinks_active_set(self):
-        for seed in range(20):
-            params = toy_model(seed=seed)
-            uni = toy_universe(params, seed=seed)
-            X = [int(t) for t in Rng(seed + 50).integers(0, 12, size=6)]
-            lo_cfg = GsotConfig(tau_p=0.3)
-            hi_cfg = GsotConfig(tau_p=0.6)
-            v_lo, _, _ = integrated_token_processing(X, np.zeros(4), uni, params, lo_cfg)
-            v_hi, _, _ = integrated_token_processing(X, np.zeros(4), uni, params, hi_cfg)
-            assert set(v_hi) <= set(v_lo)
-
-
-class TestSelectPath:
-    def test_single_path(self):
-        path = ReasoningPath(id=0, steps=[], fn=lambda x: x)
-        best, losses = select_path([path], [(1.0, 1.0)], lambda p, y: (p - y) ** 2)
-        assert best is path and losses == [0.0]
-
-    def test_exact_path_dominates(self):
-        exact = ReasoningPath(id=0, steps=[], fn=lambda x: x)
-        off = ReasoningPath(id=1, steps=[], fn=lambda x: x + 1.0)
-        data = [(float(i), float(i)) for i in range(5)]
-        best, losses = select_path([off, exact], data, lambda p, y: (p - y) ** 2)
-        assert best is exact and losses[1] == 0.0
-
-    def test_matches_exhaustive_oracle(self):
-        rng = Rng(10)
-        table = rng.uniform((5, 20))
-        paths = [ReasoningPath(id=i, steps=[],
-                               fn=(lambda i: lambda x: table[i, int(x)])(i))
-                 for i in range(5)]
-        data = [(float(j), 0.0) for j in range(20)]
-        loss_fn = lambda p, y: abs(p - y)
-        best, losses = select_path(paths, data, loss_fn)
-        means = table.mean(axis=1)
-        assert np.abs(np.asarray(losses) - means).max() < 1e-12
-        assert best.id == int(means.argmin())
-
-    def test_tie_breaks_by_lowest_id(self):
-        a = ReasoningPath(id=3, steps=[], fn=lambda x: 0.0)
-        b = ReasoningPath(id=1, steps=[], fn=lambda x: 0.0)
-        best, _ = select_path([a, b], [(0.0, 0.0)], lambda p, y: 0.0)
-        assert best.id == 1
-
-    def test_empty_inputs(self):
-        with pytest.raises(ValueError):
-            select_path([], [(0, 0)], lambda p, y: 0.0)
-        with pytest.raises(ValueError):
-            select_path([ReasoningPath(0, [], lambda x: x)], [], lambda p, y: 0.0)
 
 
 class TestPipeline:
@@ -167,6 +122,51 @@ class TestPipeline:
         want = reasoning_head(hidden, fields[-1], params.W_reason)
         assert np.abs(probs.values - want.values).max() < 1e-12
         assert trace.steps[0].active_primary == [0, 1, 2, 3, 4]
+
+    def test_hidden_admission_matches_reference_walk(self):
+        # independent straight-line walk: a primary token survives stage 1
+        # iff its mean temperature exceeds tau_p; each survivor's candidate
+        # enters iff p > theta and its relevance-scaled temperature > tau_h
+        params = toy_model(seed=7, temp_init_std=0.2)
+        uni = spread_universe(params, seed=8)
+        cfg = GsotConfig(theta=0.2, tau_p=0.666, tau_h=0.1)
+        X = [2, 9, 4, 7, 1, 5]
+        ctx = Rng(9).normal((4,))
+        _, trace = gsot_pipeline(X, uni, params, cfg, context=ctx)
+        _, fields, _ = forward_embedded(Tensor(uni.primary[X]), params)
+        temps = fields[-1].array().mean(axis=0)
+        want_v = [i for i in range(len(X)) if temps[i] > cfg.tau_p]
+        want_h, theta_only, tau_h_only = [], [], []
+        for i in want_v:
+            probs = hidden_token_probs(X[i], ctx, uni)
+            for j, p in enumerate(probs):
+                hid = uni.vocab_size + j
+                hot = hidden_temperature(hid, p, uni) > cfg.tau_h
+                if p > cfg.theta and hot:
+                    want_h.append(hid)
+                elif p > cfg.theta:
+                    theta_only.append(hid)
+                elif hot:
+                    tau_h_only.append(hid)
+        # every branch of the rule is exercised
+        assert 0 < len(want_v) < len(X)
+        assert want_h and theta_only and tau_h_only
+        assert trace.steps[0].active_primary == want_v
+        assert trace.steps[-1].active_primary == want_v
+        assert trace.steps[-1].active_hidden == want_h
+
+    def test_raising_threshold_shrinks_active_set(self):
+        taus = np.linspace(0.3, 0.8, 21)
+        shrank = False
+        for seed in range(10):
+            params = toy_model(seed=seed, temp_init_std=0.2)
+            uni = spread_universe(params, seed=seed)
+            X = [int(t) for t in Rng(seed + 50).integers(0, 12, size=6)]
+            sets = [step1_active(X, uni, params, float(t)) for t in taus]
+            for lo, hi in zip(sets, sets[1:]):
+                assert set(hi) <= set(lo)
+            shrank = shrank or len(sets[0]) > len(sets[-1])
+        assert shrank
 
     def test_all_filtered_raises_empty_path(self):
         params = toy_model(seed=13)

@@ -1,14 +1,16 @@
+import os
+import shutil
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ttm_lab.model import (CheckpointFormatError, ContextProcessorParams,
-                           ModelConfig, ModelParams, block_forward,
-                           checkpoint_load, checkpoint_save,
-                           context_processor, count_parameters,
-                           model_forward, published_scale_comparison,
-                           reasoning_head, token_importance)
+from ttm_lab.model import (CheckpointFormatError, ModelConfig, ModelParams,
+                           block_forward, checkpoint_load, checkpoint_save,
+                           count_parameters, model_forward,
+                           published_scale_comparison, reasoning_head)
 from ttm_lab.numerics import Rng, Tensor, gelu, grad_check, layer_norm
 from ttm_lab.temperature import TemperatureField
 
@@ -18,18 +20,6 @@ def toy_cfg(**kw):
                 seed=0, max_seq_len=8)
     base.update(kw)
     return ModelConfig(**base)
-
-
-def toy_context(seed=0, d=8, d_c=4):
-    rng = Rng(seed)
-    return ContextProcessorParams(
-        W_lin=Tensor(rng.normal((d, d), 0.0, d ** -0.5)),
-        b_lin=Tensor(rng.normal((d,), 0.0, 0.1)),
-        ln_gain=Tensor(rng.normal((d,), 1.0, 0.1)),
-        ln_bias=Tensor(rng.normal((d,), 0.0, 0.1)),
-        W_proj=Tensor(rng.normal((3 * d, d_c), 0.0, (3 * d) ** -0.5)),
-        W_imp=Tensor(rng.normal((d_c, 1), 0.0, d_c ** -0.5)),
-        b_imp=Tensor(rng.normal((1,), 0.0, 0.1)))
 
 
 class TestConfig:
@@ -177,39 +167,9 @@ class TestModelForward:
 
 
 class TestHeads:
-    def test_context_processor_zero_input(self):
-        cp = toy_context()
-        cp.b_lin.values[:] = 0.0
-        cp.ln_bias.values[:] = 0.0
-        out = context_processor(Tensor(np.zeros((3, 8))), cp)
-        assert np.abs(out.values).max() < 1e-12
-
     def test_gelu_asymptotics(self):
         assert float(gelu(Tensor([0.0])).values[0]) == 0.0
         assert abs(float(gelu(Tensor([10.0])).values[0]) - 10.0) < 1e-6
-
-    def test_context_processor_staged_oracle(self):
-        cp = toy_context(seed=9)
-        x = Rng(10).normal((2, 8))
-        lin = x @ cp.W_lin.values + cp.b_lin.values
-        mu = x.mean(axis=-1, keepdims=True)
-        z = (x - mu) / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
-        ln = z * cp.ln_gain.values + cp.ln_bias.values
-        g = gelu(Tensor(x)).values
-        want = np.concatenate([lin, ln, g], axis=1) @ cp.W_proj.values
-        got = context_processor(Tensor(x), cp).values
-        assert np.abs(got - want).max() < 1e-12
-
-    def test_token_importance_neutral_and_monotone(self):
-        cp = toy_context()
-        cp.W_imp.values[:] = 0.0
-        cp.b_imp.values[:] = 0.0
-        ctx = Tensor(Rng(11).normal((3, 4)))
-        assert np.array_equal(token_importance(ctx, cp).values, np.full(3, 0.5))
-        cp.W_imp.values[:, 0] = 1.0
-        lo = token_importance(Tensor(np.zeros((1, 4))), cp).values[0]
-        hi = token_importance(Tensor(np.eye(1, 4)), cp).values[0]
-        assert hi > lo
 
     def test_reasoning_head_rows_sum_to_one(self):
         params = ModelParams(toy_cfg())
@@ -361,3 +321,116 @@ class TestCheckpoint:
             fh.write(b"\0")
         with pytest.raises(CheckpointFormatError, match="trailing bytes"):
             checkpoint_load(path)
+
+
+def _saved_checkpoint(tmp_path, layers=1):
+    path = str(tmp_path / "c.ckpt")
+    params = ModelParams(toy_cfg(layers=layers))
+    checkpoint_save(params, path)
+    return path, params, open(path, "rb").read()
+
+
+def _field_offset(raw, tensor_index, field):
+    """Byte offset of `field` ("name_len", "rank", "extent" or "values") of
+    the tensor at `tensor_index` in a checkpoint body."""
+    pos = 12
+    for i in range(tensor_index + 1):
+        name_len, = struct.unpack_from("<I", raw, pos)
+        rank, = struct.unpack_from("<I", raw, pos + 4 + name_len)
+        offsets = {"name_len": pos, "rank": pos + 4 + name_len,
+                   "extent": pos + 8 + name_len,
+                   "values": pos + 8 + name_len + 8 * rank}
+        if i == tensor_index:
+            return offsets[field]
+        extents = struct.unpack_from(f"<{rank}Q", raw, offsets["extent"])
+        pos = offsets["values"] + 8 * int(np.prod(extents))
+
+
+class TestCheckpointCorruption:
+    def test_non_finite_value_named(self, tmp_path):
+        path, _, raw = _saved_checkpoint(tmp_path)
+        at = _field_offset(raw, 1, "values")
+        raw = raw[:at] + struct.pack("<d", np.inf) + raw[at + 8:]
+        open(path, "wb").write(raw)
+        with pytest.raises(CheckpointFormatError, match="embed.pos.*non-finite"):
+            checkpoint_load(path)
+
+    def test_undecodable_name(self, tmp_path):
+        path, _, raw = _saved_checkpoint(tmp_path)
+        at = _field_offset(raw, 0, "name_len") + 4
+        open(path, "wb").write(raw[:at] + b"\xff" + raw[at + 1:])
+        with pytest.raises(CheckpointFormatError, match="UTF-8"):
+            checkpoint_load(path)
+
+    @pytest.mark.parametrize("field,value", [("name_len", 2 ** 32 - 1),
+                                             ("rank", 2 ** 32 - 1),
+                                             ("extent", 2 ** 61)])
+    def test_oversized_length_rejected_before_reading(self, tmp_path, field,
+                                                      value):
+        path, _, raw = _saved_checkpoint(tmp_path)
+        at = _field_offset(raw, 0, field)
+        packed = struct.pack("<Q" if field == "extent" else "<I", value)
+        open(path, "wb").write(raw[:at] + packed + raw[at + len(packed):])
+        with pytest.raises(CheckpointFormatError, match="truncated"):
+            checkpoint_load(path)
+
+    def test_empty_tensor_with_huge_extent(self, tmp_path):
+        path, _, raw = _saved_checkpoint(tmp_path)
+        at = _field_offset(raw, 0, "extent")
+        packed = struct.pack("<2Q", 0, 2 ** 63)
+        open(path, "wb").write(raw[:at] + packed + raw[at + len(packed):])
+        with pytest.raises(CheckpointFormatError, match="unusable shape"):
+            checkpoint_load(path)
+
+    def test_scalar_embed_pos_rejected_without_cfg(self, tmp_path):
+        # the sequence length is read off embed.pos when no cfg is given
+        path = str(tmp_path / "c.ckpt")
+        params = ModelParams(toy_cfg(layers=1))
+        params.tensors["embed.pos"] = Tensor(np.array(0.5))
+        checkpoint_save(params, path)
+        with pytest.raises(CheckpointFormatError, match="embed.pos"):
+            checkpoint_load(path)
+
+    @given(data=st.data())
+    @settings(max_examples=500, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_truncation_or_bit_flip_loads_or_raises_format_error(self, tmp_path,
+                                                                 data):
+        # tmp_path persists across examples: save the intact file once
+        intact, path = str(tmp_path / "intact.ckpt"), str(tmp_path / "c.ckpt")
+        if not os.path.exists(intact):
+            checkpoint_save(ModelParams(toy_cfg(layers=1)), intact)
+            shutil.copy(intact + ".json", path + ".json")
+        raw = open(intact, "rb").read()
+        if data.draw(st.booleans(), label="truncate"):
+            blob = raw[:data.draw(st.integers(0, len(raw) - 1), label="keep")]
+        else:
+            bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            blob = bytes(flipped)
+        open(path, "wb").write(blob)
+        for cfg in (None, toy_cfg(layers=1)):
+            try:
+                checkpoint_load(path, cfg)
+            except CheckpointFormatError:
+                pass
+
+
+class TestAtomicSave:
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        path, params, raw = _saved_checkpoint(tmp_path)
+        side = open(path + ".json").read()
+        other = ModelParams(toy_cfg(layers=1, seed=1))
+        # a name that cannot be encoded fails the save after earlier
+        # tensors have been written
+        other.tensors["\ud800"] = Tensor(np.zeros(1))
+        with pytest.raises(UnicodeEncodeError):
+            checkpoint_save(other, path)
+        assert open(path, "rb").read() == raw
+        assert open(path + ".json").read() == side
+        assert sorted(os.listdir(tmp_path)) == ["c.ckpt", "c.ckpt.json"]
+        loaded = checkpoint_load(path)
+        for (n1, t1), (n2, t2) in zip(params.named_tensors(),
+                                      loaded.named_tensors()):
+            assert n1 == n2 and np.array_equal(t1.values, t2.values)

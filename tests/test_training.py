@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 
 from ttm_lab.model import ModelConfig, ModelParams, model_forward
 from ttm_lab.numerics import Rng, Tensor
-from ttm_lab.temperature import TemperatureField, collapse_penalty
+from ttm_lab.temperature import collapse_penalty
 from ttm_lab.training import (METRIC_COLUMNS, PUBLISHED_MEMORY_CLAIM_BYTES,
                               TOK_ADD, TOK_HALVE, TOK_INIT,
                               TOK_SUB, TaskSpec, TrainConfig,
                               confidence_interval, cross_entropy,
                               dataset_loss, eval_arith_program, evaluate,
                               lr_schedule, make_task, memory_estimate,
-                              significance_label, t_quantile, total_loss,
-                              train)
+                              significance_label, t_quantile, train)
 
 
 def toy_params(seed=0, **kw):
@@ -33,30 +32,6 @@ def arith_params():
 
 
 class TestLosses:
-    def test_total_loss_reduces_to_task(self):
-        cfg = TrainConfig(lambda_T=0.0, lambda_S=0.0)
-        field = TemperatureField(np.full((1, 2), 0.7))
-        out = total_loss(Tensor([1.5]), field, 0.3, cfg)
-        assert float(out.values[0]) == 1.5
-
-    def test_centered_field_adds_nothing(self):
-        cfg = TrainConfig(lambda_T=0.5, lambda_S=0.5)
-        field = TemperatureField(np.full((2, 3), 0.5))
-        out = total_loss(Tensor([2.0]), field, 0.0, cfg)
-        assert float(out.values[0]) == 2.0
-
-    def test_penalty_composition(self):
-        cfg = TrainConfig(lambda_T=2.0, lambda_S=0.0)
-        field = TemperatureField(np.array([[0.7]]))
-        out = total_loss(Tensor([1.0]), field, 0.0, cfg)
-        assert abs(float(out.values[0]) - (1.0 + 2.0 * 0.04)) < 1e-12
-
-    def test_total_never_below_task(self):
-        cfg = TrainConfig(lambda_T=0.3, lambda_S=0.2)
-        field = TemperatureField(np.array([[0.25, 0.8]]))
-        out = total_loss(Tensor([0.7]), field, 1.3, cfg)
-        assert float(out.values[0]) >= 0.7
-
     def test_cross_entropy_matches_log_softmax(self):
         logits = np.array([[1.0, 2.0, 0.5], [0.1, -0.3, 0.9]])
         targets = np.array([1, 2])
@@ -141,6 +116,18 @@ class TestTasks:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             TaskSpec(kind="sorting")
+
+    @pytest.mark.parametrize("length,capacity", [(3, 16), (4, 248), (5, 372)])
+    def test_arith_count_beyond_capacity_fails_fast(self, length, capacity):
+        # capacities counted by enumerating the generator's branches; lengths
+        # 2 and 3 only fit [INIT v]. One more program than exists used to
+        # make make_task loop forever.
+        data = make_task(TaskSpec(kind="arithmetic_chain", length=length,
+                                  count=capacity))
+        assert len({tuple(ex.inputs) for ex in data}) == capacity
+        with pytest.raises(ValueError, match=f"only {capacity} distinct"):
+            TaskSpec(kind="arithmetic_chain", length=length,
+                     count=capacity + 1)
 
 
 class TestTrainLoop:
