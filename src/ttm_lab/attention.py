@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DimensionError, Tensor, softmax_rows
+from .numerics import DimensionError, NumericError, Tensor, softmax_rows
 
 
 class AttentionConfigError(ValueError):
@@ -134,3 +134,13 @@ def residual_blend(base_weights, modulated_weights, alpha):
     modulated_weights = Tensor._coerce(modulated_weights)
     mix = base_weights * alpha + modulated_weights * (1.0 - alpha)
     return mix / mix.sum(axis=-1, keepdims=True)
+
+
+def interference_ratio(weights, field):
+    """||T ⊙ A||_F / ||A||_F with the field applied along the key axis."""
+    w = weights.values if isinstance(weights, Tensor) else np.asarray(weights)
+    t = field.array()[:, None, :]
+    denom = np.linalg.norm(w)
+    if denom == 0.0:
+        raise NumericError("interference_ratio: zero-norm attention weights")
+    return float(np.linalg.norm(w * t) / denom)

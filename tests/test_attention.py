@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from ttm_lab.attention import (AttentionConfigError, AttentionParams,
                                attention_baseline, attention_temp_broadcast,
-                               attention_temp_outer, residual_blend)
-from ttm_lab.numerics import Rng, Tensor, grad_check
+                               attention_temp_outer, interference_ratio,
+                               residual_blend)
+from ttm_lab.numerics import NumericError, Rng, Tensor, grad_check
 from ttm_lab.temperature import TemperatureField
 
 
@@ -245,3 +246,24 @@ class TestResidualBlend:
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
             residual_blend(self.rows(7), self.rows(8), 1.5)
+
+
+class TestInterference:
+    def test_unit_field_ratio_one(self):
+        w = Rng(1).uniform((2, 3, 3))
+        assert abs(interference_ratio(w, unit_field(2, 3)) - 1.0) < 1e-12
+
+    def test_half_field_ratio_half(self):
+        w = Rng(2).uniform((1, 3, 3))
+        f = TemperatureField(np.full((1, 3), 0.5))
+        assert abs(interference_ratio(w, f) - 0.5) < 1e-12
+
+    def test_matches_norm_quotient(self):
+        w = Rng(3).uniform((2, 4, 4))
+        f = random_field(2, 4, seed=4)
+        want = np.linalg.norm(w * f.array()[:, None, :]) / np.linalg.norm(w)
+        assert abs(interference_ratio(w, f) - want) < 1e-12
+
+    def test_zero_weights_rejected(self):
+        with pytest.raises(NumericError):
+            interference_ratio(np.zeros((1, 2, 2)), random_field(1, 2))

@@ -110,20 +110,28 @@ class TestHiddenTokens:
             hidden_token_probs(99, np.zeros(4), uni)
 
 
-class TestPipeline:
-    def test_pass_through_equals_plain_forward(self):
-        # floor threshold, no hidden candidates: stage 3 sees exactly X
-        params = toy_model(seed=11)
-        uni = toy_universe(params, seed=12)
-        cfg = GsotConfig(tau_p=0.01, theta=0.999)
-        X = [1, 2, 3, 4, 5]
-        probs, trace = gsot_pipeline(X, uni, params, cfg)
-        _, fields, hidden = forward_embedded(Tensor(uni.primary[X]), params)
-        want = reasoning_head(hidden, fields[-1], params.W_reason)
-        assert np.abs(probs.values - want.values).max() < 1e-12
-        assert trace.steps[0].active_primary == [0, 1, 2, 3, 4]
+class TestIntegratedProcessing:
+    """Stages 1 and 2 of a K = 1 `gsot_pipeline` run: a primary token stays
+    active iff its mean final-layer temperature exceeds tau_p, and only
+    active tokens admit hidden candidates."""
 
-    def test_hidden_admission_matches_reference_walk(self):
+    def test_ceiling_threshold_empties_both_sets(self):
+        # no temperature exceeds 1 - eps_min, so stage 1 keeps nothing and
+        # stage 2 never runs
+        params = toy_model(seed=5)
+        uni = toy_universe(params)
+        assert step1_active([1, 2, 3], uni, params, tau_p=0.99) == []
+        with pytest.raises(EmptyPathError):
+            gsot_pipeline([1, 2, 3], uni, params, GsotConfig(tau_p=0.99))
+
+    def test_floor_threshold_keeps_everything(self):
+        params = toy_model(seed=6)
+        _, trace = gsot_pipeline([1, 2, 3, 4], toy_universe(params), params,
+                                 GsotConfig(tau_p=0.01, theta=0.999))
+        assert trace.steps[0].active_primary == [0, 1, 2, 3]
+        assert trace.steps[-1].active_hidden == []
+
+    def test_matches_reference_walk(self):
         # independent straight-line walk: a primary token survives stage 1
         # iff its mean temperature exceeds tau_p; each survivor's candidate
         # enters iff p > theta and its relevance-scaled temperature > tau_h
@@ -167,6 +175,20 @@ class TestPipeline:
                 assert set(hi) <= set(lo)
             shrank = shrank or len(sets[0]) > len(sets[-1])
         assert shrank
+
+
+class TestPipeline:
+    def test_pass_through_equals_plain_forward(self):
+        # floor threshold, no hidden candidates: stage 3 sees exactly X
+        params = toy_model(seed=11)
+        uni = toy_universe(params, seed=12)
+        cfg = GsotConfig(tau_p=0.01, theta=0.999)
+        X = [1, 2, 3, 4, 5]
+        probs, trace = gsot_pipeline(X, uni, params, cfg)
+        _, fields, hidden = forward_embedded(Tensor(uni.primary[X]), params)
+        want = reasoning_head(hidden, fields[-1], params.W_reason)
+        assert np.abs(probs.values - want.values).max() < 1e-12
+        assert trace.steps[0].active_primary == [0, 1, 2, 3, 4]
 
     def test_all_filtered_raises_empty_path(self):
         params = toy_model(seed=13)

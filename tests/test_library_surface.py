@@ -28,6 +28,14 @@ ALLOWED = {
     "PUBLISHED_MEMORY_CLAIM_BYTES": "the paper's published memory figure",
 }
 
+# Only their own tests call these; ROADMAP item 3 lists them for deletion in a
+# later change, because one change removes only a few tests at a time.
+PENDING_DELETION = ("compute_temperature_ctx", "normalize_temperature",
+                    "coupled_temperature", "ngram_temperature",
+                    "invariance_diagnostic", "interference_ratio")
+ALLOWED.update((name, "pending deletion, see ROADMAP item 3")
+               for name in PENDING_DELETION)
+
 
 def _public_definitions(tree):
     """(name, node) of each public top-level def, class or assignment."""
