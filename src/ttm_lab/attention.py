@@ -58,6 +58,9 @@ class AttentionParams:
 
 @dataclass
 class AttentionOutput:
+    """Shapes for one (n, d_model) input; a (B, n, d_model) batch adds a
+    leading B to each."""
+
     values: Tensor          # (n, d_model)
     weights: Tensor         # (h, n, n), rows sum to 1
     pre_softmax: Tensor     # (h, n, n) modulated logits
@@ -65,10 +68,10 @@ class AttentionOutput:
 
 
 def merge_heads(head_values, W_o):
-    """(h, n, d_k) per-head outputs, laid side by side as (n, h * d_k) with
-    head 0 first, projected by W_o."""
-    h, n, d_k = head_values.shape
-    return head_values.transpose(0, 1).reshape(n, h * d_k) @ W_o
+    """(..., h, n, d_k) per-head outputs, laid side by side as
+    (..., n, h * d_k) with head 0 first, projected by W_o."""
+    *lead, h, n, d_k = head_values.shape
+    return head_values.transpose(-3, -2).reshape(*lead, n, h * d_k) @ W_o
 
 
 def _causal_mask(n):
@@ -85,22 +88,26 @@ def _weigh(pre, v, W_o):
 
 
 def attention_baseline(x, params, causal=False):
-    """softmax(Q K^T / sqrt(d_k)) V per head, heads merged and projected."""
+    """softmax(Q K^T / sqrt(d_k)) V per head, heads merged and projected.
+
+    x is (n, d_model) or a (B, n, d_model) batch.
+    """
     x = Tensor._coerce(x)
-    qkv = x @ params.W_qkv                      # (h, 3, n, d_k)
-    q, k, v = qkv[:, 0], qkv[:, 1], qkv[:, 2]
+    *lead, n, d = x.shape
+    qkv = x.reshape(*lead, 1, 1, n, d) @ params.W_qkv   # (..., h, 3, n, d_k)
+    q, k, v = (qkv[..., i, :, :] for i in range(3))
     pre = q @ k.T * (1.0 / np.sqrt(params.d_k))
     if causal:
-        pre = pre + Tensor(_causal_mask(x.shape[0]), check=False)
+        pre = pre + Tensor(_causal_mask(n), check=False)
     return _weigh(pre, v, params.W_o)
 
 
 def _check_field(base, field, params):
-    n = base.weights.shape[-1]
-    if field.head_count != params.head_count or field.seq_len != n:
+    """The field must be (..., h, n) for base's (..., h, n, n) weights."""
+    if field.values.shape != base.weights.shape[:-1]:
         raise DimensionError(
-            f"field shape ({field.head_count}, {field.seq_len}) does not match "
-            f"h={params.head_count}, n={n}")
+            f"field shape {field.values.shape} does not match "
+            f"h={params.head_count} and weights {base.weights.shape}")
 
 
 def attention_temp_broadcast(base, params, field):
@@ -110,7 +117,8 @@ def attention_temp_broadcast(base, params, field):
     an information source.
     """
     _check_field(base, field, params)
-    mod = field.values.reshape(field.head_count, 1, field.seq_len)
+    *lead, h, n = field.values.shape
+    mod = field.values.reshape(*lead, h, 1, n)
     return _weigh(base.pre_softmax * mod, base.v, params.W_o)
 
 
@@ -121,8 +129,8 @@ def attention_temp_outer(base, params, field):
     """
     _check_field(base, field, params)
     t = field.values
-    outer = t.reshape(field.head_count, field.seq_len, 1) \
-        * t.reshape(field.head_count, 1, field.seq_len)
+    *lead, h, n = t.shape
+    outer = t.reshape(*lead, h, n, 1) * t.reshape(*lead, h, 1, n)
     return _weigh(base.pre_softmax * outer, base.v, params.W_o)
 
 

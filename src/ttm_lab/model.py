@@ -5,6 +5,10 @@ that output, then applies the configured modulated variant; this breaks the
 circularity of defining the field in terms of the same attention it modulates.
 Final logits are scaled by the scalar mean of the last layer's field, which
 never changes per-position argmax.
+
+The forward pass takes one (n,) token sequence or a (B, n) batch of equal
+length sequences; every shape then gains a leading B, and each example's
+logits are scaled by its own field mean.
 """
 
 import json
@@ -75,11 +79,25 @@ class ModelConfig:
 
     @classmethod
     def from_checkpoint_json(cls, text, **extra):
-        doc = json.loads(text)
+        """Config from a checkpoint sidecar's text (str or bytes); a sidecar
+        that is not a JSON object of valid config keys and values raises
+        CheckpointFormatError."""
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:  # also undecodable bytes
+            raise CheckpointFormatError(
+                f"config sidecar is not JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise CheckpointFormatError(
+                f"config sidecar holds a {type(doc).__name__}, not an object")
         unknown = set(doc) - set(CONFIG_KEYS)
         if unknown:
             raise CheckpointFormatError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**doc, **extra)
+        try:
+            return cls(**doc, **extra)
+        except (TypeError, ValueError) as exc:
+            raise CheckpointFormatError(
+                f"config sidecar value rejected: {exc}") from None
 
 
 @dataclass
@@ -228,8 +246,10 @@ def block_forward(x, block, cfg, temp_multiplier=1.0):
 
 def embed_tokens(tokens, params):
     tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.ndim != 1:
-        raise DimensionError("token sequence must be 1-D")
+    if tokens.ndim not in (1, 2):
+        raise DimensionError(
+            f"tokens must be one (n,) sequence or a (B, n) batch, got "
+            f"shape {tokens.shape}")
     if tokens.size and (tokens.min() < 0 or tokens.max() >= params.cfg.vocab_size):
         raise ValueError(
             f"token id outside [0, {params.cfg.vocab_size}): "
@@ -238,8 +258,9 @@ def embed_tokens(tokens, params):
 
 
 def forward_embedded(x, params, temp_multiplier=1.0):
-    """Run the block stack on an embedded sequence (positions added here)."""
-    n = x.shape[0]
+    """Run the block stack on an embedded (n, d) sequence or (B, n, d) batch
+    (positions added here)."""
+    n = x.shape[-2]
     if n > params.cfg.max_seq_len:
         raise DimensionError(
             f"sequence length {n} exceeds max_seq_len {params.cfg.max_seq_len}")
@@ -249,12 +270,15 @@ def forward_embedded(x, params, temp_multiplier=1.0):
         x, field = block_forward(x, block, params.cfg, temp_multiplier)
         fields.append(field)
     logits = x @ params.W_out
-    mean_t = fields[-1].values.mean()
+    last = fields[-1]
+    mean_t = last.values.sum(axis=(-2, -1), keepdims=True) \
+        / float(last.head_count * last.seq_len)
     return logits * mean_t, fields, x
 
 
 def model_forward(tokens, params, temp_multiplier=1.0):
-    """Logits (n, vocab) scaled by the final field's mean, plus all fields."""
+    """Logits (n, vocab) scaled by the final field's mean, plus all fields;
+    a (B, n) batch gives (B, n, vocab), each example scaled by its own mean."""
     x = embed_tokens(tokens, params)
     logits, fields, _ = forward_embedded(x, params, temp_multiplier)
     return logits, fields
@@ -399,7 +423,7 @@ def checkpoint_load(path, cfg=None):
     if cfg is None:
         if "embed.pos" not in tensors or not tensors["embed.pos"].shape:
             raise CheckpointFormatError("checkpoint missing tensor embed.pos")
-        with open(path + ".json") as fh:
+        with open(path + ".json", "rb") as fh:
             cfg = ModelConfig.from_checkpoint_json(
                 fh.read(), max_seq_len=tensors["embed.pos"].shape[0])
     specs = {name: shape for name, shape, _ in param_specs(cfg)}

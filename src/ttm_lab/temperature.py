@@ -55,13 +55,15 @@ class TemperatureHeadParams:
 
 
 class TemperatureField:
-    """Per-head, per-token temperatures, shape (head_count, seq_len)."""
+    """Per-head, per-token temperatures, shape (head_count, seq_len), or
+    (B, head_count, seq_len) for a batch of B sequences."""
 
     def __init__(self, values, eps_min=DEFAULT_EPS_MIN, validate=True):
         if not isinstance(values, Tensor):
             values = Tensor(values)
-        if values.values.ndim != 2:
-            raise DimensionError(f"field must be 2-D (h x n), got {values.shape}")
+        if values.values.ndim not in (2, 3):
+            raise DimensionError(
+                f"field must be (h, n) or (B, h, n), got {values.shape}")
         if validate:
             v = values.values
             if v.size and (v.min() < eps_min - 1e-12 or v.max() > 1.0 - eps_min + 1e-12):
@@ -73,11 +75,11 @@ class TemperatureField:
 
     @property
     def head_count(self):
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
     @property
     def seq_len(self):
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     def array(self):
         return self.values.values
@@ -90,14 +92,15 @@ def compute_temperature(activations, params):
     """Temperature field from per-token attention outputs.
 
     Each token's logit vector is W_t . a_i + b_t (one logit per head), squashed
-    into [eps_min, 1 - eps_min]. Output shape is (h, n).
+    into [eps_min, 1 - eps_min]. Activations of shape (n, d) give an (h, n)
+    field, a (B, n, d) batch a (B, h, n) field.
     """
     activations = Tensor._coerce(activations)
-    n, d = activations.shape
+    d = activations.shape[-1]
     if params.W_t.shape[1] != d:
         raise DimensionError(
             f"W_t expects width {params.W_t.shape[1]}, activations have {d}")
-    logits = activations @ params.W_t.T + params.b_t  # (n, h)
+    logits = activations @ params.W_t.T + params.b_t  # (..., n, h)
     return TemperatureField(squash(logits, params.eps_min).T,
                             params.eps_min, validate=False)
 
@@ -146,12 +149,16 @@ class CollapseReport:
 
 
 def detect_collapse(field, eps):
-    """Flag entries strictly below eps or above 1 - eps (both tails counted)."""
+    """Flag entries strictly below eps or above 1 - eps (both tails counted).
+
+    On a (B, h, n) field, min and max run over every entry and `fraction` is
+    the largest fraction of any one example.
+    """
     if not 0.0 < eps < 0.5:
         raise ConfigurationError(f"eps {eps} outside (0, 0.5)")
     v = field.array()
     bad = (v < eps) | (v > 1.0 - eps)
-    frac = float(bad.mean()) if v.size else 0.0
+    frac = float(bad.mean(axis=(-2, -1)).max()) if v.size else 0.0
     return CollapseReport(collapsed=bool(bad.any()), fraction=frac,
                           min_value=float(v.min()), max_value=float(v.max()))
 

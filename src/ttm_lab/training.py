@@ -9,11 +9,12 @@ detected event.
 
 import io
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .model import model_forward
+from .model import ModelParams, model_forward
 from .numerics import NumericError, Rng, Tensor
 from .temperature import (clip_temperature_grad, collapse_penalty,
                           default_grad_clip_tau, detect_collapse)
@@ -159,6 +160,14 @@ class Example:
     mask: np.ndarray     # bool, positions that contribute to the loss
 
 
+def _stack(examples):
+    """One Example whose arrays are the examples' (n,) arrays stacked as
+    (B, n); the examples must share one length."""
+    return Example(inputs=np.stack([ex.inputs for ex in examples]),
+                   targets=np.stack([ex.targets for ex in examples]),
+                   mask=np.stack([ex.mask for ex in examples]))
+
+
 def make_task(spec):
     """Deterministic dataset for the given task specification."""
     rng = Rng(spec.seed)
@@ -187,14 +196,24 @@ def make_task(spec):
 
 
 def cross_entropy(logits, targets, mask):
-    """Mean negative log-likelihood over masked positions (log-sum-exp)."""
+    """Mean negative log-likelihood over masked positions (log-sum-exp).
+
+    Logits are (n, vocab) with (n,) targets and mask, or a (B, n, vocab)
+    batch with (B, n) ones; a batch's loss is the mean over examples of each
+    example's masked mean, so every example weighs the same.
+    """
     targets = np.asarray(targets)
     mask = np.asarray(mask, dtype=bool)
-    rows = np.nonzero(mask)[0]
+    per_example = mask.sum(axis=-1)
+    if (per_example == 0).any():
+        raise ValueError("every example needs at least one masked position")
+    rows = np.nonzero(mask)               # one index array per mask axis
     shift = logits.values.max(axis=-1, keepdims=True)  # constant for stability
-    z = (logits - shift).exp().sum(axis=-1).log() + Tensor(shift[:, 0], check=False)
-    picked = logits[rows, targets[rows]]
-    return (z[rows] - picked).mean()
+    z = (logits - shift).exp().sum(axis=-1).log() \
+        + Tensor(shift[..., 0], check=False)
+    picked = logits[rows + (targets[rows],)]
+    weight = 1.0 / (per_example[rows[:-1]] * float(per_example.size))
+    return ((z[rows] - picked) * weight).sum()
 
 
 def stability_excess(grad_norm, tau):
@@ -274,24 +293,13 @@ def train(params, dataset, cfg, loss_injection=None):
     last_good = _snapshot(params)
     for t in range(1, cfg.steps + 1):
         idx = rng.integers(0, len(dataset), size=cfg.batch)
+        batch = _stack([dataset[int(i)] for i in idx])
         params.zero_grad()
-        task_acc = None
-        penalty_acc = None
-        field_min, field_max, collapse_frac = 1.0, 0.0, 0.0
         try:
-            for i in idx:
-                ex = dataset[int(i)]
-                logits, fields = model_forward(ex.inputs, params)
-                ce = cross_entropy(logits, ex.targets, ex.mask)
-                task_acc = ce if task_acc is None else task_acc + ce
-                pen = collapse_penalty(fields[-1], 1.0)
-                penalty_acc = pen if penalty_acc is None else penalty_acc + pen
-                rep = detect_collapse(fields[-1], cfg.collapse_eps)
-                field_min = min(field_min, rep.min_value)
-                field_max = max(field_max, rep.max_value)
-                collapse_frac = max(collapse_frac, rep.fraction)
-            task_mean = task_acc / float(cfg.batch)
-            penalty_mean = penalty_acc / float(cfg.batch)
+            logits, fields = model_forward(batch.inputs, params)
+            task_mean = cross_entropy(logits, batch.targets, batch.mask)
+            penalty_mean = collapse_penalty(fields[-1], 1.0) / float(cfg.batch)
+            rep = detect_collapse(fields[-1], cfg.collapse_eps)
             loss = task_mean + penalty_mean * lam_T
             loss.backward()
 
@@ -315,7 +323,7 @@ def train(params, dataset, cfg, loss_injection=None):
 
         unstable = ((prev_task_loss is not None
                      and task_val >= cfg.spike_factor * prev_task_loss)
-                    or collapse_frac >= cfg.collapse_fraction)
+                    or rep.fraction >= cfg.collapse_fraction)
         event = ""
         if unstable and not prev_unstable:
             eta_main *= 0.5
@@ -347,35 +355,52 @@ def train(params, dataset, cfg, loss_injection=None):
             "total_loss": loss_val,
             "lr_main": lr_main,
             "lr_temp": lr_temp,
-            "temp_min": field_min,
-            "temp_max": field_max,
-            "collapse_fraction": collapse_frac,
+            "temp_min": rep.min_value,
+            "temp_max": rep.max_value,
+            "collapse_fraction": rep.fraction,
             "grad_norm_temp": grad_norm_temp,
             "event": event,
         })
     return history
 
 
+# Examples per forward pass in evaluate and dataset_loss: one slice's
+# activations, not the whole dataset's, are alive at a time.
+EVAL_SLICE = 16
+
+
+def _forward_slices(params, dataset, temp_multiplier=1.0):
+    """(batch, sum of its examples' losses, logits) per slice of at most
+    EVAL_SLICE examples.
+
+    The forward runs on tape-free views of the parameter arrays (no copy):
+    nothing here calls backward, so no pass needs to keep its tape.
+    """
+    frozen = ModelParams(params.cfg, tensors=OrderedDict(
+        (name, Tensor(t.values, check=False))
+        for name, t in params.named_tensors()))
+    for lo in range(0, len(dataset), EVAL_SLICE):
+        batch = _stack(dataset[lo:lo + EVAL_SLICE])
+        logits, _ = model_forward(batch.inputs, frozen,
+                                  temp_multiplier=temp_multiplier)
+        loss = cross_entropy(logits, batch.targets, batch.mask)
+        yield batch, float(loss.values) * len(batch.inputs), logits
+
+
 def evaluate(params, dataset):
     """Mean loss and exact-match accuracy over masked positions."""
-    total, hits, count = 0.0, 0, 0
-    for ex in dataset:
-        logits, _ = model_forward(ex.inputs, params)
-        total += float(cross_entropy(logits, ex.targets, ex.mask).values)
-        pred = logits.values.argmax(axis=-1)
-        rows = np.nonzero(ex.mask)[0]
-        hits += int((pred[rows] == ex.targets[rows]).all())
-        count += 1
-    return total / count, hits / count
+    total, hits = 0.0, 0
+    for batch, loss_sum, logits in _forward_slices(params, dataset):
+        total += loss_sum
+        right = logits.values.argmax(axis=-1) == batch.targets
+        hits += int((right | ~batch.mask).all(axis=-1).sum())
+    return total / len(dataset), hits / len(dataset)
 
 
 def dataset_loss(params, dataset, temp_multiplier=1.0):
     """Mean task loss with every temperature field scaled by a multiplier."""
-    total = 0.0
-    for ex in dataset:
-        logits, _ = model_forward(ex.inputs, params,
-                                  temp_multiplier=temp_multiplier)
-        total += float(cross_entropy(logits, ex.targets, ex.mask).values)
+    total = sum(loss_sum for _, loss_sum, _ in
+                _forward_slices(params, dataset, temp_multiplier))
     return total / len(dataset)
 
 

@@ -1,3 +1,4 @@
+import json
 import os
 import shutil
 import struct
@@ -389,6 +390,26 @@ class TestCheckpointCorruption:
         params.tensors["embed.pos"] = Tensor(np.array(0.5))
         checkpoint_save(params, path)
         with pytest.raises(CheckpointFormatError, match="embed.pos"):
+            checkpoint_load(path)
+
+    @pytest.mark.parametrize("sidecar", [
+        pytest.param(None, id="cut"),
+        pytest.param('{"heads": 0}', id="heads-0"),
+        pytest.param('{"eps_min": 0.6}', id="eps_min-0.6"),
+        pytest.param('{"heads": "2"}', id="heads-str"),
+        pytest.param("null", id="null"),
+    ])
+    def test_corrupt_sidecar_raises_format_error(self, tmp_path, sidecar):
+        path, _, _ = _saved_checkpoint(tmp_path)
+        text = open(path + ".json").read()
+        if sidecar is None:
+            sidecar = text[:len(text) // 2]
+        else:
+            doc = json.loads(text)
+            update = json.loads(sidecar)
+            sidecar = "null" if update is None else json.dumps({**doc, **update})
+        open(path + ".json", "w").write(sidecar)
+        with pytest.raises(CheckpointFormatError, match="config sidecar"):
             checkpoint_load(path)
 
     @given(data=st.data())

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ttm_lab.numerics import (DimensionError, NumericError, Rng, Tensor,
-                              concat, gelu, grad_check, layer_norm, matmul,
-                              sigmoid_map, softmax_rows)
+                              _erf, concat, gelu, grad_check, layer_norm,
+                              matmul, sigmoid_map, softmax_rows)
 
 
 class TestMatmul:
@@ -153,6 +153,54 @@ class TestGradCheck:
     def test_eps_range_enforced(self):
         with pytest.raises(ValueError):
             grad_check(lambda t: t.sum(), Tensor([1.0]), eps=1e-2)
+
+
+def _erf_errors(x):
+    """(max absolute error, max error in units of the last place) of _erf
+    against math.erf at the points x."""
+    got = _erf(x)
+    ref = np.array([math.erf(v) for v in x])
+    err = np.abs(got - ref)
+    return err.max(), (err / np.spacing(np.abs(ref))).max()
+
+
+class TestErf:
+    def test_dense_grid_matches_math_erf(self):
+        x = np.linspace(-8.0, 8.0, 400_001)
+        abs_err, ulps = _erf_errors(x)
+        assert abs_err <= 2.3e-16
+        assert ulps <= 4.0
+
+    def test_branch_edges(self):
+        # 0.5 and 4 split Cody's three ranges; past 6 erf rounds to +-1
+        edges = [0.0, 0.5, 4.0, 6.0, 30.0]
+        x = np.array([s * e for e in edges for s in (1.0, -1.0)]
+                     + [np.nextafter(e, t) for e in (0.5, 4.0)
+                        for t in (0.0, 10.0)])
+        x = np.concatenate([x, -x])
+        abs_err, ulps = _erf_errors(x)
+        assert abs_err <= 2.3e-16 and ulps <= 4.0
+        assert np.array_equal(_erf(np.array([6.0, -30.0])), [1.0, -1.0])
+
+    def test_sign_of_zero_kept(self):
+        out = _erf(np.array([0.0, -0.0]))
+        assert out.tolist() == [0.0, 0.0]
+        assert np.signbit(out).tolist() == [False, True]
+
+    def test_huge_input_is_one_without_overflow(self):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert _erf(np.array([1e300, -1e300])).tolist() == [1.0, -1.0]
+
+    def test_nan_stays_nan(self):
+        assert np.isnan(_erf(np.array([np.nan, 1.0]))).tolist() == [True, False]
+
+    def test_gelu_of_zero_is_exactly_zero(self):
+        assert gelu(Tensor([0.0])).values.tolist() == [0.0]
+
+    def test_keeps_shape(self):
+        x = Rng(3).normal((2, 3, 4), 0.0, 3.0)
+        assert _erf(x).shape == (2, 3, 4)
+        assert np.array_equal(_erf(x).ravel(), _erf(x.ravel()))
 
 
 class TestTensorBasics:

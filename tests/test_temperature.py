@@ -124,6 +124,33 @@ class TestCollapse:
         rep = detect_collapse(TemperatureField(np.full((1, 4), 0.01)), 0.01)
         assert not rep.collapsed
 
+    def test_batch_reports_worst_example(self):
+        # example 1 has 3 of its 8 entries collapsed, the others none; the
+        # batch reports that example's fraction, not the batch-wide 3/32
+        v = np.full((4, 2, 4), 0.5)
+        v[0, 0, 0] = 0.3
+        v[1, 0, :2] = 0.005
+        v[1, 1, 3] = 0.996
+        v[3, 1, 2] = 0.7
+        rep = detect_collapse(TemperatureField(v, eps_min=0.001), 0.01)
+        assert rep.collapsed
+        assert rep.fraction == 3 / 8
+        assert rep.min_value == 0.005 and rep.max_value == 0.996
+        clean = np.delete(v, 1, axis=0)
+        rep = detect_collapse(TemperatureField(clean, eps_min=0.001), 0.01)
+        assert not rep.collapsed and rep.fraction == 0.0
+        assert rep.min_value == 0.3 and rep.max_value == 0.7
+
+    def test_batch_matches_per_example_reports(self):
+        v = Rng(8).uniform((5, 2, 6), 0.001, 0.999)
+        rep = detect_collapse(TemperatureField(v, eps_min=0.001), 0.05)
+        each = [detect_collapse(TemperatureField(e, eps_min=0.001), 0.05)
+                for e in v]
+        assert rep.fraction == max(r.fraction for r in each)
+        assert rep.min_value == min(r.min_value for r in each)
+        assert rep.max_value == max(r.max_value for r in each)
+        assert rep.collapsed == any(r.collapsed for r in each)
+
 
 class TestGradClip:
     def test_inside_range_untouched(self):

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ttm_lab import training
 from ttm_lab.model import ModelConfig, ModelParams, model_forward
 from ttm_lab.numerics import Rng, Tensor
 from ttm_lab.temperature import collapse_penalty
-from ttm_lab.training import (METRIC_COLUMNS, PUBLISHED_MEMORY_CLAIM_BYTES,
+from ttm_lab.training import (ARITH_VOCAB, EVAL_SLICE, METRIC_COLUMNS,
+                              PUBLISHED_MEMORY_CLAIM_BYTES,
                               TOK_ADD, TOK_HALVE, TOK_INIT,
                               TOK_SUB, TaskSpec, TrainConfig,
                               confidence_interval, cross_entropy,
@@ -47,6 +49,18 @@ class TestLosses:
                                   np.array([True, False])).values)
         want = -math.log(math.exp(5.0) / (math.exp(5.0) + 1.0))
         assert abs(got - want) < 1e-12
+
+
+    def test_batch_weighs_examples_equally(self):
+        # example 0 has one masked row, example 1 three: the batch loss is
+        # the mean of the two examples' means, not the mean of four rows
+        logits = Rng(5).normal((2, 3, 4))
+        targets = np.array([[1, 2, 3], [0, 1, 2]])
+        mask = np.array([[False, True, False], [True, True, True]])
+        got = float(cross_entropy(Tensor(logits), targets, mask).values)
+        each = [float(cross_entropy(Tensor(logits[b]), targets[b],
+                                    mask[b]).values) for b in range(2)]
+        assert abs(got - (each[0] + each[1]) / 2.0) < 1e-12
 
 
 class TestLrSchedule:
@@ -268,6 +282,156 @@ class TestTrainLoop:
         params = toy_params(seed=10)
         data = make_task(TaskSpec(kind="copy", length=4, count=4, seed=10))
         assert dataset_loss(params, data, 1.0) != dataset_loss(params, data, 0.3)
+
+
+BATCH_VARIANTS = [pytest.param("baseline", 0.0, id="baseline"),
+                  pytest.param("broadcast", 0.0, id="broadcast"),
+                  pytest.param("outer", 0.0, id="outer"),
+                  pytest.param("outer", 0.3, id="outer-blend0.3")]
+BATCH_TASKS = {
+    # copy: every position is masked; arithmetic: the last position only
+    "copy": (TaskSpec(kind="copy", length=6, count=64, alphabet=10, seed=4),
+             10),
+    "arith": (TaskSpec(kind="arithmetic_chain", length=8, count=64, seed=4),
+              ARITH_VOCAB),
+}
+
+
+def _close(got, want, tol=1e-12):
+    return np.abs(np.asarray(got) - np.asarray(want)).max() \
+        <= tol * max(1.0, np.abs(np.asarray(want)).max())
+
+
+class TestBatchedParity:
+    """The stacked (B, n) forward against one-example-at-a-time references."""
+
+    @pytest.mark.parametrize("task", sorted(BATCH_TASKS))
+    @pytest.mark.parametrize("variant, alpha", BATCH_VARIANTS)
+    def test_stacked_equals_per_example(self, variant, alpha, task):
+        spec, vocab = BATCH_TASKS[task]
+        params = ModelParams(ModelConfig(
+            d_model=16, heads=2, layers=2, d_ff=32, vocab_size=vocab, d_c=4,
+            seed=3, max_seq_len=spec.length, attention_variant=variant,
+            blend_alpha=alpha))
+        data = make_task(spec)
+        one = [model_forward(ex.inputs, params) for ex in data]
+        one_ce = [float(cross_entropy(lg, ex.targets, ex.mask).values)
+                  for (lg, _), ex in zip(one, data)]
+        one_hit = [bool((lg.values.argmax(axis=-1)[ex.mask]
+                         == ex.targets[ex.mask]).all())
+                   for (lg, _), ex in zip(one, data)]
+        scaled = [float(cross_entropy(model_forward(ex.inputs, params, 0.7)[0],
+                                      ex.targets, ex.mask).values)
+                  for ex in data]
+        for size in (1, 16, 17, 64):
+            part = data[:size]
+            logits, fields = model_forward(
+                np.stack([ex.inputs for ex in part]), params)
+            assert logits.shape == (size, spec.length, vocab)
+            for b in range(size):
+                assert _close(logits.values[b], one[b][0].values)
+                for f, g in zip(fields, one[b][1]):
+                    assert _close(f.array()[b], g.array())
+            ce = cross_entropy(logits, np.stack([ex.targets for ex in part]),
+                               np.stack([ex.mask for ex in part]))
+            assert _close(float(ce.values), np.mean(one_ce[:size]))
+            loss, acc = evaluate(params, part)
+            assert _close(loss, np.mean(one_ce[:size]))
+            assert acc == np.mean(one_hit[:size])
+            assert _close(dataset_loss(params, part), np.mean(one_ce[:size]))
+            assert _close(dataset_loss(params, part, 0.7),
+                          np.mean(scaled[:size]))
+
+    def test_each_example_scaled_by_its_own_field_mean(self):
+        params = toy_params(seed=11)
+        tokens = np.array([[1, 2, 3, 4], [5, 5, 6, 0], [9, 8, 7, 6]])
+        logits, fields = model_forward(tokens, params)
+        means = fields[-1].array().mean(axis=(-2, -1))
+        assert len(set(means.tolist())) == 3
+        for b in range(3):
+            one, one_fields = model_forward(tokens[b], params)
+            assert _close(one_fields[-1].array().mean(), means[b])
+            assert _close(logits.values[b], one.values)
+
+    def test_batch_gradient_is_sum_of_example_gradients(self):
+        params = toy_params(seed=12)
+        data = make_task(TaskSpec(kind="copy", length=5, count=4, seed=12))
+        batch = training._stack(data)
+        logits, _ = model_forward(batch.inputs, params)
+        cross_entropy(logits, batch.targets, batch.mask).backward()
+        stacked = {n: t.grad.copy() for n, t in params.named_tensors()
+                   if t.grad is not None}
+        params.zero_grad()
+        total = None
+        for ex in data:
+            logits, _ = model_forward(ex.inputs, params)
+            ce = cross_entropy(logits, ex.targets, ex.mask)
+            total = ce if total is None else total + ce
+        (total / float(len(data))).backward()
+        assert sorted(stacked) == sorted(
+            n for n, t in params.named_tensors() if t.grad is not None)
+        for name, grad in stacked.items():
+            assert _close(grad, params.tensors[name].grad), name
+
+    def test_example_without_masked_position_rejected(self):
+        logits = Tensor(np.zeros((2, 3, 4)))
+        mask = np.array([[True, False, False], [False, False, False]])
+        with pytest.raises(ValueError, match="masked position"):
+            cross_entropy(logits, np.zeros((2, 3), dtype=int), mask)
+
+
+class TestBatchedCalls:
+    """Each train step is one stacked forward; evaluate and dataset_loss run
+    one forward per slice of at most EVAL_SLICE examples."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = {}
+        for name in ("model_forward", "cross_entropy", "collapse_penalty",
+                     "detect_collapse"):
+            original = getattr(training, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(training, name, counting)
+        return calls
+
+    def test_one_forward_per_train_step(self, counted):
+        data = make_task(TaskSpec(kind="copy", length=4, count=8, seed=2))
+        train(toy_params(seed=2), data, TrainConfig(steps=3, batch=5, seed=2))
+        assert counted == {"model_forward": 3, "cross_entropy": 3,
+                           "collapse_penalty": 3, "detect_collapse": 3}
+
+    @pytest.mark.parametrize("size", [1, 16, 17, 64])
+    def test_one_forward_per_slice(self, counted, size):
+        assert EVAL_SLICE == 16
+        data = make_task(TaskSpec(kind="copy", length=4, count=size, seed=2))
+        params = toy_params(seed=2)
+        evaluate(params, data)
+        assert counted["model_forward"] == math.ceil(size / EVAL_SLICE)
+        dataset_loss(params, data, 0.5)
+        assert counted["model_forward"] == 2 * math.ceil(size / EVAL_SLICE)
+
+    def test_evaluation_builds_no_tape(self, monkeypatch):
+        # evaluation runs on views of the parameter arrays that record no
+        # tape, and copies no parameter
+        params = toy_params(seed=2)
+        data = make_task(TaskSpec(kind="copy", length=4, count=3, seed=2))
+        seen = []
+        original = training.model_forward
+
+        def spy(tokens, p, temp_multiplier=1.0):
+            logits, fields = original(tokens, p, temp_multiplier)
+            seen.append((logits.requires_grad,
+                         all(np.shares_memory(t.values, params.tensors[n].values)
+                             for n, t in p.named_tensors())))
+            return logits, fields
+
+        monkeypatch.setattr(training, "model_forward", spy)
+        evaluate(params, data)
+        dataset_loss(params, data)
+        assert seen == [(False, True), (False, True)]
 
 
 class TestStatistics:
