@@ -9,12 +9,11 @@ detected event.
 
 import io
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .model import ModelParams, model_forward
+from .model import model_forward
 from .numerics import NumericError, Rng, Tensor
 from .temperature import (clip_temperature_grad, collapse_penalty,
                           default_grad_clip_tau, detect_collapse)
@@ -206,7 +205,7 @@ def cross_entropy(logits, targets, mask):
     mask = np.asarray(mask, dtype=bool)
     per_example = mask.sum(axis=-1)
     if (per_example == 0).any():
-        raise ValueError("every example needs at least one masked position")
+        raise NumericError("every example needs at least one masked position")
     rows = np.nonzero(mask)               # one index array per mask axis
     shift = logits.values.max(axis=-1, keepdims=True)  # constant for stability
     z = (logits - shift).exp().sum(axis=-1).log() \
@@ -370,30 +369,28 @@ EVAL_SLICE = 16
 
 
 def _forward_slices(params, dataset, temp_multiplier=1.0):
-    """(batch, sum of its examples' losses, logits) per slice of at most
-    EVAL_SLICE examples.
-
-    The forward runs on tape-free views of the parameter arrays (no copy):
-    nothing here calls backward, so no pass needs to keep its tape.
-    """
-    frozen = ModelParams(params.cfg, tensors=OrderedDict(
-        (name, Tensor(t.values, check=False))
-        for name, t in params.named_tensors()))
+    """(batch, sum of its examples' losses, predicted ids) per slice of at
+    most EVAL_SLICE examples."""
     for lo in range(0, len(dataset), EVAL_SLICE):
         batch = _stack(dataset[lo:lo + EVAL_SLICE])
-        logits, _ = model_forward(batch.inputs, frozen,
-                                  temp_multiplier=temp_multiplier)
-        loss = cross_entropy(logits, batch.targets, batch.mask)
-        yield batch, float(loss.values) * len(batch.inputs), logits
+        yield (batch,) + _slice_forward(params, batch, temp_multiplier)
+
+
+def _slice_forward(params, batch, temp_multiplier):
+    # the slice's tape dies when this returns, before the next slice runs
+    logits, _ = model_forward(batch.inputs, params,
+                              temp_multiplier=temp_multiplier)
+    loss = cross_entropy(logits, batch.targets, batch.mask)
+    return (float(loss.values) * len(batch.inputs),
+            logits.values.argmax(axis=-1))
 
 
 def evaluate(params, dataset):
     """Mean loss and exact-match accuracy over masked positions."""
     total, hits = 0.0, 0
-    for batch, loss_sum, logits in _forward_slices(params, dataset):
+    for batch, loss_sum, pred in _forward_slices(params, dataset):
         total += loss_sum
-        right = logits.values.argmax(axis=-1) == batch.targets
-        hits += int((right | ~batch.mask).all(axis=-1).sum())
+        hits += int(((pred == batch.targets) | ~batch.mask).all(axis=-1).sum())
     return total / len(dataset), hits / len(dataset)
 
 

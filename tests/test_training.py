@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ttm_lab import training
 from ttm_lab.model import ModelConfig, ModelParams, model_forward
-from ttm_lab.numerics import Rng, Tensor
+from ttm_lab.numerics import NumericError, Rng, Tensor
 from ttm_lab.temperature import collapse_penalty
 from ttm_lab.training import (ARITH_VOCAB, EVAL_SLICE, METRIC_COLUMNS,
                               PUBLISHED_MEMORY_CLAIM_BYTES,
@@ -376,8 +376,19 @@ class TestBatchedParity:
     def test_example_without_masked_position_rejected(self):
         logits = Tensor(np.zeros((2, 3, 4)))
         mask = np.array([[True, False, False], [False, False, False]])
-        with pytest.raises(ValueError, match="masked position"):
+        with pytest.raises(NumericError, match="masked position"):
             cross_entropy(logits, np.zeros((2, 3), dtype=int), mask)
+
+    def test_unmasked_example_aborts_train_and_restores(self):
+        # the step's NumericError aborts the run like any non-finite loss
+        data = make_task(TaskSpec(kind="copy", length=4, count=4, seed=2))
+        data[1] = dataclasses.replace(data[1], mask=np.zeros(4, dtype=bool))
+        params = toy_params(seed=2)
+        before = [t.values.copy() for _, t in params.named_tensors()]
+        history = train(params, data, TrainConfig(steps=3, batch=4, seed=2))
+        assert history.aborted and not history.rows
+        for (name, t), want in zip(params.named_tensors(), before):
+            assert np.array_equal(t.values, want), name
 
 
 class TestBatchedCalls:
@@ -413,25 +424,22 @@ class TestBatchedCalls:
         dataset_loss(params, data, 0.5)
         assert counted["model_forward"] == 2 * math.ceil(size / EVAL_SLICE)
 
-    def test_evaluation_builds_no_tape(self, monkeypatch):
-        # evaluation runs on views of the parameter arrays that record no
-        # tape, and copies no parameter
+    def test_evaluation_reads_params_without_backward(self, monkeypatch):
+        # evaluation forwards the caller's parameters and leaves no gradient
         params = toy_params(seed=2)
         data = make_task(TaskSpec(kind="copy", length=4, count=3, seed=2))
         seen = []
         original = training.model_forward
 
         def spy(tokens, p, temp_multiplier=1.0):
-            logits, fields = original(tokens, p, temp_multiplier)
-            seen.append((logits.requires_grad,
-                         all(np.shares_memory(t.values, params.tensors[n].values)
-                             for n, t in p.named_tensors())))
-            return logits, fields
+            seen.append(p is params)
+            return original(tokens, p, temp_multiplier)
 
         monkeypatch.setattr(training, "model_forward", spy)
         evaluate(params, data)
         dataset_loss(params, data)
-        assert seen == [(False, True), (False, True)]
+        assert seen == [True, True]
+        assert all(t.grad is None for _, t in params.named_tensors())
 
 
 class TestStatistics:
