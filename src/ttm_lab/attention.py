@@ -74,12 +74,6 @@ def merge_heads(head_values, W_o):
     return head_values.transpose(-3, -2).reshape(*lead, n, h * d_k) @ W_o
 
 
-def _causal_mask(n):
-    """Additive lower-triangular mask (large negative above the diagonal)."""
-    m = np.triu(np.full((n, n), -1e30), k=1)
-    return m[None, :, :]
-
-
 def _weigh(pre, v, W_o):
     """Softmax over the logits `pre`, then the weighted values merged."""
     weights = softmax_rows(pre)
@@ -87,7 +81,7 @@ def _weigh(pre, v, W_o):
                            weights=weights, pre_softmax=pre, v=v)
 
 
-def attention_baseline(x, params, causal=False):
+def attention_baseline(x, params):
     """softmax(Q K^T / sqrt(d_k)) V per head, heads merged and projected.
 
     x is (n, d_model) or a (B, n, d_model) batch.
@@ -97,8 +91,6 @@ def attention_baseline(x, params, causal=False):
     qkv = x.reshape(*lead, 1, 1, n, d) @ params.W_qkv   # (..., h, 3, n, d_k)
     q, k, v = (qkv[..., i, :, :] for i in range(3))
     pre = q @ k.T * (1.0 / np.sqrt(params.d_k))
-    if causal:
-        pre = pre + Tensor(_causal_mask(n), check=False)
     return _weigh(pre, v, params.W_o)
 
 

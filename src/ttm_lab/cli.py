@@ -20,7 +20,7 @@ import numpy as np
 from . import dynamics, gsot, training
 from .attention import (attention_baseline, attention_temp_broadcast,
                         attention_temp_outer)
-from .model import ModelConfig, ModelParams, model_forward
+from .model import ModelConfig, ModelParams, check_token_ids, model_forward
 from .numerics import NumericError, Rng, Tensor, grad_check, layer_norm, gelu, softmax_rows
 from .temperature import TemperatureField, compute_temperature, squash
 
@@ -45,6 +45,8 @@ _STATS_DEFAULTS = {"samples": [1.0, 2.0, 3.0, 4.0, 5.0], "level": 0.95,
 
 
 def _merge(defaults, given, block):
+    if not isinstance(given, dict):
+        raise ConfigError(f"block {block!r} must be a JSON object")
     unknown = set(given) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown keys in block {block!r}: {sorted(unknown)}")
@@ -68,13 +70,51 @@ _BLOCKS = {
     "train": lambda: _dataclass_defaults(training.TrainConfig),
     "task": lambda: _dataclass_defaults(training.TaskSpec),
     "gsot_cfg": lambda: _dataclass_defaults(gsot.GsotConfig),
-    "dynamics": lambda: {k: v for k, v in
-                         _dataclass_defaults(dynamics.EvolutionConfig).items()},
     "sweep": lambda: dict(_SWEEP_DEFAULTS),
     "gsot": lambda: dict(_GSOT_DEFAULTS),
     "bench": lambda: dict(_BENCH_DEFAULTS),
     "stats": lambda: dict(_STATS_DEFAULTS),
 }
+
+
+def _check_plain_blocks(resolved, model_cfg, gsot_given):
+    """Reject values of the plain-dict blocks that no run can use.
+
+    Where a library function already checks a value, it is called here on a
+    stand-in input, so that each rule is stated once. `gsot_given` is the
+    gsot block as the config file states it.
+    """
+    sweep = resolved["sweep"]
+    dynamics.temperature_sweep(lambda m: 0.0, sweep["t_min"], sweep["t_max"],
+                               sweep["steps"], sweep["log_spacing"])
+    blk = resolved["gsot"]
+    seq = blk["sequence"]
+    if seq is not None:
+        check_token_ids(seq, model_cfg.vocab_size)
+    n = blk["length"] if seq is None else len(seq)
+    if n < 1:
+        raise ValueError(f"gsot sequence length {n} must be >= 1")
+    # only a length the file sets must fit the model: the default one must
+    # not fail a train run of a model with a shorter context
+    if n > model_cfg.max_seq_len and {"sequence", "length"} & set(gsot_given):
+        raise ValueError(f"gsot sequence length {n} exceeds max_seq_len "
+                         f"{model_cfg.max_seq_len}")
+    for name in ("gsot", "bench"):
+        if resolved[name]["hidden_count"] < 1:
+            raise ValueError(f"{name}.hidden_count must be >= 1")
+    bench = resolved["bench"]
+    gsot.complexity_fit([(length, 1.0) for length in bench["lengths"]])
+    # a 1-token sequence has nothing to keep after the first scheduled step
+    if min(bench["lengths"]) < 2:
+        raise ValueError("bench.lengths must all be >= 2")
+    _bench_model_config(bench, resolved["seed"])
+    stats = resolved["stats"]
+    if stats["samples_file"] is None:
+        training.confidence_interval(stats["samples"], stats["level"])
+    else:
+        training.t_quantile(stats["level"], 1)
+    if stats["p"] is not None:
+        training.significance_label(stats["p"])
 
 
 def load_config(path, seed=None, out=None):
@@ -97,7 +137,7 @@ def load_config(path, seed=None, out=None):
         resolved[name] = _merge(factory(), doc.get(name, {}), name)
     if seed is not None:
         resolved["seed"] = seed
-        for block in ("model", "train", "task", "dynamics"):
+        for block in ("model", "train", "task"):
             resolved[block]["seed"] = seed
     if out is not None:
         resolved["output_dir"] = out
@@ -107,10 +147,10 @@ def load_config(path, seed=None, out=None):
         train_cfg = training.TrainConfig(**resolved["train"])
         task_spec = training.TaskSpec(**resolved["task"])
         gsot_cfg = gsot.GsotConfig(**resolved["gsot_cfg"])
-        dyn_cfg = dynamics.EvolutionConfig(**resolved["dynamics"])
+        _check_plain_blocks(resolved, model_cfg, doc.get("gsot", {}))
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc))
-    return resolved, model_cfg, train_cfg, task_spec, gsot_cfg, dyn_cfg
+    return resolved, model_cfg, train_cfg, task_spec, gsot_cfg
 
 
 def _write_resolved(resolved):
@@ -186,8 +226,8 @@ def _check_gsot_schedule(model_cfg):
 
 
 def _check_contraction(model_cfg):
-    cfg = dynamics.EvolutionConfig(gain=0.9, max_iter=200, tolerance=1e-9)
-    update = lambda f: dynamics.evolve_layer(f, None, None, cfg)
+    cfg = dynamics.EvolutionConfig(gain=0.9)
+    update = lambda f: dynamics.evolve_layer(f, cfg)
     L = dynamics.estimate_contraction(update, 50, seed=3)
     assert L <= 0.9 + 1e-9, f"estimated Lipschitz {L} exceeds the gain"
 
@@ -341,18 +381,22 @@ def cmd_gsot(resolved, model_cfg, gsot_cfg, args):
     return EXIT_OK
 
 
+def _bench_model_config(blk, seed):
+    return ModelConfig(d_model=blk["d_model"], heads=blk["heads"],
+                       layers=blk["layers"], d_ff=blk["d_ff"],
+                       vocab_size=blk["vocab_size"], d_c=4, seed=seed,
+                       max_seq_len=max(blk["lengths"]) + 1)
+
+
 def bench_op_counts(blk, gsot_cfg, seed):
     """Final pipeline op counts over the benchmark length grid.
 
     Each length runs with a step budget of ceil(log2 n); tau thresholds come
     from the gsot config block.
     """
+    cfg = _bench_model_config(blk, seed)
     counts = []
     for n in blk["lengths"]:
-        cfg = ModelConfig(d_model=blk["d_model"], heads=blk["heads"],
-                          layers=blk["layers"], d_ff=blk["d_ff"],
-                          vocab_size=blk["vocab_size"], d_c=4, seed=seed,
-                          max_seq_len=max(blk["lengths"]) + 1)
         params = ModelParams(cfg)
         rng = Rng(seed + n)
         universe = gsot.build_universe(params, blk["hidden_count"], rng)
@@ -437,8 +481,8 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        resolved, model_cfg, train_cfg, task_spec, gsot_cfg, dyn_cfg = \
-            load_config(args.config, seed=args.seed, out=args.out)
+        resolved, model_cfg, train_cfg, task_spec, gsot_cfg = load_config(
+            args.config, seed=args.seed, out=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

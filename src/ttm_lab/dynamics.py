@@ -16,37 +16,23 @@ from .temperature import TemperatureField
 @dataclass
 class EvolutionConfig:
     gain: float = 0.9            # Lipschitz constant of the affine update
-    context_weights: object = None    # (d_c,) projection onto a field offset
-    activation_weights: object = None  # (d_model,) likewise
     bias: float = 0.0
     noise_bound: float = 0.0     # epsilon: hard bound on ||eta||_2
-    max_iter: int = 1000
-    tolerance: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
         if self.noise_bound < 0:
             raise ValueError("noise bound must be nonnegative")
 
 
-def evolve_layer(field, context, activations, cfg, rng=None):
+def evolve_layer(field, cfg, rng=None):
     """One layer step: affine contraction toward 0.5 plus bounded noise.
 
-    T' = clamp(0.5 + gain * (T - 0.5) + <w_c, c> + <w_x, mean(x)> + bias + eta)
-    with ||eta||_2 rescaled onto the bound whenever it exceeds it.
+    T' = clamp(0.5 + gain * (T - 0.5) + bias + eta) with ||eta||_2 rescaled
+    onto the bound whenever it exceeds it.
     """
-    v = field.array().copy()
-    drift = cfg.bias
-    if cfg.context_weights is not None and context is not None:
-        drift += float(np.dot(np.asarray(cfg.context_weights, dtype=np.float64),
-                              np.asarray(context, dtype=np.float64)))
-    if cfg.activation_weights is not None and activations is not None:
-        acts = activations.values if isinstance(activations, Tensor) else np.asarray(activations)
-        drift += float(np.dot(np.asarray(cfg.activation_weights, dtype=np.float64),
-                              acts.mean(axis=0)))
-    out = 0.5 + cfg.gain * (v - 0.5) + drift
+    v = field.array()
+    out = 0.5 + cfg.gain * (v - 0.5) + cfg.bias
     if cfg.noise_bound > 0.0:
         rng = rng if rng is not None else Rng(cfg.seed)
         eta = rng.normal(v.shape, 0.0, cfg.noise_bound)

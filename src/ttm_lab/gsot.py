@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .model import forward_embedded, reasoning_head
+from .model import check_token_ids, forward_embedded, reasoning_head
 from .numerics import Tensor
 
 CONTINUE = "continue"
@@ -76,10 +76,9 @@ class TokenUniverse:
         return self.hidden[hidden_id - self.vocab_size]
 
 
-def build_universe(params, hidden_count, rng, d_c=None):
+def build_universe(params, hidden_count, rng):
     """Universe whose primary embeddings are the model's token embeddings."""
-    d = params.cfg.d_model
-    d_c = params.cfg.d_c if d_c is None else d_c
+    d, d_c = params.cfg.d_model, params.cfg.d_c
     return TokenUniverse(
         primary_embeddings=params.tok_emb.values,
         hidden_embeddings=rng.normal((hidden_count, d), 0.0, 0.02),
@@ -209,9 +208,11 @@ def gsot_pipeline(X, universe, params, cfg, context=None):
     Stage 1 extracts primary tokens (scheduled shrinkage for K > 1, plain
     tau_p thresholding for K = 1). Stage 2 appends active hidden-token
     embeddings to the surviving sequence. Stage 3 runs the model and the
-    reasoning head over the integrated sequence.
+    reasoning head over the integrated sequence. Every id in X must lie in
+    the primary vocabulary.
     """
     X = list(X)
+    check_token_ids(X, universe.vocab_size)
     n = len(X)
     if context is None:
         context = np.zeros(params.cfg.d_c)

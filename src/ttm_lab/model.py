@@ -244,16 +244,26 @@ def block_forward(x, block, cfg, temp_multiplier=1.0):
     return out, field
 
 
+def check_token_ids(tokens, vocab_size):
+    """Raise ValueError unless every id is an integer in [0, vocab_size)."""
+    tokens = np.asarray(tokens)
+    if not tokens.size:
+        return
+    if not np.issubdtype(tokens.dtype, np.integer):
+        raise ValueError(f"token ids must be integers, got {tokens.dtype}")
+    if tokens.min() < 0 or tokens.max() >= vocab_size:
+        raise ValueError(
+            f"token id outside [0, {vocab_size}): "
+            f"{int(tokens.min())}..{int(tokens.max())}")
+
+
 def embed_tokens(tokens, params):
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim not in (1, 2):
         raise DimensionError(
             f"tokens must be one (n,) sequence or a (B, n) batch, got "
             f"shape {tokens.shape}")
-    if tokens.size and (tokens.min() < 0 or tokens.max() >= params.cfg.vocab_size):
-        raise ValueError(
-            f"token id outside [0, {params.cfg.vocab_size}): "
-            f"{int(tokens.min())}..{int(tokens.max())}")
+    check_token_ids(tokens, params.cfg.vocab_size)
     return params.tok_emb[tokens]
 
 

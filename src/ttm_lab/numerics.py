@@ -143,14 +143,8 @@ class Tensor:
     def size(self):
         return self.values.size
 
-    def item(self):
-        return float(self.values)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def detach(self):
-        return Tensor(self.values.copy(), check=False)
 
     def zero_grad(self):
         self.grad = None
@@ -352,9 +346,9 @@ class Tensor:
 
     # -- elementwise nonlinearities ------------------------------------------
 
-    # The backward rules of exp and tanh keep the result array, not `out`:
-    # a closure that refers to its own node makes a reference cycle, and the
-    # cycle would hold the whole upstream tape until the cyclic collector ran.
+    # The backward rule of exp keeps the result array, not `out`: a closure
+    # that refers to its own node makes a reference cycle, and the cycle
+    # would hold the whole upstream tape until the cyclic collector ran.
 
     def exp(self):
         e = np.exp(self.values)
@@ -373,17 +367,6 @@ class Tensor:
         def backward(g):
             if self.requires_grad:
                 self._accumulate(g / self.values)
-
-        out._backward = backward if out.requires_grad else None
-        return out
-
-    def tanh(self):
-        t = np.tanh(self.values)
-        out = Tensor(t, _parents=(self,))
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * (1.0 - t ** 2))
 
         out._backward = backward if out.requires_grad else None
         return out

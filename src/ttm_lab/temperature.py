@@ -3,8 +3,7 @@
 A temperature field is an h x n matrix of per-head, per-token scalars kept
 strictly inside [eps_min, 1 - eps_min]. Range enforcement is structural: the
 field is produced through the affine squash eps + (1 - 2 eps) * sigmoid(.),
-which is differentiable everywhere. The coupled variant is additive, can
-leave the range and is clamped back in.
+which is differentiable everywhere.
 """
 
 import math
@@ -167,8 +166,6 @@ def clip_temperature_grad(grad, tau):
     """Elementwise clamp of a temperature gradient to [-tau, tau]."""
     if tau <= 0:
         raise ConfigurationError("tau must be positive")
-    if isinstance(grad, Tensor):
-        return Tensor(np.clip(grad.values, -tau, tau), check=False)
     return np.clip(np.asarray(grad, dtype=np.float64), -tau, tau)
 
 
@@ -193,96 +190,3 @@ def normalize_temperature(field, norm_eps=1e-12):
     z = centered / ((var + norm_eps) ** 0.5)
     return TemperatureField(squash(z, field.eps_min), field.eps_min,
                             validate=False)
-
-
-def _cosine(a, b):
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(a @ b / (na * nb))
-
-
-def coupled_temperature(base, embeddings, adjacency, alpha):
-    """Add neighbor interactions (cosine similarity of embeddings, scaled by
-    alpha) to the base field, clamping back into bounds.
-
-    `adjacency` maps token index -> iterable of neighbor indices. `alpha` is
-    either one shared scalar or a mapping (i, j) -> coefficient.
-    """
-    embeddings = np.asarray(
-        embeddings.values if isinstance(embeddings, Tensor) else embeddings,
-        dtype=np.float64)
-    delta = np.zeros(base.seq_len)
-    for i, neigh in (adjacency.items() if hasattr(adjacency, "items")
-                     else enumerate(adjacency)):
-        for j in neigh:
-            a = alpha[(i, j)] if hasattr(alpha, "__getitem__") and not np.isscalar(alpha) else alpha
-            delta[i] += a * _cosine(embeddings[i], embeddings[j])
-    out = base.values + Tensor(delta[None, :], check=False)
-    return TemperatureField(out.clip(base.eps_min, 1.0 - base.eps_min),
-                            base.eps_min, validate=False)
-
-
-@dataclass
-class NgramTransform:
-    """Learnable squashed-affine map applied to each window sum."""
-
-    scale: float = 1.0
-    shift: float = 0.0
-
-
-def ngram_temperature(base, n_gram, weights, f_params=None):
-    """Temperature field over sliding windows of `n_gram` tokens.
-
-    Window i gets squash(scale * sum_k w_k * T[h, i + k] + shift); output
-    shape is (h, n - n_gram + 1).
-    """
-    if f_params is None:
-        f_params = NgramTransform()
-    n = base.seq_len
-    if not 1 <= n_gram <= n:
-        raise DimensionError(f"n_gram {n_gram} outside [1, {n}]")
-    if len(weights) != n_gram:
-        raise DimensionError(
-            f"need {n_gram} window weights, got {len(weights)}")
-    windows = None
-    for k, w in enumerate(weights):
-        sl = base.values[:, k:n - n_gram + 1 + k] * float(w)
-        windows = sl if windows is None else windows + sl
-    logits = windows * f_params.scale + f_params.shift
-    return TemperatureField(squash(logits, base.eps_min), base.eps_min,
-                            validate=False)
-
-
-@dataclass
-class InvarianceReport:
-    layer_sums: list
-    max_drift: float
-    renormalized: list = None
-    clamp_adjusted: bool = False
-
-
-def invariance_diagnostic(fields, enforce=False):
-    """Report per-layer total temperature and drift from the first layer.
-
-    In enforce mode each layer is rescaled to the first layer's total and
-    re-clamped; clamping that changes any entry is flagged.
-    """
-    if len(fields) < 2:
-        raise ConfigurationError("invariance diagnostic needs >= 2 layers")
-    sums = [float(f.array().sum()) for f in fields]
-    target = sums[0]
-    drift = max(abs(s - target) for s in sums)
-    if not enforce:
-        return InvarianceReport(layer_sums=sums, max_drift=drift)
-    renorm = []
-    clamped = False
-    for f, s in zip(fields, sums):
-        scaled = f.array() * (target / s)
-        kept = np.clip(scaled, f.eps_min, 1.0 - f.eps_min)
-        clamped = clamped or not np.array_equal(scaled, kept)
-        renorm.append(TemperatureField(Tensor(kept, check=False), f.eps_min,
-                                       validate=False))
-    return InvarianceReport(layer_sums=sums, max_drift=drift,
-                            renormalized=renorm, clamp_adjusted=clamped)

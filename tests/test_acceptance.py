@@ -144,7 +144,7 @@ def test_05_contraction_error_bound_and_rate_recovery():
     # step, and the fitted decay rate must land within 0.02 of the truth for
     # gains 0.90 and 0.93.
     update = lambda f, g: dynamics.evolve_layer(
-        f, None, None, dynamics.EvolutionConfig(gain=g))
+        f, dynamics.EvolutionConfig(gain=g))
     start = TemperatureField(Rng(505).uniform((2, 4), 0.1, 0.9))
     star = np.full((2, 4), 0.5)
     e0 = np.linalg.norm(start.array() - star)
@@ -174,7 +174,7 @@ def test_06_iteration_count_tracks_tolerance():
     # predicted number of iterations, within 2.
     L = 0.9
     update = lambda f: dynamics.evolve_layer(
-        f, None, None, dynamics.EvolutionConfig(gain=L))
+        f, dynamics.EvolutionConfig(gain=L))
     start = TemperatureField(Rng(606).uniform((2, 4), 0.1, 0.9))
     iters = {}
     for tol in (1e-3, 1e-6):

@@ -214,12 +214,6 @@ class TestStructuralProperties:
                 x)
             assert err < 1e-5
 
-    def test_causal_mask_zeroes_future(self):
-        p = make_params(1, 4, 2, seed=29)
-        out = attention_baseline(Tensor(Rng(30).normal((4, 4))), p, causal=True)
-        w = out.weights.values[0]
-        assert np.abs(np.triu(w, k=1)).max() < 1e-12
-
 
 class TestResidualBlend:
     def rows(self, seed):

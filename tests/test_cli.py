@@ -27,8 +27,7 @@ SMALL_MODEL = {"d_model": 8, "heads": 2, "layers": 1, "d_ff": 16,
 
 class TestConfigLoading:
     def test_defaults_without_file(self):
-        resolved, model_cfg, train_cfg, task_spec, gsot_cfg, dyn_cfg = \
-            load_config(None)
+        resolved, model_cfg, train_cfg, task_spec, gsot_cfg = load_config(None)
         assert resolved["seed"] == 0
         assert resolved["output_dir"] == "out"
         assert model_cfg.d_model == resolved["model"]["d_model"]
@@ -50,6 +49,17 @@ class TestConfigLoading:
         assert code == EXIT_USAGE
         assert key in capsys.readouterr().err
 
+    def test_removed_dynamics_block_rejected(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "check", {"dynamics": {"gain": 5.0}})
+        assert code == EXIT_USAGE
+        assert "dynamics" in capsys.readouterr().err
+
+    def test_default_gsot_length_needs_no_long_context(self, tmp_path):
+        # only a gsot length the file sets must fit max_seq_len
+        model = dict(SMALL_MODEL, max_seq_len=4)
+        code, _ = run(tmp_path, "stats", {"model": model})
+        assert code == EXIT_OK
+
     def test_invalid_value_rejected_at_load(self, tmp_path):
         code, _ = run(tmp_path, "check", {"model": {"eps_min": 0.6}})
         assert code == EXIT_USAGE
@@ -64,8 +74,27 @@ class TestConfigLoading:
         {"task": {"length": 0}},
         {"task": {"kind": "arithmetic_chain", "length": 1}},
         {"task": {"kind": "arithmetic_chain", "length": 3, "count": 17}},
+        {"gsot": {"sequence": [1, 2, 100]}},
+        {"gsot": {"sequence": [-1, 2]}},
+        {"gsot": {"sequence": [1.5, 2]}},
+        {"gsot": {"length": 0}},
+        {"gsot": {"length": 100}},
+        {"gsot": {"hidden_count": 0}},
+        {"sweep": {"steps": 1}},
+        {"sweep": {"t_min": 2.0}},
+        {"stats": {"level": 0.5}},
+        {"stats": {"samples": [1.0]}},
+        {"bench": {"lengths": [64, 128]}},
+        {"bench": {"lengths": [1, 2, 3, 4]}},
+        {"bench": {"heads": 3}},
+        {"model": 5},
     ], ids=["heads-0", "d_model-0", "d_ff-0", "batch-0", "steps-negative",
-            "count-0", "length-0", "arith-length-1", "arith-count-unfillable"])
+            "count-0", "length-0", "arith-length-1", "arith-count-unfillable",
+            "gsot-id-100", "gsot-id-negative", "gsot-id-float", "gsot-length-0",
+            "gsot-length-over-max_seq_len", "gsot-hidden_count-0",
+            "sweep-steps-1", "sweep-t_min-above-t_max", "stats-level-0.5",
+            "stats-one-sample", "bench-two-lengths", "bench-length-1",
+            "bench-heads-not-dividing-d_model", "block-not-an-object"])
     def test_bad_value_exits_usage(self, tmp_path, capsys, doc):
         code, _ = run(tmp_path, "check", doc)
         assert code == EXIT_USAGE
@@ -92,11 +121,10 @@ class TestConfigLoading:
 
     def test_seed_flag_overrides_block_seeds(self, tmp_path):
         path = write_config(tmp_path, {"seed": 3, "model": {"seed": 4}})
-        resolved, model_cfg, train_cfg, task_spec, _, dyn_cfg = \
-            load_config(path, seed=11)
+        resolved, model_cfg, train_cfg, task_spec, _ = load_config(path, seed=11)
         assert resolved["seed"] == 11
         assert model_cfg.seed == 11 and train_cfg.seed == 11
-        assert task_spec.seed == 11 and dyn_cfg.seed == 11
+        assert task_spec.seed == 11
 
     def test_resolved_config_echoed(self, tmp_path):
         code, out = run(tmp_path, "stats", {"model": SMALL_MODEL})

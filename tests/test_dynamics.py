@@ -21,33 +21,33 @@ def random_field(shape, seed, lo=0.1, hi=0.9):
 
 def contraction(gain, noise=0.0, seed=0):
     cfg = EvolutionConfig(gain=gain, noise_bound=noise, seed=seed)
-    return lambda f: evolve_layer(f, None, None, cfg)
+    return lambda f: evolve_layer(f, cfg)
 
 
 class TestEvolveLayer:
     def test_identity_configuration(self):
         f = random_field((2, 4), seed=1)
-        out = evolve_layer(f, None, None, EvolutionConfig(gain=1.0))
+        out = evolve_layer(f, EvolutionConfig(gain=1.0))
         assert np.abs(out.array() - f.array()).max() < 1e-15
 
     def test_noise_bound_enforced(self):
         cfg_quiet = EvolutionConfig(gain=0.8)
         cfg_noisy = EvolutionConfig(gain=0.8, noise_bound=0.1, seed=3)
         f = random_field((2, 4), seed=2, lo=0.3, hi=0.7)
-        quiet = evolve_layer(f, None, None, cfg_quiet).array()
-        noisy = evolve_layer(f, None, None, cfg_noisy).array()
+        quiet = evolve_layer(f, cfg_quiet).array()
+        noisy = evolve_layer(f, cfg_noisy).array()
         assert np.linalg.norm(noisy - quiet) <= 0.1 + 1e-12
 
     def test_hand_case(self):
-        cfg = EvolutionConfig(gain=0.5, context_weights=[1.0, 0.0], bias=0.02)
+        cfg = EvolutionConfig(gain=0.5, bias=0.02)
         f = field([[0.3, 0.7]])
-        out = evolve_layer(f, np.array([0.01, 5.0]), None, cfg)
-        want = 0.5 + 0.5 * (np.array([0.3, 0.7]) - 0.5) + 0.01 + 0.02
+        out = evolve_layer(f, cfg)
+        want = 0.5 + 0.5 * (np.array([0.3, 0.7]) - 0.5) + 0.02
         assert np.abs(out.array()[0] - want).max() < 1e-12
 
     def test_clamps_into_bounds(self):
         cfg = EvolutionConfig(gain=1.0, bias=5.0)
-        out = evolve_layer(field([[0.5, 0.5]]), None, None, cfg)
+        out = evolve_layer(field([[0.5, 0.5]]), cfg)
         assert out.array().max() <= 0.99
 
 
@@ -74,7 +74,7 @@ class TestFixedPoint:
     def test_expansion_flagged_not_raised(self):
         cfg = EvolutionConfig(gain=1.05)
         report = iterate_to_fixed_point(
-            lambda f: evolve_layer(f, None, None, cfg),
+            lambda f: evolve_layer(f, cfg),
             field([[0.45, 0.55]]), tol=1e-9, max_iter=20)
         assert not report.converged
 

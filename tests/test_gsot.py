@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ttm_lab import gsot
 from ttm_lab.gsot import (BACKTRACK, CONTINUE, EmptyPathError, GsotConfig,
                           ReasoningTrace, TokenUniverse, _admit_hidden,
                           active_set_schedule_check, build_universe,
@@ -195,6 +196,19 @@ class TestPipeline:
         with pytest.raises(EmptyPathError):
             gsot_pipeline([1, 2], toy_universe(params), params,
                           GsotConfig(tau_p=0.99))
+
+    @pytest.mark.parametrize("K", [1, 3])
+    @pytest.mark.parametrize("bad", [12, -1], ids=["past-vocab", "negative"])
+    def test_out_of_vocab_id_rejected_before_forward(self, monkeypatch, bad, K):
+        # -1 would index the last vocabulary row and run as a valid token
+        params = toy_model(seed=14)
+        uni = toy_universe(params)
+        calls = []
+        monkeypatch.setattr(gsot, "forward_embedded",
+                            lambda *a, **kw: calls.append(a))
+        with pytest.raises(ValueError, match=r"outside \[0, 12\)"):
+            gsot_pipeline([1, 2, bad, 3], uni, params, GsotConfig(K=K))
+        assert calls == []
 
     def test_trace_deterministic(self):
         def run():

@@ -1,10 +1,13 @@
 """Every public name in the library has a caller.
 
-A public top-level function, class or constant of `src/ttm_lab` must be
-referenced by library code outside its own definition, be exported through
-`ttm_lab.__all__`, or be listed in ALLOWED with the reason it stays. Only
-`Name` and `Attribute` nodes count as references, so a mention in a
-docstring or an import alone does not keep a name alive.
+A public top-level function, class or constant of `src/ttm_lab`, and a public
+method (or property) of a top-level class, must be referenced by library code
+outside its own definition, be exported through `ttm_lab.__all__`, or be
+listed in ALLOWED with the reason it stays; methods are listed as
+`Class.method`. Only `Name` and `Attribute` nodes count as references, so a
+mention in a docstring or an import alone does not keep a name alive. A
+method is matched by its name alone, so `np.clip(...)` counts as a reference
+to `Tensor.clip`.
 """
 
 import ast
@@ -26,19 +29,25 @@ ALLOWED = {
     "eval_arith_program": "reference evaluator for arithmetic programs",
     "memory_estimate": "the lab's record of the paper's memory claim",
     "PUBLISHED_MEMORY_CLAIM_BYTES": "the paper's published memory figure",
+    "TokenUniverse.hidden_ids": "the id range of the hidden tokens; the gsot "
+                                "tests check it against the primary range",
+    "Rng.permutation": "seeded permutation for the attention "
+                       "permutation-equivariance test",
+    "TrainHistory.column": "one metric over all steps; acceptance gate 09 "
+                           "reads the logged collapse fractions",
 }
 
-# Only their own tests call these; ROADMAP item 3 lists them for deletion in a
+# Only their own tests call these; ROADMAP item 5 lists them for deletion in a
 # later change, because one change removes only a few tests at a time.
 PENDING_DELETION = ("compute_temperature_ctx", "normalize_temperature",
-                    "coupled_temperature", "ngram_temperature",
-                    "invariance_diagnostic", "interference_ratio")
-ALLOWED.update((name, "pending deletion, see ROADMAP item 3")
+                    "interference_ratio")
+ALLOWED.update((name, "pending deletion, see ROADMAP item 5")
                for name in PENDING_DELETION)
 
 
 def _public_definitions(tree):
-    """(name, node) of each public top-level def, class or assignment."""
+    """(key, name, node) of each public top-level def, class or assignment,
+    and of each public method of a top-level class (key `Class.method`)."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -48,7 +57,12 @@ def _public_definitions(tree):
             continue
         for name in names:
             if not name.startswith("_"):
-                yield name, node
+                yield name, name, node
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for sub in node.body:
+                if (isinstance(sub, ast.FunctionDef)
+                        and not sub.name.startswith("_")):
+                    yield f"{node.name}.{sub.name}", sub.name, sub
 
 
 def _references(node):
@@ -67,9 +81,9 @@ def _uncalled():
     everywhere = sum((_references(tree) for tree in trees), Counter())
     uncalled = set()
     for tree in trees:
-        for name, node in _public_definitions(tree):
+        for key, name, node in _public_definitions(tree):
             if everywhere[name] == _references(node)[name]:
-                uncalled.add(name)
+                uncalled.add(key)
     return uncalled
 
 

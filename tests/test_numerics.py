@@ -141,7 +141,6 @@ class TestGradCheck:
             lambda t: (t @ w).sum(),
             lambda t: (t.exp() * 0.01).sum(),
             lambda t: ((t ** 2) + 1.0).log().sum(),
-            lambda t: t.tanh().sum(),
             lambda t: concat([t, t * 2.0], axis=0).sum(),
             lambda t: t[1:, ::2].sum(),
             lambda t: t.clip(-0.5, 0.5).sum(),
@@ -237,7 +236,7 @@ class TestTensorBasics:
         gc.collect()
         gc.disable()
         try:
-            loss = (x.exp() + x.tanh()).sum()
+            loss = x.exp().sum()
             loss.backward()
             del loss
             assert gc.collect() == 0

@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttm_lab.numerics import Rng, Tensor
-from ttm_lab.temperature import (ConfigurationError, NgramTransform,
-                                 TemperatureField, TemperatureHeadParams,
-                                 clip_temperature_grad, collapse_penalty,
-                                 compute_temperature, compute_temperature_ctx,
-                                 coupled_temperature, default_grad_clip_tau,
-                                 detect_collapse, invariance_diagnostic,
-                                 ngram_temperature, normalize_temperature,
-                                 squash)
+from ttm_lab.temperature import (ConfigurationError, TemperatureField,
+                                 TemperatureHeadParams, clip_temperature_grad,
+                                 collapse_penalty, compute_temperature,
+                                 compute_temperature_ctx,
+                                 default_grad_clip_tau, detect_collapse,
+                                 normalize_temperature, squash)
 
 
 def head_params(h, d, seed=0, std=1.0, d_c=None):
@@ -192,83 +190,6 @@ class TestNormalize:
             warnings.simplefilter("always")
             out = normalize_temperature(f)
         assert out is f and len(caught) == 1
-
-
-class TestCoupled:
-    def test_empty_adjacency(self):
-        base = TemperatureField(np.full((1, 3), 0.5))
-        out = coupled_temperature(base, Rng(0).normal((3, 4)), [[], [], []], 0.3)
-        assert np.array_equal(out.array(), base.array())
-
-    def test_zero_alpha(self):
-        base = TemperatureField(np.full((1, 2), 0.4))
-        out = coupled_temperature(base, Rng(1).normal((2, 4)), [[1], [0]], 0.0)
-        assert np.array_equal(out.array(), base.array())
-
-    def test_identical_embeddings_one_term(self):
-        base = TemperatureField(np.full((1, 2), 0.5))
-        emb = np.vstack([np.ones(4), np.ones(4)])
-        out = coupled_temperature(base, emb, {0: [1]}, 0.2)
-        assert abs(out.array()[0, 0] - 0.7) < 1e-12
-        assert out.array()[0, 1] == 0.5
-
-    def test_clamped_into_bounds(self):
-        base = TemperatureField(np.full((1, 2), 0.9))
-        emb = np.ones((2, 3))
-        out = coupled_temperature(base, emb, {0: [1], 1: [0]}, 5.0)
-        assert out.array().max() <= 0.99
-
-
-class TestNgram:
-    def test_single_token_window_preserves_order(self):
-        base = TemperatureField(np.array([[0.2, 0.5, 0.8]]))
-        out = ngram_temperature(base, 1, [1.0])
-        assert out.array().shape == (1, 3)
-        assert np.all(np.diff(out.array()[0]) > 0)
-
-    def test_uniform_base_gives_constant_windows(self):
-        base = TemperatureField(np.full((2, 5), 0.5))
-        out = ngram_temperature(base, 3, [0.3, -1.0, 2.0])
-        assert np.ptp(out.array()) == 0.0
-
-    def test_window_sum_oracle(self):
-        base = TemperatureField(np.array([[0.2, 0.5, 0.8]]))
-        out = ngram_temperature(base, 2, [1.0, 1.0],
-                                NgramTransform(scale=2.0, shift=-1.0))
-        for i, s in enumerate([0.7, 1.3]):
-            want = 0.01 + 0.98 / (1.0 + np.exp(-(2.0 * s - 1.0)))
-            assert abs(out.array()[0, i] - want) < 1e-12
-
-    def test_window_longer_than_sequence(self):
-        with pytest.raises(Exception):
-            ngram_temperature(TemperatureField(np.full((1, 2), 0.5)), 3,
-                              [1.0, 1.0, 1.0])
-
-
-class TestInvariance:
-    def test_identical_layers_zero_drift(self):
-        f = TemperatureField(np.full((1, 4), 0.5))
-        rep = invariance_diagnostic([f, f, f])
-        assert rep.max_drift == 0.0
-
-    def test_drift_arithmetic(self):
-        a = TemperatureField(np.full((2, 8), 0.5))       # sum 8.0
-        b = TemperatureField(np.full((2, 8), 0.525))     # sum 8.4
-        rep = invariance_diagnostic([a, b])
-        assert abs(rep.max_drift - 0.4) < 1e-12
-
-    def test_enforce_equalizes_sums(self):
-        a = TemperatureField(Rng(2).uniform((2, 5), 0.3, 0.7))
-        b = TemperatureField(Rng(3).uniform((2, 5), 0.3, 0.7))
-        rep = invariance_diagnostic([a, b], enforce=True)
-        target = rep.layer_sums[0]
-        for f in rep.renormalized:
-            assert abs(f.array().sum() - target) < 1e-9
-        assert not rep.clamp_adjusted
-
-    def test_needs_two_layers(self):
-        with pytest.raises(ConfigurationError):
-            invariance_diagnostic([TemperatureField(np.full((1, 2), 0.5))])
 
 
 @given(st.integers(0, 10_000))
