@@ -395,9 +395,9 @@ def bench_op_counts(blk, gsot_cfg, seed):
     from the gsot config block.
     """
     cfg = _bench_model_config(blk, seed)
+    params = ModelParams(cfg)
     counts = []
     for n in blk["lengths"]:
-        params = ModelParams(cfg)
         rng = Rng(seed + n)
         universe = gsot.build_universe(params, blk["hidden_count"], rng)
         seq = [int(v) for v in rng.integers(0, cfg.vocab_size, size=n)]
@@ -426,15 +426,15 @@ def cmd_bench(resolved, model_cfg, gsot_cfg, args):
 def cmd_stats(resolved, args):
     out_dir = _write_resolved(resolved)
     blk = resolved["stats"]
-    samples = blk["samples"]
-    if blk["samples_file"] is not None:
-        try:
-            with open(blk["samples_file"]) as fh:
+    samples, path = blk["samples"], blk["samples_file"]
+    try:
+        if path is not None:
+            with open(path) as fh:
                 samples = [float(line) for line in fh if line.strip()]
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read samples_file "
-                              f"{blk['samples_file']}: {exc}")
-    lo, hi = training.confidence_interval(samples, blk["level"])
+        lo, hi = training.confidence_interval(samples, blk["level"])
+    except (OSError, ValueError) as exc:
+        # load_config checked the inline samples, so only a file fails here
+        raise ConfigError(f"cannot use samples_file {path}: {exc}")
     doc = {"n": len(samples), "mean": float(np.mean(samples)),
            "level": blk["level"], "ci_low": lo, "ci_high": hi}
     if blk["p"] is not None:

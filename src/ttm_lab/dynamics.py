@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import Rng, Tensor
-from .temperature import TemperatureField
+from .temperature import DEFAULT_EPS_MIN, TemperatureField
 
 
 @dataclass
@@ -25,17 +25,17 @@ class EvolutionConfig:
             raise ValueError("noise bound must be nonnegative")
 
 
-def evolve_layer(field, cfg, rng=None):
+def evolve_layer(field, cfg):
     """One layer step: affine contraction toward 0.5 plus bounded noise.
 
     T' = clamp(0.5 + gain * (T - 0.5) + bias + eta) with ||eta||_2 rescaled
-    onto the bound whenever it exceeds it.
+    onto the bound whenever it exceeds it. eta is drawn from Rng(cfg.seed),
+    so every call with the same cfg and field shape adds the same eta.
     """
     v = field.array()
     out = 0.5 + cfg.gain * (v - 0.5) + cfg.bias
     if cfg.noise_bound > 0.0:
-        rng = rng if rng is not None else Rng(cfg.seed)
-        eta = rng.normal(v.shape, 0.0, cfg.noise_bound)
+        eta = Rng(cfg.seed).normal(v.shape, 0.0, cfg.noise_bound)
         norm = np.linalg.norm(eta)
         if norm > cfg.noise_bound:
             eta *= cfg.noise_bound / norm
@@ -84,14 +84,15 @@ def iterate_to_fixed_point(update, start, tol, max_iter):
     return report
 
 
-def estimate_contraction(update, sample_count, seed, shape=(2, 4), eps_min=0.01):
-    """Empirical Lipschitz constant over random field pairs.
+def estimate_contraction(update, sample_count, seed):
+    """Empirical Lipschitz constant over random (2, 4) field pairs.
 
     Max over sampled pairs of ||U(T1) - U(T2)|| / ||T1 - T2||; coincident
     pairs are skipped.
     """
     if sample_count < 2:
         raise ValueError("need at least 2 samples")
+    shape, eps_min = (2, 4), DEFAULT_EPS_MIN
     rng = Rng(seed)
     best = 0.0
     for _ in range(sample_count):

@@ -11,10 +11,12 @@ length sequences; every shape then gains a leading B, and each example's
 logits are scaled by its own field mean.
 """
 
+import io
 import json
 import math
 import os
 import struct
+import zlib
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ from .temperature import (DEFAULT_EPS_MIN, TemperatureField,
 VARIANTS = ("baseline", "broadcast", "outer")
 
 MAGIC = b"QSR1"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 CONFIG_KEYS = ["d_model", "heads", "layers", "d_ff", "vocab_size", "d_c",
                "eps_min", "blend_alpha", "attention_variant",
@@ -364,72 +366,88 @@ def _replacing(path, mode):
 def checkpoint_save(params, path):
     """Binary checkpoint plus a JSON config sidecar at `path + ".json"`.
 
+    The binary ends in a little-endian zlib CRC32 of every byte before it.
     Both files are written in full before either replaces its old version,
     so a save that fails leaves the previous checkpoint loadable.
     """
     with _replacing(path + ".json", "w") as side, _replacing(path, "wb") as fh:
         side.write(params.cfg.to_checkpoint_json())
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(params.tensors)))
+        parts = [MAGIC, struct.pack("<II", CHECKPOINT_VERSION,
+                                    len(params.tensors))]
         for name, tensor in params.named_tensors():
             raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
             shape = tensor.shape
-            fh.write(struct.pack("<I", len(shape)))
-            for extent in shape:
-                fh.write(struct.pack("<Q", extent))
-            fh.write(tensor.values.astype("<f8").tobytes())
+            parts += [struct.pack("<I", len(raw)), raw,
+                      struct.pack(f"<I{len(shape)}Q", len(shape), *shape),
+                      tensor.values.astype("<f8").tobytes()]
+        body = b"".join(parts)
+        fh.write(body + struct.pack("<I", zlib.crc32(body)))
 
 
-def _read_exact(fh, count, what):
-    """`count` bytes, checked against the bytes left before reading, so a
-    corrupt length field cannot ask for more memory than the file holds."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
+def _read_exact(buf, count, what):
+    """`count` bytes of an in-memory checkpoint, checked against the bytes
+    left before reading, so a corrupt length field cannot ask for more than
+    the file holds."""
+    left = buf.getbuffer().nbytes - buf.tell()
     if count > left:
         raise CheckpointFormatError(
             f"truncated checkpoint while reading {what} ({left} bytes left)")
-    return fh.read(count)
+    return buf.read(count)
 
 
 def checkpoint_load(path, cfg=None):
-    """Load a checkpoint; with an explicit cfg, shapes must match it."""
+    """Load a checkpoint; with an explicit cfg, shapes must match it.
+
+    The magic and the version are checked first, then the CRC32 trailer,
+    and only then is any tensor read.
+    """
     tensors = OrderedDict()
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4, "magic") != MAGIC:
-            raise CheckpointFormatError("bad magic bytes; not a checkpoint")
-        version, = struct.unpack("<I", _read_exact(fh, 4, "version"))
-        if version != CHECKPOINT_VERSION:
+        data = fh.read()
+    buf = io.BytesIO(data)
+    if _read_exact(buf, 4, "magic") != MAGIC:
+        raise CheckpointFormatError("bad magic bytes; not a checkpoint")
+    version, = struct.unpack("<I", _read_exact(buf, 4, "version"))
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointFormatError(
+            f"unsupported checkpoint version {version}; this build reads "
+            f"version {CHECKPOINT_VERSION}")
+    end = len(data) - 4
+    if end < buf.tell():
+        raise CheckpointFormatError("truncated checkpoint while reading CRC32")
+    stored, = struct.unpack_from("<I", data, end)
+    computed = zlib.crc32(data[:end])
+    if computed != stored:
+        raise CheckpointFormatError(
+            f"CRC32 mismatch: file holds {stored:#010x}, bytes give "
+            f"{computed:#010x}")
+    buf.truncate(end)
+    count, = struct.unpack("<I", _read_exact(buf, 4, "tensor count"))
+    for _ in range(count):
+        name_len, = struct.unpack("<I", _read_exact(buf, 4, "name length"))
+        raw_name = _read_exact(buf, name_len, "name")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
             raise CheckpointFormatError(
-                f"unsupported checkpoint version {version}; this build reads "
-                f"version {CHECKPOINT_VERSION}")
-        count, = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
-        for _ in range(count):
-            name_len, = struct.unpack("<I", _read_exact(fh, 4, "name length"))
-            raw_name = _read_exact(fh, name_len, "name")
-            try:
-                name = raw_name.decode("utf-8")
-            except UnicodeDecodeError:
-                raise CheckpointFormatError(
-                    f"tensor name {raw_name!r} is not UTF-8") from None
-            rank, = struct.unpack("<I", _read_exact(fh, 4, "rank"))
-            shape = struct.unpack(f"<{rank}Q",
-                                  _read_exact(fh, 8 * rank, f"shape of {name}"))
-            raw = _read_exact(fh, 8 * math.prod(shape), f"values of {name}")
-            try:
-                values = np.frombuffer(raw, dtype="<f8").reshape(shape)
-            except ValueError:
-                raise CheckpointFormatError(
-                    f"tensor {name} has unusable shape {shape}") from None
-            if not np.isfinite(values).all():
-                raise CheckpointFormatError(
-                    f"tensor {name} holds a non-finite value")
-            if name in tensors:
-                raise CheckpointFormatError(f"duplicate tensor {name}")
-            tensors[name] = Tensor(values.copy(), requires_grad=True)
-        if fh.read(1):
-            raise CheckpointFormatError("trailing bytes after the last tensor")
+                f"tensor name {raw_name!r} is not UTF-8") from None
+        rank, = struct.unpack("<I", _read_exact(buf, 4, "rank"))
+        shape = struct.unpack(f"<{rank}Q",
+                              _read_exact(buf, 8 * rank, f"shape of {name}"))
+        raw = _read_exact(buf, 8 * math.prod(shape), f"values of {name}")
+        try:
+            values = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        except ValueError:
+            raise CheckpointFormatError(
+                f"tensor {name} has unusable shape {shape}") from None
+        if not np.isfinite(values).all():
+            raise CheckpointFormatError(
+                f"tensor {name} holds a non-finite value")
+        if name in tensors:
+            raise CheckpointFormatError(f"duplicate tensor {name}")
+        tensors[name] = Tensor(values.copy(), requires_grad=True)
+    if buf.read(1):
+        raise CheckpointFormatError("trailing bytes after the last tensor")
     if cfg is None:
         if "embed.pos" not in tensors or not tensors["embed.pos"].shape:
             raise CheckpointFormatError("checkpoint missing tensor embed.pos")

@@ -118,7 +118,9 @@ class Tensor:
     """A float64 array node on an implicit backward tape.
 
     Values are immutable by convention after construction; only `grad` is
-    mutated, and only during a single-threaded backward pass.
+    mutated, and only during a single-threaded backward pass. Every op builds
+    its node here with its parents and backward rule; a node none of whose
+    parents requires a gradient keeps neither, so it ends the tape.
     """
 
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward")
@@ -203,8 +205,6 @@ class Tensor:
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = Tensor(self.values + other.values, _parents=(self, other),
-                     _backward=None)
 
         def backward(g):
             if self.requires_grad:
@@ -212,20 +212,17 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(g, other.shape))
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor(self.values + other.values, _parents=(self, other),
+                      _backward=backward)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor(-self.values, _parents=(self,))
-
         def backward(g):
             if self.requires_grad:
                 self._accumulate(-g)
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor(-self.values, _parents=(self,), _backward=backward)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -235,7 +232,6 @@ class Tensor:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        out = Tensor(self.values * other.values, _parents=(self, other))
 
         def backward(g):
             if self.requires_grad:
@@ -243,14 +239,13 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(g * self.values, other.shape))
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor(self.values * other.values, _parents=(self, other),
+                      _backward=backward)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        out = Tensor(self.values / other.values, _parents=(self, other))
 
         def backward(g):
             if self.requires_grad:
@@ -259,19 +254,18 @@ class Tensor:
                 other._accumulate(_unbroadcast(
                     -g * self.values / other.values ** 2, other.shape))
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor(self.values / other.values, _parents=(self, other),
+                      _backward=backward)
 
     def __pow__(self, exponent):
         exponent = float(exponent)
-        out = Tensor(self.values ** exponent, _parents=(self,))
 
         def backward(g):
             if self.requires_grad:
                 self._accumulate(g * exponent * self.values ** (exponent - 1.0))
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor(self.values ** exponent, _parents=(self,),
+                      _backward=backward)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -279,9 +273,6 @@ class Tensor:
     # -- reductions and reshaping ------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.values.sum(axis=axis, keepdims=keepdims),
-                     _parents=(self,))
-
         def backward(g):
             if not self.requires_grad:
                 return
@@ -289,94 +280,81 @@ class Tensor:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, self.shape).copy())
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor(self.values.sum(axis=axis, keepdims=keepdims),
+                      _parents=(self,), _backward=backward)
 
     def mean(self, axis=None, keepdims=False):
         n = self.size if axis is None else self.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) / float(n)
 
     def reshape(self, *shape):
-        out = Tensor(self.values.reshape(*shape), _parents=(self,))
-
         def backward(g):
             if self.requires_grad:
                 self._accumulate(g.reshape(self.shape))
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor(self.values.reshape(*shape), _parents=(self,),
+                      _backward=backward)
 
     def transpose(self, axis0=-2, axis1=-1):
-        out = Tensor(np.swapaxes(self.values, axis0, axis1), _parents=(self,))
-
         def backward(g):
             if self.requires_grad:
                 self._accumulate(np.swapaxes(g, axis0, axis1))
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor(np.swapaxes(self.values, axis0, axis1), _parents=(self,),
+                      _backward=backward)
 
     @property
     def T(self):
         return self.transpose()
 
     def __getitem__(self, index):
-        out = Tensor(self.values[index], _parents=(self,))
-
         def backward(g):
             if self.requires_grad:
                 full = np.zeros_like(self.values)
                 np.add.at(full, index, g)
                 self._accumulate(full)
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor(self.values[index], _parents=(self,), _backward=backward)
 
     def clip(self, lo, hi):
         """Clamp values to [lo, hi]; gradient passes only where unclipped."""
-        out = Tensor(np.clip(self.values, lo, hi), _parents=(self,))
         mask = (self.values >= lo) & (self.values <= hi)
 
         def backward(g):
             if self.requires_grad:
                 self._accumulate(g * mask)
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor(np.clip(self.values, lo, hi), _parents=(self,),
+                      _backward=backward)
 
     # -- elementwise nonlinearities ------------------------------------------
 
-    # The backward rule of exp keeps the result array, not `out`: a closure
-    # that refers to its own node makes a reference cycle, and the cycle
-    # would hold the whole upstream tape until the cyclic collector ran.
+    # The backward rule of exp keeps the result array, not the node it
+    # returns: a closure that refers to its own node makes a reference cycle,
+    # and the cycle would hold the whole upstream tape until the cyclic
+    # collector ran.
 
     def exp(self):
         e = np.exp(self.values)
-        out = Tensor(e, _parents=(self,))
 
         def backward(g):
             if self.requires_grad:
                 self._accumulate(g * e)
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor(e, _parents=(self,), _backward=backward)
 
     def log(self):
-        out = Tensor(np.log(self.values), _parents=(self,))
-
         def backward(g):
             if self.requires_grad:
                 self._accumulate(g / self.values)
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor(np.log(self.values), _parents=(self,),
+                      _backward=backward)
 
 
 def concat(tensors, axis=0):
     """Concatenate along `axis` with a splitting backward rule."""
     tensors = [Tensor._coerce(t) for t in tensors]
-    out = Tensor(np.concatenate([t.values for t in tensors], axis=axis),
-                 _parents=tuple(tensors))
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -387,8 +365,8 @@ def concat(tensors, axis=0):
                 idx[axis] = slice(lo, hi)
                 t._accumulate(g[tuple(idx)])
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(np.concatenate([t.values for t in tensors], axis=axis),
+                  _parents=tuple(tensors), _backward=backward)
 
 
 def matmul(a, b):
@@ -404,7 +382,6 @@ def matmul(a, b):
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(
             f"matmul inner extents differ: {a.shape} x {b.shape}")
-    out = Tensor(a.values @ b.values, _parents=(a, b))
 
     def backward(g):
         if a.requires_grad:
@@ -412,8 +389,7 @@ def matmul(a, b):
         if b.requires_grad:
             b._accumulate(_unbroadcast(np.swapaxes(a.values, -1, -2) @ g, b.shape))
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(a.values @ b.values, _parents=(a, b), _backward=backward)
 
 
 def softmax_rows(x):
@@ -424,7 +400,6 @@ def softmax_rows(x):
     shifted = x.values - x.values.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(p, _parents=(x,))
 
     def backward(g):
         if x.requires_grad:
@@ -432,8 +407,7 @@ def softmax_rows(x):
             inner = (g * p).sum(axis=-1, keepdims=True)
             x._accumulate(p * (g - inner))
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(p, _parents=(x,), _backward=backward)
 
 
 def sigmoid_map(x):
@@ -443,14 +417,12 @@ def sigmoid_map(x):
     v = x.values
     s = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
                  np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
-    out = Tensor(s, _parents=(x,))
 
     def backward(g):
         if x.requires_grad:
             x._accumulate(g * s * (1.0 - s))
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(s, _parents=(x,), _backward=backward)
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
@@ -470,7 +442,6 @@ def layer_norm(x, gain, bias, eps=1e-5):
     var = x.values.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     z = (x.values - mu) * inv
-    out = Tensor(z * gain.values + bias.values, _parents=(x, gain, bias))
 
     def backward(g):
         if gain.requires_grad:
@@ -483,8 +454,8 @@ def layer_norm(x, gain, bias, eps=1e-5):
                 - z * (gz * z).mean(axis=-1, keepdims=True)
             x._accumulate(term * inv)
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(z * gain.values + bias.values, _parents=(x, gain, bias),
+                  _backward=backward)
 
 
 def gelu(x):
@@ -492,15 +463,13 @@ def gelu(x):
     x = Tensor._coerce(x)
     v = x.values
     cdf = 0.5 * (1.0 + _erf(v / math.sqrt(2.0)))
-    out = Tensor(v * cdf, _parents=(x,))
 
     def backward(g):
         if x.requires_grad:
             pdf = np.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi)
             x._accumulate(g * (cdf + v * pdf))
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(v * cdf, _parents=(x,), _backward=backward)
 
 
 def grad_check(f, x, eps=1e-5):

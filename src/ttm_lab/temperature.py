@@ -7,7 +7,6 @@ which is differentiable everywhere.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,13 +31,11 @@ def squash(logits, eps_min=DEFAULT_EPS_MIN):
 class TemperatureHeadParams:
     """Projection parameters of the temperature head.
 
-    W_t maps the attention output of each token to one logit per head; W_c,
-    when present, injects a context vector into the same logits.
+    W_t maps the attention output of each token to one logit per head.
     """
 
     W_t: Tensor
     b_t: Tensor
-    W_c: Tensor = None
     eps_min: float = DEFAULT_EPS_MIN
 
     def __post_init__(self):
@@ -104,34 +101,6 @@ def compute_temperature(activations, params):
                             params.eps_min, validate=False)
 
 
-def compute_temperature_ctx(activations, context, params, broadcast_only=False):
-    """Context-conditioned temperature field.
-
-    Default: logit_i = W_t . a_i + W_c . c + b_t per token. With
-    `broadcast_only`, the per-token term is replaced by W_t applied to the
-    mean activation and the single logit vector is broadcast across tokens.
-    """
-    if params.W_c is None:
-        raise ConfigurationError("context-conditioned field requires W_c")
-    activations = Tensor._coerce(activations)
-    context = Tensor._coerce(context)
-    if params.W_c.shape[1] != context.shape[0]:
-        raise DimensionError(
-            f"W_c expects context width {params.W_c.shape[1]}, got {context.shape[0]}")
-    n = activations.shape[0]
-    ctx_logit = params.W_c @ context.reshape(-1, 1)  # (h, 1)
-    if broadcast_only:
-        pooled = activations.mean(axis=0).reshape(-1, 1)  # (d, 1)
-        logits = params.W_t @ pooled + ctx_logit + params.b_t.reshape(-1, 1)
-        logits = logits @ Tensor(np.ones((1, n)), check=False)
-        return TemperatureField(squash(logits, params.eps_min),
-                                params.eps_min, validate=False)
-    token_logits = activations @ params.W_t.T + params.b_t  # (n, h)
-    logits = token_logits.T + ctx_logit  # (h, n)
-    return TemperatureField(squash(logits, params.eps_min),
-                            params.eps_min, validate=False)
-
-
 def collapse_penalty(field, lam):
     """Differentiable regularizer lam * sum((T - 0.5)^2)."""
     if lam < 0:
@@ -172,21 +141,3 @@ def clip_temperature_grad(grad, tau):
 def default_grad_clip_tau(d_k):
     """Explosion threshold 1 / sqrt(d_k)."""
     return 1.0 / math.sqrt(d_k)
-
-
-def normalize_temperature(field, norm_eps=1e-12):
-    """Standardize each head's row across tokens, then re-squash into bounds.
-
-    With fewer than two tokens the variance is undefined; the field is
-    returned unchanged and a warning is issued.
-    """
-    if field.seq_len < 2:
-        warnings.warn("normalize_temperature: n < 2, field returned unchanged")
-        return field
-    v = field.values
-    mu = v.mean(axis=-1, keepdims=True)
-    centered = v - mu
-    var = (centered ** 2).mean(axis=-1, keepdims=True)
-    z = centered / ((var + norm_eps) ** 0.5)
-    return TemperatureField(squash(z, field.eps_min), field.eps_min,
-                            validate=False)

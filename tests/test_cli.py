@@ -3,7 +3,9 @@ import os
 
 import pytest
 
+from ttm_lab import cli
 from ttm_lab.cli import EXIT_OK, EXIT_USAGE, load_config, main
+from ttm_lab.model import ModelParams
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -100,8 +102,8 @@ class TestConfigLoading:
         assert code == EXIT_USAGE
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", [None, "1.0\nabc\n"],
-                             ids=["missing", "non-numeric"])
+    @pytest.mark.parametrize("text", [None, "1.0\nabc\n", "1.0\n"],
+                             ids=["missing", "non-numeric", "one-number"])
     def test_bad_samples_file_exits_usage(self, tmp_path, capsys, text):
         sf = tmp_path / "samples.txt"
         if text is not None:
@@ -240,6 +242,21 @@ class TestBench:
         lines = (out / "complexity.csv").read_text().strip().split("\n")
         assert lines[0] == "n,ops" and len(lines) == 5
         assert "r_squared=" in capsys.readouterr().out
+
+    def test_default_grid_builds_one_model(self, monkeypatch):
+        built = []
+
+        class CountingParams(ModelParams):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ModelParams", CountingParams)
+        resolved, _, _, _, gsot_cfg = load_config(None)
+        counts = cli.bench_op_counts(resolved["bench"], gsot_cfg,
+                                     resolved["seed"])
+        assert [n for n, _ in counts] == [64, 128, 256, 512, 1024]
+        assert len(built) == 1
 
 
 class TestDeterminism:

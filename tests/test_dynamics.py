@@ -116,9 +116,8 @@ class TestContractionEstimate:
         assert abs(L - 0.9) < 1e-9
 
     def test_constant_map_zero(self):
-        target = field([[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]])
-        assert estimate_contraction(lambda f: target, 20, seed=2,
-                                    shape=(2, 3)) == 0.0
+        target = field(np.full((2, 4), 0.5))
+        assert estimate_contraction(lambda f: target, 20, seed=2) == 0.0
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""Every public name in the library has a caller.
+"""Every public name in the library has a caller, and every defaulted
+parameter a call site that sets it.
 
 A public top-level function, class or constant of `src/ttm_lab`, and a public
 method (or property) of a top-level class, must be referenced by library code
@@ -8,6 +9,11 @@ listed in ALLOWED with the reason it stays; methods are listed as
 mention in a docstring or an import alone does not keep a name alive. A
 method is matched by its name alone, so `np.clip(...)` counts as a reference
 to `Tensor.clip`.
+
+A parameter with a default, of a top-level function or of a method other
+than `__init__`, must be set by some call in `src/ttm_lab`, by keyword or by
+position, or be listed in ALLOWED_DEFAULTS with the reason it stays. Calls
+are matched to definitions by name alone, as above.
 """
 
 import ast
@@ -36,13 +42,6 @@ ALLOWED = {
     "TrainHistory.column": "one metric over all steps; acceptance gate 09 "
                            "reads the logged collapse fractions",
 }
-
-# Only their own tests call these; ROADMAP item 5 lists them for deletion in a
-# later change, because one change removes only a few tests at a time.
-PENDING_DELETION = ("compute_temperature_ctx", "normalize_temperature",
-                    "interference_ratio")
-ALLOWED.update((name, "pending deletion, see ROADMAP item 5")
-               for name in PENDING_DELETION)
 
 
 def _public_definitions(tree):
@@ -95,3 +94,90 @@ def test_every_public_name_has_a_caller():
 def test_allowlist_entries_are_still_uncalled():
     # an entry that gained a caller (or was deleted) no longer needs listing
     assert set(ALLOWED) <= _uncalled()
+
+
+ALLOWED_DEFAULTS = {
+    "layer_norm.eps": "test_standardizes_rows needs eps 1e-12",
+    "gsot_pipeline.context": "dropping it changes W_h's draw and the "
+                             "trace.jsonl op counts",
+    "train.loss_injection": "a test hook that perturbs the observed task "
+                            "loss to script instability scenarios",
+    "checkpoint_load.cfg": "checks a checkpoint's shapes against an expected "
+                           "config; the checkpoint tests set it",
+    "main.argv": "the CLI tests pass their arguments through it",
+}
+
+
+def _defaulted_parameters(tree):
+    """(key, name, params, defaulted) of each top-level function and each
+    method but `__init__` of a top-level class. `params` are the names a
+    positional argument binds to in order, without the bound self or cls of
+    a method called on an object."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found = [(node.name, node, False)]
+        elif isinstance(node, ast.ClassDef):
+            found = [(f"{node.name}.{sub.name}", sub, not any(
+                         isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in sub.decorator_list))
+                     for sub in node.body
+                     if isinstance(sub, ast.FunctionDef)
+                     and sub.name != "__init__"]
+        else:
+            continue
+        for key, fn, bound in found:
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            defaulted = [a.arg for a in
+                         positional[len(positional) - len(args.defaults):]]
+            defaulted += [a.arg for a, d in zip(args.kwonlyargs,
+                                                args.kw_defaults)
+                          if d is not None]
+            if defaulted:
+                params = [a.arg for a in positional][1 if bound else 0:]
+                yield key, fn.name, params, defaulted
+
+
+def _set_parameters(call, params):
+    """Names of `params` that `call` sets by position or by keyword; a
+    `*args` or `**kwargs` argument may set any of them."""
+    out = set()
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            out.update(params[i:])
+            break
+        out.update(params[i:i + 1])
+    for kw in call.keywords:
+        out.update(params if kw.arg is None else [kw.arg])
+    return out
+
+
+def _callee(call):
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _unset_defaults():
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    calls = [node for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    unset = set()
+    for tree in trees:
+        for key, name, params, defaulted in _defaulted_parameters(tree):
+            seen = set()
+            for call in calls:
+                if _callee(call) == name:
+                    seen |= _set_parameters(call, params)
+            unset.update(f"{key}.{p}" for p in defaulted if p not in seen)
+    return unset
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    unset = _unset_defaults() - set(ALLOWED_DEFAULTS)
+    assert not unset, f"defaulted parameters no call site sets: {sorted(unset)}"
+
+
+def test_allowed_defaults_are_still_unset():
+    assert set(ALLOWED_DEFAULTS) <= _unset_defaults()

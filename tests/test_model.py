@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -21,6 +22,12 @@ def toy_cfg(**kw):
                 seed=0, max_seq_len=8)
     base.update(kw)
     return ModelConfig(**base)
+
+
+def _sealed(body):
+    """A checkpoint body followed by its CRC32 trailer, so that a test's
+    corruption reaches the check it is aimed at instead of the CRC check."""
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 class TestConfig:
@@ -260,7 +267,7 @@ class TestCheckpoint:
         params = ModelParams(toy_cfg())
         checkpoint_save(params, path)
         raw = open(path, "rb").read()
-        open(path, "wb").write(raw[: len(raw) // 2])
+        open(path, "wb").write(_sealed(raw[: len(raw) // 2]))
         with pytest.raises(CheckpointFormatError, match="truncated"):
             checkpoint_load(path)
 
@@ -302,7 +309,7 @@ class TestCheckpoint:
             body += b"".join(struct.pack("<Q", e) for e in values.shape)
             body += values.astype("<f8").tobytes()
         head = open(path, "rb").read()[:8] + struct.pack("<I", len(records))
-        open(path, "wb").write(head + body)
+        open(path, "wb").write(_sealed(head + body))
         with pytest.raises(CheckpointFormatError, match="duplicate tensor embed.tok"):
             checkpoint_load(path)
 
@@ -318,8 +325,8 @@ class TestCheckpoint:
     def test_trailing_byte_rejected(self, tmp_path):
         path = str(tmp_path / "tail.ckpt")
         checkpoint_save(ModelParams(toy_cfg(layers=1)), path)
-        with open(path, "ab") as fh:
-            fh.write(b"\0")
+        raw = open(path, "rb").read()
+        open(path, "wb").write(_sealed(raw[:-4] + b"\0"))
         with pytest.raises(CheckpointFormatError, match="trailing bytes"):
             checkpoint_load(path)
 
@@ -352,14 +359,14 @@ class TestCheckpointCorruption:
         path, _, raw = _saved_checkpoint(tmp_path)
         at = _field_offset(raw, 1, "values")
         raw = raw[:at] + struct.pack("<d", np.inf) + raw[at + 8:]
-        open(path, "wb").write(raw)
+        open(path, "wb").write(_sealed(raw[:-4]))
         with pytest.raises(CheckpointFormatError, match="embed.pos.*non-finite"):
             checkpoint_load(path)
 
     def test_undecodable_name(self, tmp_path):
         path, _, raw = _saved_checkpoint(tmp_path)
         at = _field_offset(raw, 0, "name_len") + 4
-        open(path, "wb").write(raw[:at] + b"\xff" + raw[at + 1:])
+        open(path, "wb").write(_sealed(raw[:at] + b"\xff" + raw[at + 1:-4]))
         with pytest.raises(CheckpointFormatError, match="UTF-8"):
             checkpoint_load(path)
 
@@ -371,7 +378,8 @@ class TestCheckpointCorruption:
         path, _, raw = _saved_checkpoint(tmp_path)
         at = _field_offset(raw, 0, field)
         packed = struct.pack("<Q" if field == "extent" else "<I", value)
-        open(path, "wb").write(raw[:at] + packed + raw[at + len(packed):])
+        open(path, "wb").write(_sealed(raw[:at] + packed
+                                       + raw[at + len(packed):-4]))
         with pytest.raises(CheckpointFormatError, match="truncated"):
             checkpoint_load(path)
 
@@ -379,7 +387,8 @@ class TestCheckpointCorruption:
         path, _, raw = _saved_checkpoint(tmp_path)
         at = _field_offset(raw, 0, "extent")
         packed = struct.pack("<2Q", 0, 2 ** 63)
-        open(path, "wb").write(raw[:at] + packed + raw[at + len(packed):])
+        open(path, "wb").write(_sealed(raw[:at] + packed
+                                       + raw[at + len(packed):-4]))
         with pytest.raises(CheckpointFormatError, match="unusable shape"):
             checkpoint_load(path)
 
@@ -431,11 +440,25 @@ class TestCheckpointCorruption:
             flipped[bit // 8] ^= 1 << (bit % 8)
             blob = bytes(flipped)
         open(path, "wb").write(blob)
+        # the CRC32 trailer catches every flip the parser alone would load
         for cfg in (None, toy_cfg(layers=1)):
-            try:
+            with pytest.raises(CheckpointFormatError):
                 checkpoint_load(path, cfg)
-            except CheckpointFormatError:
-                pass
+
+    def test_flipped_value_bit_fails_crc(self, tmp_path):
+        path, _, raw = _saved_checkpoint(tmp_path)
+        at = _field_offset(raw, 1, "values")
+        flipped = bytearray(raw)
+        flipped[at] ^= 1
+        open(path, "wb").write(bytes(flipped))
+        with pytest.raises(CheckpointFormatError, match="CRC32 mismatch"):
+            checkpoint_load(path)
+
+    def test_file_too_short_for_crc(self, tmp_path):
+        path, _, raw = _saved_checkpoint(tmp_path)
+        open(path, "wb").write(raw[:10])
+        with pytest.raises(CheckpointFormatError, match="reading CRC32"):
+            checkpoint_load(path)
 
 
 class TestAtomicSave:

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,17 +7,14 @@ from ttm_lab.numerics import Rng, Tensor
 from ttm_lab.temperature import (ConfigurationError, TemperatureField,
                                  TemperatureHeadParams, clip_temperature_grad,
                                  collapse_penalty, compute_temperature,
-                                 compute_temperature_ctx,
                                  default_grad_clip_tau, detect_collapse,
-                                 normalize_temperature, squash)
+                                 squash)
 
 
-def head_params(h, d, seed=0, std=1.0, d_c=None):
+def head_params(h, d, seed=0, std=1.0):
     rng = Rng(seed)
-    W_c = Tensor(rng.normal((h, d_c), 0.0, std)) if d_c else None
     return TemperatureHeadParams(W_t=Tensor(rng.normal((h, d), 0.0, std)),
-                                 b_t=Tensor(rng.normal((h,), 0.0, std)),
-                                 W_c=W_c)
+                                 b_t=Tensor(rng.normal((h,), 0.0, std)))
 
 
 class TestComputeTemperature:
@@ -45,45 +40,6 @@ class TestComputeTemperature:
     def test_width_mismatch(self):
         with pytest.raises(Exception, match="width"):
             compute_temperature(Tensor(np.zeros((3, 5))), head_params(1, 4))
-
-
-class TestContextTemperature:
-    def test_zero_context_reduces_to_plain(self):
-        p = head_params(2, 6, seed=3, d_c=4)
-        acts = Tensor(Rng(5).normal((5, 6)))
-        with_ctx = compute_temperature_ctx(acts, Tensor(np.zeros(4)), p)
-        plain = compute_temperature(acts, p)
-        assert np.array_equal(with_ctx.array(), plain.array())
-
-    def test_zero_params_neutral(self):
-        p = TemperatureHeadParams(W_t=Tensor(np.zeros((1, 2))),
-                                  b_t=Tensor(np.zeros(1)),
-                                  W_c=Tensor([[1.0]]))
-        f = compute_temperature_ctx(Tensor(np.zeros((3, 2))), Tensor([0.0]), p)
-        assert np.array_equal(f.array(), np.full((1, 3), 0.5))
-
-    def test_hand_case_matches_scalar_oracle(self):
-        p = TemperatureHeadParams(W_t=Tensor([[1.0, -1.0]]), b_t=Tensor([0.2]),
-                                  W_c=Tensor([[0.5]]))
-        acts = np.array([[0.3, 0.1], [-0.2, 0.4]])
-        c = np.array([0.8])
-        f = compute_temperature_ctx(Tensor(acts), Tensor(c), p)
-        for i in range(2):
-            logit = acts[i, 0] - acts[i, 1] + 0.2 + 0.5 * 0.8
-            want = 0.01 + 0.98 / (1.0 + np.exp(-logit))
-            assert abs(f.array()[0, i] - want) < 1e-12
-
-    def test_broadcast_mode_is_token_independent(self):
-        p = head_params(2, 6, seed=9, d_c=3)
-        acts = Tensor(Rng(2).normal((4, 6)))
-        f = compute_temperature_ctx(acts, Tensor(Rng(3).normal((3,))), p,
-                                    broadcast_only=True)
-        assert np.ptp(f.array(), axis=1).max() == 0.0
-
-    def test_missing_context_weights(self):
-        p = head_params(1, 4)
-        with pytest.raises(ConfigurationError):
-            compute_temperature_ctx(Tensor(np.zeros((2, 4))), Tensor([0.0]), p)
 
 
 class TestCollapse:
@@ -162,34 +118,6 @@ class TestGradClip:
 
     def test_zeros(self):
         assert clip_temperature_grad(np.zeros(3), 0.5).tolist() == [0, 0, 0]
-
-
-class TestNormalize:
-    def test_constant_field_centers(self):
-        f = normalize_temperature(TemperatureField(np.full((2, 4), 0.8)))
-        assert np.abs(f.array() - 0.5).max() < 1e-6
-
-    def test_symmetric_pair(self):
-        f = normalize_temperature(TemperatureField(np.array([[0.2, 0.8]])))
-        a, b = f.array()[0]
-        assert abs((a - 0.5) + (b - 0.5)) < 1e-12
-
-    def test_pre_squash_moments(self):
-        v = Rng(8).uniform((3, 16), 0.05, 0.95)
-        mu = v.mean(axis=-1, keepdims=True)
-        z = (v - mu) / np.sqrt(((v - mu) ** 2).mean(axis=-1, keepdims=True) + 1e-12)
-        assert np.abs(z.mean(axis=-1)).max() < 1e-9
-        assert np.abs(z.var(axis=-1) - 1.0).max() < 1e-9
-        got = normalize_temperature(TemperatureField(v))
-        want = 0.01 + 0.98 / (1.0 + np.exp(-z))
-        assert np.abs(got.array() - want).max() < 1e-12
-
-    def test_single_token_warns_and_passes_through(self):
-        f = TemperatureField(np.array([[0.7]]))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            out = normalize_temperature(f)
-        assert out is f and len(caught) == 1
 
 
 @given(st.integers(0, 10_000))
