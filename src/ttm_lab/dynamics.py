@@ -1,8 +1,8 @@
 """Temperature evolution across layers: fixed points, contraction, sweeps.
 
 The layer update is an affine map around the neutral field 0.5 whose gain
-directly sets its Lipschitz constant, plus optional norm-bounded noise; this
-makes contraction factors constructible exactly for the convergence checks.
+directly sets its Lipschitz constant; this makes contraction factors
+constructible exactly for the convergence checks.
 """
 
 from dataclasses import dataclass
@@ -17,29 +17,15 @@ from .temperature import DEFAULT_EPS_MIN, TemperatureField
 class EvolutionConfig:
     gain: float = 0.9            # Lipschitz constant of the affine update
     bias: float = 0.0
-    noise_bound: float = 0.0     # epsilon: hard bound on ||eta||_2
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.noise_bound < 0:
-            raise ValueError("noise bound must be nonnegative")
 
 
 def evolve_layer(field, cfg):
-    """One layer step: affine contraction toward 0.5 plus bounded noise.
+    """One layer step: affine contraction toward 0.5.
 
-    T' = clamp(0.5 + gain * (T - 0.5) + bias + eta) with ||eta||_2 rescaled
-    onto the bound whenever it exceeds it. eta is drawn from Rng(cfg.seed),
-    so every call with the same cfg and field shape adds the same eta.
+    T' = clamp(0.5 + gain * (T - 0.5) + bias) into [eps_min, 1 - eps_min].
     """
     v = field.array()
     out = 0.5 + cfg.gain * (v - 0.5) + cfg.bias
-    if cfg.noise_bound > 0.0:
-        eta = Rng(cfg.seed).normal(v.shape, 0.0, cfg.noise_bound)
-        norm = np.linalg.norm(eta)
-        if norm > cfg.noise_bound:
-            eta *= cfg.noise_bound / norm
-        out = out + eta
     out = np.clip(out, field.eps_min, 1.0 - field.eps_min)
     return TemperatureField(Tensor(out, check=False), field.eps_min,
                             validate=False)

@@ -233,40 +233,26 @@ def gsot_pipeline(X, universe, params, cfg, context=None):
                   mean_temperature=mean_t, decision=CONTINUE, op_count=ops)
     else:
         for k in range(1, cfg.K):
-            prev_active = list(active)
+            emb = Tensor(universe.primary[[X[i] for i in active]], check=False)
+            _, fields, _ = forward_embedded(emb, params)
+            ops += forward_macs(len(active), params.cfg)
+            temps = _token_temps(fields[-1])
             target = schedule_target(n, cfg.K, k)
-            alternates_left = 1
-            while True:
-                emb = Tensor(universe.primary[[X[i] for i in prev_active]],
-                             check=False)
-                _, fields, _ = forward_embedded(emb, params)
-                ops += forward_macs(len(prev_active), params.cfg)
-                temps = _token_temps(fields[-1])
-                candidate = _rank_keep(prev_active,
-                                       temps, target)
+            # on a backtrack, the alternate branch drops the coldest survivor
+            for size in (target, max(target - 1, 1)):
+                candidate = _rank_keep(active, temps, size)
                 if not candidate:
                     raise EmptyPathError(
                         f"primary extraction emptied the active set at step {k}")
-                kept_temps = temps[[prev_active.index(i) for i in candidate]]
-                mean_t = float(kept_temps.mean())
+                mean_t = float(temps[[active.index(i) for i in candidate]].mean())
                 decision = recovery_step(mean_t, cfg)
                 if decision == CONTINUE:
-                    active = candidate
-                    trace.add(step=k, active_primary=list(active),
-                              active_hidden=[], mean_temperature=mean_t,
-                              decision=CONTINUE, op_count=ops)
                     break
-                if alternates_left == 0:
-                    trace.failed = True
-                    active = candidate
-                    trace.add(step=k, active_primary=list(active),
-                              active_hidden=[], mean_temperature=mean_t,
-                              decision=BACKTRACK, op_count=ops)
-                    break
-                # alternate branch: drop the coldest survivor
-                alternates_left -= 1
-                target = max(target - 1, 1)
-            if trace.failed:
+            active = candidate
+            trace.add(step=k, active_primary=list(active), active_hidden=[],
+                      mean_temperature=mean_t, decision=decision, op_count=ops)
+            if decision == BACKTRACK:
+                trace.failed = True
                 break
     if not active:
         raise EmptyPathError("all tokens filtered during primary extraction")

@@ -119,21 +119,24 @@ class Tensor:
 
     Values are immutable by convention after construction; only `grad` is
     mutated, and only during a single-threaded backward pass. Every op builds
-    its node here with its parents and backward rule; a node none of whose
-    parents requires a gradient keeps neither, so it ends the tape.
+    its node here with one (parent, vjp) pair per operand, where `vjp` maps
+    the node's gradient to that parent's; a node none of whose parents
+    requires a gradient keeps no pairs, so it ends the tape. A vjp keeps the
+    arrays it needs, never the node it belongs to: that reference would make
+    a cycle, which holds the whole upstream tape until the cyclic collector
+    runs.
     """
 
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("values", "grad", "requires_grad", "_parents")
 
-    def __init__(self, values, requires_grad=False, _parents=(), _backward=None,
-                 check=True):
+    def __init__(self, values, requires_grad=False, _parents=(), check=True):
         self.values = np.asarray(values, dtype=np.float64)
         if check and not np.all(np.isfinite(self.values)):
             raise NumericError("tensor contains non-finite values")
         self.grad = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
+        self.requires_grad = requires_grad or any(
+            p.requires_grad for p, _ in _parents)
         self._parents = _parents if self.requires_grad else ()
-        self._backward = _backward if self.requires_grad else None
 
     # -- introspection ------------------------------------------------------
 
@@ -154,6 +157,8 @@ class Tensor:
     # -- tape ---------------------------------------------------------------
 
     def _accumulate(self, g):
+        if g.shape != self.values.shape:
+            g = _unbroadcast(g, self.values.shape)
         if self.grad is None:
             self.grad = np.zeros_like(self.values)
         self.grad += g
@@ -168,27 +173,24 @@ class Tensor:
             raise DimensionError("backward() requires a scalar tensor")
         order = []
         seen = set()
-
-        def visit(node):
-            stack = [(node, False)]
-            while stack:
-                n, expanded = stack.pop()
-                if expanded:
-                    order.append(n)
-                    continue
-                if id(n) in seen:
-                    continue
-                seen.add(id(n))
-                stack.append((n, True))
-                for p in n._parents:
-                    if id(p) not in seen:
-                        stack.append((p, False))
-
-        visit(self)
+        stack = [(self, False)]
+        while stack:
+            n, expanded = stack.pop()
+            if expanded:
+                order.append(n)
+                continue
+            if id(n) in seen:
+                continue
+            seen.add(id(n))
+            stack.append((n, True))
+            for p, _ in n._parents:
+                if id(p) not in seen:
+                    stack.append((p, False))
         self.grad = np.ones_like(self.values)
         for node in reversed(order):
-            if node._backward is not None:
-                node._backward(node.grad)
+            for parent, vjp in node._parents:
+                if parent.requires_grad:
+                    parent._accumulate(vjp(node.grad))
         for node in order:
             if not node._parents and node.grad is not None \
                     and not np.all(np.isfinite(node.grad)):
@@ -205,24 +207,13 @@ class Tensor:
 
     def __add__(self, other):
         other = self._coerce(other)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g, other.shape))
-
-        return Tensor(self.values + other.values, _parents=(self, other),
-                      _backward=backward)
+        return Tensor(self.values + other.values,
+                      _parents=((self, lambda g: g), (other, lambda g: g)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(-g)
-
-        return Tensor(-self.values, _parents=(self,), _backward=backward)
+        return Tensor(-self.values, _parents=((self, lambda g: -g),))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -232,40 +223,23 @@ class Tensor:
 
     def __mul__(self, other):
         other = self._coerce(other)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.values, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.values, other.shape))
-
-        return Tensor(self.values * other.values, _parents=(self, other),
-                      _backward=backward)
+        a, b = self.values, other.values
+        return Tensor(a * b, _parents=((self, lambda g: g * b),
+                                       (other, lambda g: g * a)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._coerce(other)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g / other.values, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(
-                    -g * self.values / other.values ** 2, other.shape))
-
-        return Tensor(self.values / other.values, _parents=(self, other),
-                      _backward=backward)
+        a, b = self.values, other.values
+        return Tensor(a / b, _parents=((self, lambda g: g / b),
+                                       (other, lambda g: -g * a / b ** 2)))
 
     def __pow__(self, exponent):
         exponent = float(exponent)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * exponent * self.values ** (exponent - 1.0))
-
-        return Tensor(self.values ** exponent, _parents=(self,),
-                      _backward=backward)
+        a = self.values
+        return Tensor(a ** exponent, _parents=(
+            (self, lambda g: g * exponent * a ** (exponent - 1.0)),))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -273,100 +247,66 @@ class Tensor:
     # -- reductions and reshaping ------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        def backward(g):
-            if not self.requires_grad:
-                return
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.shape).copy())
-
-        return Tensor(self.values.sum(axis=axis, keepdims=keepdims),
-                      _parents=(self,), _backward=backward)
+        shape = self.shape
+        dropped = () if axis is None or keepdims else axis
+        return Tensor(self.values.sum(axis=axis, keepdims=keepdims), _parents=(
+            (self, lambda g: np.broadcast_to(np.expand_dims(g, dropped), shape)),))
 
     def mean(self, axis=None, keepdims=False):
         n = self.size if axis is None else self.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) / float(n)
 
     def reshape(self, *shape):
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g.reshape(self.shape))
-
-        return Tensor(self.values.reshape(*shape), _parents=(self,),
-                      _backward=backward)
+        old = self.shape
+        return Tensor(self.values.reshape(*shape),
+                      _parents=((self, lambda g: g.reshape(old)),))
 
     def transpose(self, axis0=-2, axis1=-1):
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(np.swapaxes(g, axis0, axis1))
-
-        return Tensor(np.swapaxes(self.values, axis0, axis1), _parents=(self,),
-                      _backward=backward)
+        return Tensor(np.swapaxes(self.values, axis0, axis1), _parents=(
+            (self, lambda g: np.swapaxes(g, axis0, axis1)),))
 
     @property
     def T(self):
         return self.transpose()
 
     def __getitem__(self, index):
-        def backward(g):
-            if self.requires_grad:
-                full = np.zeros_like(self.values)
-                np.add.at(full, index, g)
-                self._accumulate(full)
+        a = self.values
 
-        return Tensor(self.values[index], _parents=(self,), _backward=backward)
+        def scatter(g):
+            full = np.zeros_like(a)
+            np.add.at(full, index, g)
+            return full
+
+        return Tensor(a[index], _parents=((self, scatter),))
 
     def clip(self, lo, hi):
         """Clamp values to [lo, hi]; gradient passes only where unclipped."""
         mask = (self.values >= lo) & (self.values <= hi)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * mask)
-
-        return Tensor(np.clip(self.values, lo, hi), _parents=(self,),
-                      _backward=backward)
+        return Tensor(np.clip(self.values, lo, hi),
+                      _parents=((self, lambda g: g * mask),))
 
     # -- elementwise nonlinearities ------------------------------------------
 
-    # The backward rule of exp keeps the result array, not the node it
-    # returns: a closure that refers to its own node makes a reference cycle,
-    # and the cycle would hold the whole upstream tape until the cyclic
-    # collector ran.
-
     def exp(self):
         e = np.exp(self.values)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * e)
-
-        return Tensor(e, _parents=(self,), _backward=backward)
+        return Tensor(e, _parents=((self, lambda g: g * e),))
 
     def log(self):
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g / self.values)
-
-        return Tensor(np.log(self.values), _parents=(self,),
-                      _backward=backward)
+        a = self.values
+        return Tensor(np.log(a), _parents=((self, lambda g: g / a),))
 
 
 def concat(tensors, axis=0):
-    """Concatenate along `axis` with a splitting backward rule."""
+    """Concatenate along `axis`; each operand's gradient is its slice."""
     tensors = [Tensor._coerce(t) for t in tensors]
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(idx)])
-
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
+    parents = []
+    for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        idx = [slice(None)] * t.values.ndim
+        idx[axis] = slice(lo, hi)
+        parents.append((t, lambda g, idx=tuple(idx): g[idx]))
     return Tensor(np.concatenate([t.values for t in tensors], axis=axis),
-                  _parents=tuple(tensors), _backward=backward)
+                  _parents=tuple(parents))
 
 
 def matmul(a, b):
@@ -382,14 +322,10 @@ def matmul(a, b):
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(
             f"matmul inner extents differ: {a.shape} x {b.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g @ np.swapaxes(b.values, -1, -2), a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(np.swapaxes(a.values, -1, -2) @ g, b.shape))
-
-    return Tensor(a.values @ b.values, _parents=(a, b), _backward=backward)
+    av, bv = a.values, b.values
+    return Tensor(av @ bv, _parents=(
+        (a, lambda g: g @ np.swapaxes(bv, -1, -2)),
+        (b, lambda g: np.swapaxes(av, -1, -2) @ g)))
 
 
 def softmax_rows(x):
@@ -400,14 +336,9 @@ def softmax_rows(x):
     shifted = x.values - x.values.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        if x.requires_grad:
-            # dL/dx = p * (g - sum(g * p))
-            inner = (g * p).sum(axis=-1, keepdims=True)
-            x._accumulate(p * (g - inner))
-
-    return Tensor(p, _parents=(x,), _backward=backward)
+    # dL/dx = p * (g - sum(g * p))
+    return Tensor(p, _parents=(
+        (x, lambda g: p * (g - (g * p).sum(axis=-1, keepdims=True))),))
 
 
 def sigmoid_map(x):
@@ -417,12 +348,7 @@ def sigmoid_map(x):
     v = x.values
     s = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
                  np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * s * (1.0 - s))
-
-    return Tensor(s, _parents=(x,), _backward=backward)
+    return Tensor(s, _parents=((x, lambda g: g * s * (1.0 - s)),))
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
@@ -442,20 +368,18 @@ def layer_norm(x, gain, bias, eps=1e-5):
     var = x.values.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     z = (x.values - mu) * inv
+    gv = gain.values
 
-    def backward(g):
-        if gain.requires_grad:
-            gain._accumulate((g * z).reshape(-1, d).sum(axis=0))
-        if bias.requires_grad:
-            bias._accumulate(g.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
-            gz = g * gain.values
-            term = gz - gz.mean(axis=-1, keepdims=True) \
-                - z * (gz * z).mean(axis=-1, keepdims=True)
-            x._accumulate(term * inv)
+    def dx(g):
+        gz = g * gv
+        term = gz - gz.mean(axis=-1, keepdims=True) \
+            - z * (gz * z).mean(axis=-1, keepdims=True)
+        return term * inv
 
-    return Tensor(z * gain.values + bias.values, _parents=(x, gain, bias),
-                  _backward=backward)
+    return Tensor(z * gv + bias.values, _parents=(
+        (x, dx),
+        (gain, lambda g: (g * z).reshape(-1, d).sum(axis=0)),
+        (bias, lambda g: g.reshape(-1, d).sum(axis=0))))
 
 
 def gelu(x):
@@ -463,13 +387,8 @@ def gelu(x):
     x = Tensor._coerce(x)
     v = x.values
     cdf = 0.5 * (1.0 + _erf(v / math.sqrt(2.0)))
-
-    def backward(g):
-        if x.requires_grad:
-            pdf = np.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi)
-            x._accumulate(g * (cdf + v * pdf))
-
-    return Tensor(v * cdf, _parents=(x,), _backward=backward)
+    return Tensor(v * cdf, _parents=((x, lambda g: g * (
+        cdf + v * (np.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi)))),))
 
 
 def grad_check(f, x, eps=1e-5):

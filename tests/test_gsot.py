@@ -257,17 +257,28 @@ class TestRecovery:
         with pytest.raises(ValueError):
             recovery_step(1.5, GsotConfig())
 
-    def test_forced_low_temperature_records_one_backtrack(self):
+    def test_forced_low_temperature_records_one_backtrack(self, monkeypatch):
         # drive the mean temperature below the recovery threshold so the
-        # scheduler burns its single alternate branch, then flags the trace
+        # scheduler burns its single alternate branch, then flags the trace;
+        # the alternate reuses the step's temperatures, so step 1 forwards
+        # once and the final integrated pass once
         params = toy_model(seed=23)
         for block in params.blocks:
             block.temp.b_t.values[:] = -10.0  # near-floor temperatures
         uni = toy_universe(params, seed=24)
         cfg = GsotConfig(K=3, tau_backtrack=0.5)
+        calls = []
+
+        def counting_forward(*args, **kwargs):
+            calls.append(1)
+            return forward_embedded(*args, **kwargs)
+
+        monkeypatch.setattr(gsot, "forward_embedded", counting_forward)
         _, trace = gsot_pipeline([1, 2, 3, 4, 5, 6], uni, params, cfg)
         assert trace.failed
         assert trace.steps[0].decision == BACKTRACK
+        assert len(calls) == 2
+        assert trace.steps[0].op_count == forward_macs(6, params.cfg)
 
 
 class TestScheduleCheck:

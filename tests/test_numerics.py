@@ -12,6 +12,42 @@ from ttm_lab.numerics import (DimensionError, NumericError, Rng, Tensor,
                               matmul, sigmoid_map, softmax_rows)
 
 
+def operands():
+    """Two (3, 3) tensors that require gradients, valid for every op below
+    (positive, so `log` and `/` are defined)."""
+    x = Tensor([[0.3, 1.2, 0.7], [0.9, 0.4, 1.5], [1.4, 0.8, 0.1]],
+               requires_grad=True)
+    y = Tensor([[1.1, 0.6, 0.8], [0.5, 1.3, 0.2], [0.7, 0.9, 1.6]],
+               requires_grad=True)
+    return x, y
+
+
+BINARY_OPS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b,
+    "@": lambda a, b: a @ b,
+    "concat": lambda a, b: concat([a, b], axis=-1),
+}
+
+EVERY_OP = dict(BINARY_OPS, **{
+    "**": lambda x, y: x ** 3,
+    "sum(axis=)": lambda x, y: x.sum(axis=0),
+    "mean": lambda x, y: x.mean(axis=-1),
+    "reshape": lambda x, y: x.reshape(9),
+    "transpose": lambda x, y: x.transpose(0, 1),
+    "indexing": lambda x, y: x[np.array([1, 0, 1])],
+    "clip": lambda x, y: x.clip(0.5, 1.0),
+    "exp": lambda x, y: x.exp(),
+    "log": lambda x, y: x.log(),
+    "softmax_rows": lambda x, y: softmax_rows(x),
+    "sigmoid_map": lambda x, y: sigmoid_map(x),
+    "layer_norm": lambda x, y: layer_norm(x, y[0], y[1]),
+    "gelu": lambda x, y: gelu(x),
+})
+
+
 class TestMatmul:
     def test_identity(self):
         eye = Tensor(np.eye(2))
@@ -232,16 +268,39 @@ class TestTensorBasics:
     def test_tape_freed_without_cycle_collector(self):
         # a tape must be freed as soon as its last reference goes; a node
         # caught in a reference cycle would hold every node upstream of it
-        x = Tensor(np.linspace(-1.0, 1.0, 4), requires_grad=True)
         gc.collect()
         gc.disable()
         try:
-            loss = x.exp().sum()
-            loss.backward()
-            del loss
-            assert gc.collect() == 0
+            for name, op in EVERY_OP.items():
+                x, y = operands()
+                loss = op(x, y).sum()
+                loss.backward()
+                del loss
+                assert gc.collect() == 0, name
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("name,const_first", [
+        (name, const_first) for name in BINARY_OPS for const_first in (False, True)])
+    def test_constant_operand_gets_no_gradient(self, name, const_first):
+        var, const = operands()
+        const.requires_grad = False
+        args = (const, var) if const_first else (var, const)
+        BINARY_OPS[name](*args).sum().backward()
+        assert const.grad is None
+        assert var.grad is not None and var.grad.any()
+
+    @pytest.mark.parametrize("constant", ["x", "gain_and_bias"])
+    def test_layer_norm_constant_operands_get_no_gradient(self, constant):
+        x, _ = operands()
+        gain = Tensor([1.5, 0.5, 2.0], requires_grad=True)
+        bias = Tensor([0.1, -0.2, 0.3], requires_grad=True)
+        consts = [x] if constant == "x" else [gain, bias]
+        for t in consts:
+            t.requires_grad = False
+        (layer_norm(x, gain, bias) * Tensor([1.0, 2.0, 3.0])).sum().backward()
+        for t in (x, gain, bias):
+            assert (t.grad is None) == (t in consts)
 
 
 class TestRng:
