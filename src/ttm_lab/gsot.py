@@ -6,7 +6,9 @@ pass through the model plus the reasoning head. With a step budget K > 1 the
 extraction stage shrinks the active set over K - 1 steps using rank-based
 per-step thresholds, which keeps the active-set size within (1 - k/K) * n by
 construction; with K = 1 it is a single pass keeping every token whose mean
-temperature exceeds tau_p.
+temperature exceeds tau_p. Extraction reads only the last block's temperature
+field, so each extraction step runs the model only as far as that field
+(`final_field`); the final pass is the one full forward.
 """
 
 import json
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .model import check_token_ids, forward_embedded, reasoning_head
+from .model import check_token_ids, final_field, forward_embedded, reasoning_head
 from .numerics import Tensor
 
 CONTINUE = "continue"
@@ -144,7 +146,12 @@ class ReasoningTrace:
 
 
 def forward_macs(n, cfg):
-    """Multiply-accumulate count of one forward pass over n active tokens."""
+    """Multiply-accumulate count of one forward pass over n active tokens.
+
+    The op count charges this for every extraction step as well, although a
+    step stops at the last block's field: that is the paper's cost model, and
+    it keeps the trace's op_count (and `bench`'s MAC counts) unchanged.
+    """
     d, h, dk, dff = cfg.d_model, cfg.heads, cfg.d_k, cfg.d_ff
     per_layer = (3 * n * d * dk * h      # Q, K, V projections
                  + 2 * h * n * n * dk    # scores and weighted values
@@ -159,15 +166,10 @@ def _token_temps(field):
     return field.array().mean(axis=0)
 
 
-def _rank_keep(active, temps, target):
-    """Indices of the `target` hottest active tokens, stable in position."""
-    if target >= len(active):
-        return list(active)
-    if target <= 0:
-        return []
-    order = np.argsort(-temps, kind="stable")[:target]
-    keep = sorted(order)
-    return [active[i] for i in keep]
+def _rank_keep(temps, target):
+    """Positions into `temps` of the `target` (>= 0) hottest tokens, in
+    ascending order (ties go to the earlier position)."""
+    return np.sort(np.argsort(-temps, kind="stable")[:target])
 
 
 def schedule_target(n, K, k):
@@ -224,9 +226,8 @@ def gsot_pipeline(X, universe, params, cfg, context=None):
     active = list(range(n))
     if cfg.K == 1:
         emb = Tensor(universe.primary[X], check=False)
-        _, fields, _ = forward_embedded(emb, params)
         ops += forward_macs(n, params.cfg)
-        temps = _token_temps(fields[-1])
+        temps = _token_temps(final_field(emb, params))
         active = [i for i in active if temps[i] > cfg.tau_p]
         mean_t = float(temps.mean())
         trace.add(step=1, active_primary=list(active), active_hidden=[],
@@ -234,17 +235,17 @@ def gsot_pipeline(X, universe, params, cfg, context=None):
     else:
         for k in range(1, cfg.K):
             emb = Tensor(universe.primary[[X[i] for i in active]], check=False)
-            _, fields, _ = forward_embedded(emb, params)
             ops += forward_macs(len(active), params.cfg)
-            temps = _token_temps(fields[-1])
+            temps = _token_temps(final_field(emb, params))
             target = schedule_target(n, cfg.K, k)
             # on a backtrack, the alternate branch drops the coldest survivor
             for size in (target, max(target - 1, 1)):
-                candidate = _rank_keep(active, temps, size)
-                if not candidate:
+                keep = _rank_keep(temps, size)
+                if not keep.size:
                     raise EmptyPathError(
                         f"primary extraction emptied the active set at step {k}")
-                mean_t = float(temps[[active.index(i) for i in candidate]].mean())
+                candidate = [active[i] for i in keep]
+                mean_t = float(temps[keep].mean())
                 decision = recovery_step(mean_t, cfg)
                 if decision == CONTINUE:
                     break

@@ -218,6 +218,14 @@ def _scaled_field(field, multiplier, eps_min):
         eps_min, validate=False)
 
 
+def _block_field(x, block, cfg, temp_multiplier):
+    """A block's plain attention and the field derived from its output; both
+    depend on the block input alone."""
+    base = attn_mod.attention_baseline(x, block.attn)
+    field = compute_temperature(base.values, block.temp)
+    return base, _scaled_field(field, temp_multiplier, cfg.eps_min)
+
+
 def block_forward(x, block, cfg, temp_multiplier=1.0):
     """One transformer block; returns the output and the field it used.
 
@@ -225,9 +233,7 @@ def block_forward(x, block, cfg, temp_multiplier=1.0):
     per cfg.attention_variant on the plain logits and values (optionally
     blended back toward the plain weights) -> LN1(x + attn) -> LN2(. + FFN(.)).
     """
-    base = attn_mod.attention_baseline(x, block.attn)
-    field = compute_temperature(base.values, block.temp)
-    field = _scaled_field(field, temp_multiplier, cfg.eps_min)
+    base, field = _block_field(x, block, cfg, temp_multiplier)
     if cfg.attention_variant == "baseline":
         att_values = base.values
     else:
@@ -269,14 +275,18 @@ def embed_tokens(tokens, params):
     return params.tok_emb[tokens]
 
 
-def forward_embedded(x, params, temp_multiplier=1.0):
-    """Run the block stack on an embedded (n, d) sequence or (B, n, d) batch
-    (positions added here)."""
+def _add_positions(x, params):
     n = x.shape[-2]
     if n > params.cfg.max_seq_len:
         raise DimensionError(
             f"sequence length {n} exceeds max_seq_len {params.cfg.max_seq_len}")
-    x = x + params.pos_emb[np.arange(n)]
+    return x + params.pos_emb[np.arange(n)]
+
+
+def forward_embedded(x, params, temp_multiplier=1.0):
+    """Run the block stack on an embedded (n, d) sequence or (B, n, d) batch
+    (positions added here)."""
+    x = _add_positions(x, params)
     fields = []
     for block in params.blocks:
         x, field = block_forward(x, block, params.cfg, temp_multiplier)
@@ -286,6 +296,16 @@ def forward_embedded(x, params, temp_multiplier=1.0):
     mean_t = last.values.sum(axis=(-2, -1), keepdims=True) \
         / float(last.head_count * last.seq_len)
     return logits * mean_t, fields, x
+
+
+def final_field(x, params):
+    """The last block's field for an embedded input, as forward_embedded
+    would give it, without the last block's modulated attention and FFN or
+    the output logits."""
+    x = _add_positions(x, params)
+    for block in params.blocks[:-1]:
+        x, _ = block_forward(x, block, params.cfg)
+    return _block_field(x, params.blocks[-1], params.cfg, 1.0)[1]
 
 
 def model_forward(tokens, params, temp_multiplier=1.0):

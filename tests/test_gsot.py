@@ -11,8 +11,8 @@ from ttm_lab.gsot import (BACKTRACK, CONTINUE, EmptyPathError, GsotConfig,
                           complexity_fit, forward_macs, gsot_pipeline,
                           hidden_temperature, hidden_token_probs,
                           recovery_step, schedule_target)
-from ttm_lab.model import (ModelConfig, ModelParams, forward_embedded,
-                           reasoning_head)
+from ttm_lab.model import (ModelConfig, ModelParams, final_field,
+                           forward_embedded, reasoning_head)
 from ttm_lab.numerics import Rng, Tensor
 
 
@@ -204,8 +204,8 @@ class TestPipeline:
         params = toy_model(seed=14)
         uni = toy_universe(params)
         calls = []
-        monkeypatch.setattr(gsot, "forward_embedded",
-                            lambda *a, **kw: calls.append(a))
+        for name in ("final_field", "forward_embedded"):
+            monkeypatch.setattr(gsot, name, lambda *a, **kw: calls.append(a))
         with pytest.raises(ValueError, match=r"outside \[0, 12\)"):
             gsot_pipeline([1, 2, bad, 3], uni, params, GsotConfig(K=K))
         assert calls == []
@@ -260,8 +260,8 @@ class TestRecovery:
     def test_forced_low_temperature_records_one_backtrack(self, monkeypatch):
         # drive the mean temperature below the recovery threshold so the
         # scheduler burns its single alternate branch, then flags the trace;
-        # the alternate reuses the step's temperatures, so step 1 forwards
-        # once and the final integrated pass once
+        # the alternate reuses the step's temperatures, so step 1 computes
+        # one field and the final integrated pass runs one full forward
         params = toy_model(seed=23)
         for block in params.blocks:
             block.temp.b_t.values[:] = -10.0  # near-floor temperatures
@@ -269,15 +269,18 @@ class TestRecovery:
         cfg = GsotConfig(K=3, tau_backtrack=0.5)
         calls = []
 
-        def counting_forward(*args, **kwargs):
-            calls.append(1)
-            return forward_embedded(*args, **kwargs)
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(gsot, "forward_embedded", counting_forward)
+        monkeypatch.setattr(gsot, "final_field", counting(final_field))
+        monkeypatch.setattr(gsot, "forward_embedded", counting(forward_embedded))
         _, trace = gsot_pipeline([1, 2, 3, 4, 5, 6], uni, params, cfg)
         assert trace.failed
         assert trace.steps[0].decision == BACKTRACK
-        assert len(calls) == 2
+        assert calls == ["final_field", "forward_embedded"]
         assert trace.steps[0].op_count == forward_macs(6, params.cfg)
 
 

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from ttm_lab.model import (CheckpointFormatError, ModelConfig, ModelParams,
                            block_forward, checkpoint_load, checkpoint_save,
-                           count_parameters, model_forward,
-                           published_scale_comparison, reasoning_head)
-from ttm_lab.numerics import Rng, Tensor, gelu, grad_check, layer_norm
+                           count_parameters, final_field, forward_embedded,
+                           model_forward, published_scale_comparison,
+                           reasoning_head)
+from ttm_lab.numerics import (DimensionError, Rng, Tensor, gelu, grad_check,
+                              layer_norm)
 from ttm_lab.temperature import TemperatureField
 
 
@@ -172,6 +174,43 @@ class TestModelForward:
 
         emb0 = Tensor(Rng(8).normal((5, 8), 0.0, 0.1))
         assert grad_check(loss, emb0) < 1e-4
+
+
+class TestFinalField:
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("variant, alpha", [("baseline", 0.0),
+                                                ("broadcast", 0.0),
+                                                ("outer", 0.0), ("outer", 0.3),
+                                                ("broadcast", 0.3)])
+    def test_matches_full_forward_bitwise(self, layers, variant, alpha):
+        params = ModelParams(toy_cfg(layers=layers, attention_variant=variant,
+                                     blend_alpha=alpha, seed=layers))
+        x = Tensor(Rng(9).normal((6, 8)))
+        want = forward_embedded(x, params)[1][-1].array()
+        assert np.array_equal(final_field(x, params).array(), want)
+
+    def test_rejects_past_max_seq_len(self):
+        params = ModelParams(toy_cfg())
+        with pytest.raises(DimensionError, match="max_seq_len"):
+            final_field(Tensor(Rng(10).normal((9, 8))), params)
+
+    def test_extraction_skips_last_block_ffn(self, monkeypatch):
+        # K - 1 extraction steps each run L - 1 full blocks; the integrated
+        # pass runs all L
+        from ttm_lab import gsot, model
+        K, L = 3, 2
+        params = ModelParams(toy_cfg(layers=L, max_seq_len=16))
+        universe = gsot.build_universe(params, 4, Rng(11))
+        calls = []
+
+        def counting_gelu(x):
+            calls.append(1)
+            return gelu(x)
+
+        monkeypatch.setattr(model, "gelu", counting_gelu)
+        gsot.gsot_pipeline([1, 2, 3, 4, 5, 6], universe, params,
+                           gsot.GsotConfig(K=K))
+        assert len(calls) == (K - 1) * (L - 1) + L
 
 
 class TestHeads:
