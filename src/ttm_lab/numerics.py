@@ -6,6 +6,7 @@ public operation verifies its output is finite.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -103,6 +104,14 @@ def _erf(x):
     return np.copysign(out, x)
 
 
+def _same(g):
+    return g
+
+
+def _negated(g):
+    return -g
+
+
 def _unbroadcast(grad, shape):
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     extra = grad.ndim - len(shape)
@@ -128,15 +137,28 @@ class Tensor:
     """
 
     __slots__ = ("values", "grad", "requires_grad", "_parents")
+    # an ndarray on the left of + - * leaves the operation to the Tensor's
+    # reflected method instead of building an object array of Tensors
+    __array_ufunc__ = None
 
     def __init__(self, values, requires_grad=False, _parents=(), check=True):
-        self.values = np.asarray(values, dtype=np.float64)
-        if check and not np.all(np.isfinite(self.values)):
-            raise NumericError("tensor contains non-finite values")
+        self.values = v = np.asarray(values, dtype=np.float64)
+        if check and not np.isfinite(v).all():
+            # name the first caller outside this tensor's construction; a
+            # wrapper around __init__ shares its `self`
+            caller = sys._getframe(1)
+            while caller.f_locals.get("self") is self:
+                caller = caller.f_back
+            raise NumericError(f"{caller.f_code.co_name} produced non-finite "
+                               f"values of shape {v.shape}")
         self.grad = None
-        self.requires_grad = requires_grad or any(
-            p.requires_grad for p, _ in _parents)
-        self._parents = _parents if self.requires_grad else ()
+        if not requires_grad:
+            for p, _ in _parents:
+                if p.requires_grad:
+                    requires_grad = True
+                    break
+        self.requires_grad = requires_grad
+        self._parents = _parents if requires_grad else ()
 
     # -- introspection ------------------------------------------------------
 
@@ -160,8 +182,13 @@ class Tensor:
         if g.shape != self.values.shape:
             g = _unbroadcast(g, self.values.shape)
         if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        self.grad += g
+            # an owned copy laid out like the values, not g (often a view or
+            # a transpose): this gradient feeds the matmuls of the node's
+            # vjps, whose BLAS summation order follows the layout. Adding
+            # 0.0 turns -0.0 into 0.0, as summing into zeros did
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.values))
+        else:
+            self.grad += g
 
     def backward(self):
         """Reverse-mode sweep from this (scalar) tensor.
@@ -193,7 +220,7 @@ class Tensor:
                     parent._accumulate(vjp(node.grad))
         for node in order:
             if not node._parents and node.grad is not None \
-                    and not np.all(np.isfinite(node.grad)):
+                    and not np.isfinite(node.grad).all():
                 raise NumericError(
                     f"non-finite gradient at a leaf tensor of shape {node.shape}")
 
@@ -205,35 +232,46 @@ class Tensor:
             return other
         return Tensor(np.asarray(other, dtype=np.float64), check=False)
 
+    # A Tensor operand is a parent; any other operand (a Python or numpy
+    # scalar, an ndarray) is a constant held by the vjp, with no node of its own.
+
     def __add__(self, other):
-        other = self._coerce(other)
-        return Tensor(self.values + other.values,
-                      _parents=((self, lambda g: g), (other, lambda g: g)))
+        if isinstance(other, Tensor):
+            return Tensor(self.values + other.values,
+                          _parents=((self, _same), (other, _same)))
+        return Tensor(self.values + other, _parents=((self, _same),))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Tensor(-self.values, _parents=((self, lambda g: -g),))
+        return Tensor(-self.values, _parents=((self, _negated),))
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        if isinstance(other, Tensor):
+            return Tensor(self.values - other.values,
+                          _parents=((self, _same), (other, _negated)))
+        return Tensor(self.values - other, _parents=((self, _same),))
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return Tensor(other - self.values, _parents=((self, _negated),))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        a, b = self.values, other.values
-        return Tensor(a * b, _parents=((self, lambda g: g * b),
-                                       (other, lambda g: g * a)))
+        a = self.values
+        if isinstance(other, Tensor):
+            b = other.values
+            return Tensor(a * b, _parents=((self, lambda g: g * b),
+                                           (other, lambda g: g * a)))
+        return Tensor(a * other, _parents=((self, lambda g: g * other),))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        a, b = self.values, other.values
-        return Tensor(a / b, _parents=((self, lambda g: g / b),
-                                       (other, lambda g: -g * a / b ** 2)))
+        a = self.values
+        if isinstance(other, Tensor):
+            b = other.values
+            return Tensor(a / b, _parents=((self, lambda g: g / b),
+                                           (other, lambda g: -g * a / b ** 2)))
+        return Tensor(a / other, _parents=((self, lambda g: g / other),))
 
     def __pow__(self, exponent):
         exponent = float(exponent)
@@ -274,7 +312,13 @@ class Tensor:
 
         def scatter(g):
             full = np.zeros_like(a)
-            np.add.at(full, index, g)
+            # ints, slices and Ellipsis pick each element at most once, so
+            # the gradient can be assigned; index arrays may repeat and add
+            if all(isinstance(i, (int, slice, type(...))) for i in
+                   (index if isinstance(index, tuple) else (index,))):
+                full[index] = g
+            else:
+                np.add.at(full, index, g)
             return full
 
         return Tensor(a[index], _parents=((self, scatter),))

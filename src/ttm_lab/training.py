@@ -261,7 +261,8 @@ def _is_temp_param(name):
 
 
 def _snapshot(params):
-    return {name: t.values.copy() for name, t in params.named_tensors()}
+    # references, not copies: train only ever rebinds a tensor's values
+    return {name: t.values for name, t in params.named_tensors()}
 
 
 def _restore(params, snap):

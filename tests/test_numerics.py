@@ -48,6 +48,24 @@ EVERY_OP = dict(BINARY_OPS, **{
 })
 
 
+# Tensor-constant operands for every binary op, on either side; a float or an
+# ndarray operand for the ops that take one there (a Tensor has no reflected
+# `/` or `@`, and concat needs operands of rank 1 or more)
+CONSTANTS = {
+    "tensor": lambda const: const,
+    "float": lambda const: 0.75,
+    "ndarray": lambda const: const.values,
+}
+CONSTANT_CASES = [
+    pytest.param(name, kind, const_first, id=f"{name}-{const_first}"
+                 if kind == "tensor" else f"{name}-{kind}-{const_first}")
+    for name in BINARY_OPS for kind in CONSTANTS
+    for const_first in (False, True)
+    if kind == "tensor"
+    or ((kind == "ndarray" or name in ("+", "-", "*", "/"))
+        and not (const_first and name in ("/", "@")))]
+
+
 class TestMatmul:
     def test_identity(self):
         eye = Tensor(np.eye(2))
@@ -181,6 +199,8 @@ class TestGradCheck:
             lambda t: t[1:, ::2].sum(),
             lambda t: t.clip(-0.5, 0.5).sum(),
             lambda t: t.T.mean(axis=0).sum(),
+            lambda t: (2.0 - t / 3.0).sum(),
+            lambda t: (t - 0.5).sum(),
         ]
         for fn in fns:
             assert grad_check(fn, x) < 1e-5
@@ -280,15 +300,67 @@ class TestTensorBasics:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("name,const_first", [
-        (name, const_first) for name in BINARY_OPS for const_first in (False, True)])
-    def test_constant_operand_gets_no_gradient(self, name, const_first):
-        var, const = operands()
-        const.requires_grad = False
-        args = (const, var) if const_first else (var, const)
-        BINARY_OPS[name](*args).sum().backward()
-        assert const.grad is None
-        assert var.grad is not None and var.grad.any()
+    @pytest.mark.parametrize("name,kind,const_first", CONSTANT_CASES)
+    def test_constant_operand_gets_no_gradient(self, name, kind, const_first):
+        # a float or ndarray operand must give the bits its Tensor form gives
+        results = []
+        for wrapped in (True,) if kind == "tensor" else (True, False):
+            var, const = operands()
+            const.requires_grad = False
+            c = CONSTANTS[kind](const)
+            if wrapped and kind != "tensor":
+                c = Tensor(c)
+            args = (c, var) if const_first else (var, c)
+            out = BINARY_OPS[name](*args)
+            out.sum().backward()
+            if isinstance(c, Tensor):
+                assert c.grad is None
+            assert var.grad is not None and var.grad.any()
+            results.append((out.values, var.grad))
+        for values, grad in results[1:]:
+            assert np.array_equal(values, results[0][0])
+            assert np.array_equal(grad, results[0][1])
+
+    def test_gradient_buffers_are_owned(self):
+        # both parents receive the same broadcast view of the node's
+        # gradient; each must keep its own writeable copy
+        a = Tensor(np.ones((3, 4)), requires_grad=True)
+        b = Tensor(np.ones((3, 4)), requires_grad=True)
+        (a + b).sum().backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        assert a.grad.flags.writeable and b.grad.flags.writeable
+
+    def test_basic_index_gradient_is_placed(self):
+        t = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+        ((t[1:, ::2] * 2.0).sum() + t[..., 3].sum() + t[0].sum()).backward()
+        want = np.zeros((3, 4))
+        want[1:, ::2] += 2.0
+        want[:, 3] += 1.0
+        want[0] += 1.0
+        assert np.array_equal(t.grad, want)
+
+    @pytest.mark.parametrize("op,fn", [
+        ("matmul", lambda: Tensor([[1e200]]) @ Tensor([[1e200]])),
+        ("__mul__", lambda: Tensor([1e300], requires_grad=True) * 1e300),
+        ("softmax_rows", lambda: softmax_rows(np.array([[np.inf, 0.0]]))),
+    ], ids=["matmul", "__mul__", "softmax_rows"])
+    def test_non_finite_error_names_the_op(self, op, fn):
+        with np.errstate(all="ignore"), \
+                pytest.raises(NumericError, match=op) as info:
+            fn()
+        assert "shape" in str(info.value)
+
+    def test_non_finite_error_looks_past_an_init_wrapper(self, monkeypatch):
+        # the benchmark's tracer wraps Tensor.__init__ to count nodes
+        init = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        with np.errstate(all="ignore"), \
+                pytest.raises(NumericError, match="^matmul "):
+            Tensor([[1e200]]) @ Tensor([[1e200]])
 
     @pytest.mark.parametrize("constant", ["x", "gain_and_bias"])
     def test_layer_norm_constant_operands_get_no_gradient(self, constant):

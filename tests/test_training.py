@@ -162,6 +162,20 @@ class TestTrainLoop:
         a, b = run(), run()
         assert a.rows == b.rows
 
+    def test_gradients_are_contiguous_like_their_values(self):
+        # a gradient buffer laid out like a transposed view would change the
+        # order in which BLAS sums later gradients into it, and so the last
+        # digits of every logged loss
+        params = arith_params()
+        data = make_task(TaskSpec(kind="arithmetic_chain", length=8, count=64))
+        train(params, data, TrainConfig(steps=1, batch=8))
+        grads = {n: t for n, t in params.named_tensors() if t.grad is not None}
+        # only the reasoning head, which GSoT alone uses, gets no gradient
+        assert set(dict(params.named_tensors())) - set(grads) == {"head.w_reason"}
+        for name, t in grads.items():
+            assert t.grad.shape == t.values.shape, name
+            assert t.grad.flags.c_contiguous, name
+
     def test_scripted_spike_triggers_one_event(self):
         params = toy_params(seed=6)
         data = make_task(TaskSpec(kind="copy", length=4, count=8, seed=6))
