@@ -81,6 +81,29 @@ def _weigh(pre, v, W_o):
                            weights=weights, pre_softmax=pre, v=v)
 
 
+def _scaled_scores(q, k, scale):
+    """(q @ k^T) * scale as one node, its product scaled in place.
+
+    The vjps repeat the arithmetic of the matmul-then-multiply chain this
+    replaces, bit for bit: the product's gradient is g * scale with -0.0
+    turned into 0.0 (as accumulating it into its own node did), and k's is
+    the transpose of q^T @ that gradient.
+    """
+    qv, kv = q.values, k.values
+    out = qv @ np.swapaxes(kv, -1, -2)
+    out *= scale
+
+    def scaled(g):
+        gs = g * scale
+        gs += 0.0
+        return gs
+
+    return Tensor(out, _parents=(
+        (q, lambda g: scaled(g) @ kv),
+        (k, lambda g: np.swapaxes(np.swapaxes(qv, -1, -2) @ scaled(g),
+                                  -1, -2))))
+
+
 def attention_baseline(x, params):
     """softmax(Q K^T / sqrt(d_k)) V per head, heads merged and projected.
 
@@ -90,7 +113,7 @@ def attention_baseline(x, params):
     *lead, n, d = x.shape
     qkv = x.reshape(*lead, 1, 1, n, d) @ params.W_qkv   # (..., h, 3, n, d_k)
     q, k, v = (qkv[..., i, :, :] for i in range(3))
-    pre = q @ k.T * (1.0 / np.sqrt(params.d_k))
+    pre = _scaled_scores(q, k, 1.0 / np.sqrt(params.d_k))
     return _weigh(pre, v, params.W_o)
 
 

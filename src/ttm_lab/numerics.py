@@ -3,6 +3,12 @@
 Only the operations the rest of the library needs carry backward rules; this is
 deliberately not a general autodiff framework. All arrays are float64 and every
 public operation verifies its output is finite.
+
+A forward kernel allocates only the arrays it returns or its vjp keeps, and
+computes the rest in place: it writes only into arrays it has just created,
+before any of them becomes a Tensor's values or is held by a vjp. A freed
+full-size temporary is handed back to the OS at attention sizes, and the next
+one page-faults its memory back in.
 """
 
 import math
@@ -64,17 +70,38 @@ def _rational(coef_num, coef_den, z, lead):
     nested order: start from lead * z and z, then add a coefficient and
     multiply by z once per coefficient pair. The caller adds the last
     constant terms."""
-    num, den = lead * z, z
+    num, den = lead * z, z.copy()
     for a, b in zip(coef_num, coef_den):
-        num = (num + a) * z
-        den = (den + b) * z
+        num += a
+        num *= z
+        den += b
+        den *= z
     return num, den
 
 
 def _exp_neg_square(y):
-    """exp(-y^2), with y^2 split so the exponent keeps its low-order bits."""
-    head = np.trunc(y * 16.0) / 16.0
-    return np.exp(-head * head) * np.exp(-(y - head) * (y + head))
+    """exp(-y^2), with y^2 split so the exponent keeps its low-order bits:
+    exp(-head * head) * exp(-(y - head) * (y + head))."""
+    head = y * 16.0
+    np.trunc(head, out=head)
+    head /= 16.0
+    out = np.negative(head)
+    out *= head
+    np.exp(out, out=out)
+    low = y - head
+    np.negative(low, out=low)
+    head += y
+    low *= head
+    out *= np.exp(low, out=low)
+    return out
+
+
+def _one_minus(erfc):
+    """(0.5 - erfc) + 0.5, written over erfc: 1 - erfc without losing the
+    low bits of an erfc near 1/2."""
+    np.subtract(0.5, erfc, out=erfc)
+    erfc += 0.5
+    return erfc
 
 
 def _erf(x):
@@ -83,25 +110,39 @@ def _erf(x):
     Each of Cody's three ranges is evaluated only on the elements that fall
     in it, so no full-size temporary is kept per range.
     """
-    y = np.abs(x)
-    out = y.copy()  # a NaN falls in no range and stays NaN
-    small = y <= 0.5
-    ys = y[small]
+    out = np.abs(x)  # a NaN falls in no range and stays NaN
+    small = out <= 0.5
+    mid = (out > 0.5) & (out <= 4.0)
+    big = out > 4.0
+    ys = out[small]
     num, den = _rational(_ERF_A[:3], _ERF_B[:3], ys * ys, _ERF_A[4])
-    out[small] = ys * (num + _ERF_A[3]) / (den + _ERF_B[3])
-    mid = (y > 0.5) & (y <= 4.0)
-    ym = y[mid]
+    num += _ERF_A[3]
+    num *= ys
+    den += _ERF_B[3]
+    num /= den
+    out[small] = num
+    ym = out[mid]
     num, den = _rational(_ERF_C[:7], _ERF_D[:7], ym, _ERF_C[8])
-    erfc = _exp_neg_square(ym) * (num + _ERF_C[7]) / (den + _ERF_D[7])
-    out[mid] = (0.5 - erfc) + 0.5
-    big = y > 4.0
-    yb = np.minimum(y[big], _ERFC_ZERO)
-    z = 1.0 / (yb * yb)
+    num += _ERF_C[7]
+    erfc = _exp_neg_square(ym)
+    erfc *= num
+    den += _ERF_D[7]
+    erfc /= den
+    out[mid] = _one_minus(erfc)
+    yb = out[big]
+    np.minimum(yb, _ERFC_ZERO, out=yb)
+    z = yb * yb
+    np.divide(1.0, z, out=z)
     num, den = _rational(_ERF_P[:4], _ERF_Q[:4], z, _ERF_P[5])
-    tail = z * (num + _ERF_P[4]) / (den + _ERF_Q[4])
-    erfc = _exp_neg_square(yb) * (_RSQRT_PI - tail) / yb
-    out[big] = (0.5 - erfc) + 0.5
-    return np.copysign(out, x)
+    num += _ERF_P[4]
+    num *= z
+    den += _ERF_Q[4]
+    num /= den
+    erfc = _exp_neg_square(yb)
+    erfc *= np.subtract(_RSQRT_PI, num, out=num)
+    erfc /= yb
+    out[big] = _one_minus(erfc)
+    return np.copysign(out, x, out=out)
 
 
 def _same(g):
@@ -273,6 +314,11 @@ class Tensor:
                                            (other, lambda g: -g * a / b ** 2)))
         return Tensor(a / other, _parents=((self, lambda g: g / other),))
 
+    def __rtruediv__(self, other):
+        a = self.values
+        return Tensor(other / a, _parents=(
+            (self, lambda g: -g * other / a ** 2),))
+
     def __pow__(self, exponent):
         exponent = float(exponent)
         a = self.values
@@ -281,6 +327,9 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
+
+    def __rmatmul__(self, other):
+        return matmul(other, self)
 
     # -- reductions and reshaping ------------------------------------------
 
@@ -377,9 +426,9 @@ def softmax_rows(x):
     x = Tensor._coerce(x)
     if x.values.ndim < 1 or x.shape[-1] < 1:
         raise DimensionError(f"softmax_rows needs a non-empty last axis, got {x.shape}")
-    shifted = x.values - x.values.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = x.values - x.values.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
     # dL/dx = p * (g - sum(g * p))
     return Tensor(p, _parents=(
         (x, lambda g: p * (g - (g * p).sum(axis=-1, keepdims=True))),))
@@ -408,10 +457,11 @@ def layer_norm(x, gain, bias, eps=1e-5):
             f"and {bias.shape}")
     if eps <= 0:
         raise ValueError("layer_norm eps must be positive")
-    mu = x.values.mean(axis=-1, keepdims=True)
-    var = x.values.var(axis=-1, keepdims=True)
+    z = x.values - x.values.mean(axis=-1, keepdims=True)
+    # np.var's own arithmetic: the mean of the squared deviations
+    var = (z * z).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    z = (x.values - mu) * inv
+    z *= inv
     gv = gain.values
 
     def dx(g):
@@ -420,7 +470,9 @@ def layer_norm(x, gain, bias, eps=1e-5):
             - z * (gz * z).mean(axis=-1, keepdims=True)
         return term * inv
 
-    return Tensor(z * gv + bias.values, _parents=(
+    out = z * gv
+    out += bias.values
+    return Tensor(out, _parents=(
         (x, dx),
         (gain, lambda g: (g * z).reshape(-1, d).sum(axis=0)),
         (bias, lambda g: g.reshape(-1, d).sum(axis=0))))
@@ -430,7 +482,9 @@ def gelu(x):
     """Exact (erf-based) GELU."""
     x = Tensor._coerce(x)
     v = x.values
-    cdf = 0.5 * (1.0 + _erf(v / math.sqrt(2.0)))
+    cdf = _erf(v / math.sqrt(2.0))
+    cdf += 1.0
+    cdf *= 0.5
     return Tensor(v * cdf, _parents=((x, lambda g: g * (
         cdf + v * (np.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi)))),))
 

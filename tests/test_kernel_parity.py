@@ -1,0 +1,263 @@
+"""The in-place kernels against the expressions they replaced, and their
+allocation bounds.
+
+Each reference below is a kernel as it was written before it computed its
+temporaries in place. Values and gradients must match it bit for bit: arrays
+are compared as int64 views, so a -0.0 against a 0.0 or a different NaN
+payload fails too. The allocation guards measure the peak of numpy's traced
+allocations during one forward call, which does not depend on the host.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from ttm_lab import numerics
+from ttm_lab.attention import (AttentionParams, _scaled_scores, _weigh,
+                               attention_baseline)
+from ttm_lab.numerics import (Rng, Tensor, _erf, gelu, layer_norm,
+                              softmax_rows)
+
+# -- references: the pre-change expressions -----------------------------------
+
+
+def ref_rational(coef_num, coef_den, z, lead):
+    num, den = lead * z, z
+    for a, b in zip(coef_num, coef_den):
+        num = (num + a) * z
+        den = (den + b) * z
+    return num, den
+
+
+def ref_exp_neg_square(y):
+    head = np.trunc(y * 16.0) / 16.0
+    return np.exp(-head * head) * np.exp(-(y - head) * (y + head))
+
+
+def ref_erf(x):
+    A, B, C, D, P, Q = (numerics._ERF_A, numerics._ERF_B, numerics._ERF_C,
+                        numerics._ERF_D, numerics._ERF_P, numerics._ERF_Q)
+    y = np.abs(x)
+    out = y.copy()
+    small = y <= 0.5
+    ys = y[small]
+    num, den = ref_rational(A[:3], B[:3], ys * ys, A[4])
+    out[small] = ys * (num + A[3]) / (den + B[3])
+    mid = (y > 0.5) & (y <= 4.0)
+    ym = y[mid]
+    num, den = ref_rational(C[:7], D[:7], ym, C[8])
+    erfc = ref_exp_neg_square(ym) * (num + C[7]) / (den + D[7])
+    out[mid] = (0.5 - erfc) + 0.5
+    big = y > 4.0
+    yb = np.minimum(y[big], numerics._ERFC_ZERO)
+    z = 1.0 / (yb * yb)
+    num, den = ref_rational(P[:4], Q[:4], z, P[5])
+    tail = z * (num + P[4]) / (den + Q[4])
+    erfc = ref_exp_neg_square(yb) * (numerics._RSQRT_PI - tail) / yb
+    out[big] = (0.5 - erfc) + 0.5
+    return np.copysign(out, x)
+
+
+def ref_softmax_rows(x):
+    shifted = x.values - x.values.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    p = e / e.sum(axis=-1, keepdims=True)
+    return Tensor(p, _parents=(
+        (x, lambda g: p * (g - (g * p).sum(axis=-1, keepdims=True))),))
+
+
+def ref_layer_norm(x, gain, bias, eps=1e-5):
+    d = x.shape[-1]
+    mu = x.values.mean(axis=-1, keepdims=True)
+    var = x.values.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    z = (x.values - mu) * inv
+    gv = gain.values
+
+    def dx(g):
+        gz = g * gv
+        term = gz - gz.mean(axis=-1, keepdims=True) \
+            - z * (gz * z).mean(axis=-1, keepdims=True)
+        return term * inv
+
+    return Tensor(z * gv + bias.values, _parents=(
+        (x, dx),
+        (gain, lambda g: (g * z).reshape(-1, d).sum(axis=0)),
+        (bias, lambda g: g.reshape(-1, d).sum(axis=0))))
+
+
+def ref_gelu(x):
+    v = x.values
+    cdf = 0.5 * (1.0 + ref_erf(v / math.sqrt(2.0)))
+    return Tensor(v * cdf, _parents=((x, lambda g: g * (
+        cdf + v * (np.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi)))),))
+
+
+def ref_scores(q, k, scale):
+    return (q @ k.T) * scale
+
+
+def ref_attention_baseline(x, params):
+    *lead, n, d = x.shape
+    qkv = x.reshape(*lead, 1, 1, n, d) @ params.W_qkv
+    q, k, v = (qkv[..., i, :, :] for i in range(3))
+    pre = q @ k.T * (1.0 / np.sqrt(params.d_k))
+    return _weigh(pre, v, params.W_o)
+
+
+# -- helpers -----------------------------------------------------------------
+
+
+def assert_bits_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(np.ascontiguousarray(got).view(np.int64),
+                          np.ascontiguousarray(want).view(np.int64))
+
+
+SHAPES = [(8, 5), (2, 3, 6, 6)]
+# signed zeros, subnormals and the float extremes a logit can reach
+EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300,
+                  -1e300, 1.0, -3.5])
+
+
+def inputs(shape, seed, edges=EDGES, scale=3.0):
+    """A random array of `shape` whose leading entries are `edges`."""
+    x = Rng(seed).normal(shape, 0.0, scale).reshape(-1)
+    x[:edges.size] = edges
+    return x.reshape(shape)
+
+
+def run_both(kernel, reference, arrays, seed):
+    """Values and leaf gradients of kernel and reference on the same leaves,
+    under one random upstream gradient."""
+    results = []
+    for fn in (kernel, reference):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = fn(*leaves)
+        w = Rng(seed).normal(out.shape)
+        (out * w).sum().backward()
+        results.append((out.values, [t.grad for t in leaves]))
+    return results
+
+
+def assert_same(results):
+    (got, got_grads), (want, want_grads) = results
+    assert_bits_equal(got, want)
+    for g, w in zip(got_grads, want_grads):
+        assert_bits_equal(g, w)
+
+
+# -- parity ------------------------------------------------------------------
+
+
+class TestErfParity:
+    def test_every_range_and_special_value(self):
+        edges = [0.0, 0.5, 4.0, 6.0, 27.0, 30.0]
+        x = np.concatenate([
+            np.linspace(-8.0, 8.0, 4001),
+            [np.nextafter(e, t) for e in edges for t in (-np.inf, np.inf)],
+            edges, EDGES, [np.inf, -np.inf, np.nan, -np.nan]])
+        x = np.concatenate([x, -x])
+        got = _erf(x)
+        assert_bits_equal(got, ref_erf(x))
+        assert np.isnan(got[np.isnan(x)]).all()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_shapes(self, shape):
+        x = inputs(shape, 1)
+        assert_bits_equal(_erf(x), ref_erf(x))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+class TestKernelParity:
+    def test_softmax_rows(self, shape):
+        assert_same(run_both(softmax_rows, ref_softmax_rows,
+                             [inputs(shape, 2)], 3))
+
+    def test_layer_norm(self, shape):
+        # squares of +-1e300 overflow the variance; +-1e150 is the largest
+        # scale whose variance stays finite
+        x = inputs(shape, 4, edges=np.array(
+            [0.0, -0.0, 5e-324, -5e-324, 1e150, -1e150, 2.0]))
+        d = shape[-1]
+        gain, bias = Rng(5).normal((2, d))
+        assert_same(run_both(layer_norm, ref_layer_norm, [x, gain, bias], 6))
+
+    def test_gelu(self, shape):
+        with np.errstate(over="ignore"):
+            assert_same(run_both(gelu, ref_gelu, [inputs(shape, 7)], 8))
+
+    def test_scaled_scores(self, shape):
+        # an upstream gradient of -5e-324 scales to -0.0 on the way down
+        *lead, n, _ = shape
+        q, k = inputs((2, *lead, n, 4), 9, scale=1.0)
+        for s in (0.5, 1.0 / np.sqrt(3)):
+            results = []
+            for fn in (_scaled_scores, ref_scores):
+                leaves = [Tensor(a, requires_grad=True) for a in (q, k)]
+                out = fn(*leaves, s)
+                w = inputs(out.shape, 10, edges=EDGES[:6])
+                (out * w).sum().backward()
+                results.append((out.values, [t.grad for t in leaves]))
+            assert_same(results)
+
+    def test_attention_baseline(self, shape):
+        # q, k and v are strided views of one stacked projection here
+        *lead, n, _ = shape
+        lead = lead[:1]
+        h, d, d_k = 2, 6, 3
+        rng = Rng(11)
+        arrays = [rng.normal((*lead, n, d)), rng.normal((h, 3, d, d_k)),
+                  rng.normal((h * d_k, d))]
+
+        def kernel(fn):
+            def run(x, W_qkv, W_o):
+                out = fn(x, AttentionParams(W_qkv=W_qkv, W_o=W_o))
+                return out.values + out.weights.sum() + out.pre_softmax.sum()
+            return run
+
+        assert_same(run_both(kernel(attention_baseline),
+                             kernel(ref_attention_baseline), arrays, 12))
+
+
+# -- allocation guards -------------------------------------------------------
+
+
+def peak_bytes(fn, *args):
+    """Peak traced bytes allocated during fn(*args), and its result."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base, out
+    finally:
+        tracemalloc.stop()
+
+
+class TestAllocation:
+    def test_softmax_builds_one_array(self):
+        x = Tensor(Rng(0).normal((256, 256)), requires_grad=True)
+        peak, out = peak_bytes(softmax_rows, x)
+        assert peak <= 1.25 * out.values.nbytes
+
+    def test_layer_norm_builds_two_arrays(self):
+        rng = Rng(1)
+        x = Tensor(rng.normal((256, 256)), requires_grad=True)
+        gain = Tensor(rng.normal((256,)), requires_grad=True)
+        bias = Tensor(rng.normal((256,)), requires_grad=True)
+        peak, out = peak_bytes(layer_norm, x, gain, bias)
+        assert peak <= 2.25 * out.values.nbytes
+
+    def test_attention_holds_scores_and_weights_only(self):
+        n, d = 256, 16
+        rng = Rng(2)
+        params = AttentionParams(
+            W_qkv=Tensor(rng.normal((1, 3, d, d)), requires_grad=True),
+            W_o=Tensor(rng.normal((d, d)), requires_grad=True))
+        x = Tensor(rng.normal((n, d)))
+        peak, _ = peak_bytes(attention_baseline, x, params)
+        assert peak <= 2.5 * n * n * 8

@@ -49,8 +49,8 @@ EVERY_OP = dict(BINARY_OPS, **{
 
 
 # Tensor-constant operands for every binary op, on either side; a float or an
-# ndarray operand for the ops that take one there (a Tensor has no reflected
-# `/` or `@`, and concat needs operands of rank 1 or more)
+# ndarray operand for the ops that take one (`@` and concat need operands of
+# rank 1 or more)
 CONSTANTS = {
     "tensor": lambda const: const,
     "float": lambda const: 0.75,
@@ -61,9 +61,7 @@ CONSTANT_CASES = [
                  if kind == "tensor" else f"{name}-{kind}-{const_first}")
     for name in BINARY_OPS for kind in CONSTANTS
     for const_first in (False, True)
-    if kind == "tensor"
-    or ((kind == "ndarray" or name in ("+", "-", "*", "/"))
-        and not (const_first and name in ("/", "@")))]
+    if kind == "tensor" or kind == "ndarray" or name in ("+", "-", "*", "/")]
 
 
 class TestMatmul:
