@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DimensionError, Tensor, softmax_rows
+from .numerics import DimensionError, Tensor, check_finite, softmax_rows
 
 
 class AttentionConfigError(ValueError):
@@ -115,6 +115,38 @@ def attention_baseline(x, params):
     q, k, v = (qkv[..., i, :, :] for i in range(3))
     pre = _scaled_scores(q, k, 1.0 / np.sqrt(params.d_k))
     return _weigh(pre, v, params.W_o)
+
+
+def _baseline_values(x, params):
+    """attention_baseline(x, params).values alone, computed off the tape.
+
+    The scores are written into one (..., h, n, n) array and the softmax
+    over that same array, so a call holds one n x n array per head where
+    attention_baseline holds the scores, the weights and their tape. The
+    arithmetic is attention_baseline's, in its order, so the values are
+    bit-identical. Every array attention_baseline checks is checked, and a
+    non-finite one raises NumericError naming it. No gradient can flow
+    through this path, so a Tensor that requires one is refused.
+    """
+    if x.requires_grad or params.W_qkv.requires_grad \
+            or params.W_o.requires_grad:
+        raise ValueError("_baseline_values records no tape; its input and "
+                         "projections must not require a gradient")
+    *lead, n, d = x.shape
+    h, d_k = params.head_count, params.d_k
+    qkv = check_finite(x.values.reshape(*lead, 1, 1, n, d)
+                       @ params.W_qkv.values, "attention projection")
+    q, k, v = (qkv[..., i, :, :] for i in range(3))
+    w = q @ np.swapaxes(k, -1, -2)
+    w *= 1.0 / np.sqrt(d_k)
+    check_finite(w, "attention scores")
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    check_finite(w, "attention weights")
+    heads = check_finite(w @ v, "attention weighted values")
+    merged = np.swapaxes(heads, -3, -2).reshape(*lead, n, h * d_k)
+    return check_finite(merged @ params.W_o.values, "attention output")
 
 
 def _check_field(base, field, params):

@@ -8,7 +8,7 @@ per-step thresholds, which keeps the active-set size within (1 - k/K) * n by
 construction; with K = 1 it is a single pass keeping every token whose mean
 temperature exceeds tau_p. Extraction reads only the last block's temperature
 field, so each extraction step runs the model only as far as that field
-(`final_field`); the final pass is the one full forward.
+(`final_field`), off the tape; the final pass is the one full forward.
 """
 
 import json

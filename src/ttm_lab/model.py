@@ -202,6 +202,13 @@ class ModelParams:
         self.W_out = t["head.w_out"]
         self.W_reason = t["head.w_reason"]
 
+    def detached(self):
+        """The same arrays behind tensors that require no gradient, so a
+        forward through them records no tape; nothing is copied."""
+        return ModelParams(self.cfg, tensors=OrderedDict(
+            (name, Tensor(t.values, check=False))
+            for name, t in self.tensors.items()))
+
     def zero_grad(self):
         for tensor in self.tensors.values():
             tensor.zero_grad()
@@ -218,14 +225,6 @@ def _scaled_field(field, multiplier, eps_min):
         eps_min, validate=False)
 
 
-def _block_field(x, block, cfg, temp_multiplier):
-    """A block's plain attention and the field derived from its output; both
-    depend on the block input alone."""
-    base = attn_mod.attention_baseline(x, block.attn)
-    field = compute_temperature(base.values, block.temp)
-    return base, _scaled_field(field, temp_multiplier, cfg.eps_min)
-
-
 def block_forward(x, block, cfg, temp_multiplier=1.0):
     """One transformer block; returns the output and the field it used.
 
@@ -233,7 +232,9 @@ def block_forward(x, block, cfg, temp_multiplier=1.0):
     per cfg.attention_variant on the plain logits and values (optionally
     blended back toward the plain weights) -> LN1(x + attn) -> LN2(. + FFN(.)).
     """
-    base, field = _block_field(x, block, cfg, temp_multiplier)
+    base = attn_mod.attention_baseline(x, block.attn)
+    field = _scaled_field(compute_temperature(base.values, block.temp),
+                          temp_multiplier, cfg.eps_min)
     if cfg.attention_variant == "baseline":
         att_values = base.values
     else:
@@ -301,11 +302,19 @@ def forward_embedded(x, params, temp_multiplier=1.0):
 def final_field(x, params):
     """The last block's field for an embedded input, as forward_embedded
     would give it, without the last block's modulated attention and FFN or
-    the output logits."""
-    x = _add_positions(x, params)
+    the output logits.
+
+    Inference only: x and the parameters are read through views that
+    require no gradient, so no tape is recorded, the field has no parents
+    and no gradient reaches x or params.
+    """
+    params = params.detached()
+    x = _add_positions(Tensor(Tensor._coerce(x).values, check=False), params)
     for block in params.blocks[:-1]:
         x, _ = block_forward(x, block, params.cfg)
-    return _block_field(x, params.blocks[-1], params.cfg, 1.0)[1]
+    last = params.blocks[-1]
+    return compute_temperature(attn_mod._baseline_values(x, last.attn),
+                               last.temp)
 
 
 def model_forward(tokens, params, temp_multiplier=1.0):

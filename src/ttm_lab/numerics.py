@@ -19,6 +19,7 @@ import numpy as np
 __all__ = [
     "NumericError",
     "DimensionError",
+    "check_finite",
     "Tensor",
     "Rng",
     "matmul",
@@ -36,6 +37,15 @@ class NumericError(ArithmeticError):
 
 class DimensionError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
+
+
+def check_finite(values, op):
+    """`values`, after checking that every entry is finite; otherwise a
+    NumericError names `op`, in the words a Tensor uses for its caller."""
+    if not np.isfinite(values).all():
+        raise NumericError(f"{op} produced non-finite values of shape "
+                           f"{values.shape}")
+    return values
 
 
 # W. J. Cody's rational Chebyshev approximations of erf and erfc (Math. Comp.
@@ -63,6 +73,7 @@ _ERF_Q = (2.56852019228982242e00, 1.87295284992346725e00,
           2.33520497626869185e-3)
 _RSQRT_PI = 5.6418958354775628695e-1
 _ERFC_ZERO = 27.0  # erfc(y) underflows to 0 beyond here; keeps y * y finite
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _rational(coef_num, coef_den, z, lead):
@@ -107,41 +118,47 @@ def _one_minus(erfc):
 def _erf(x):
     """Elementwise erf, within 2.3e-16 of math.erf.
 
-    Each of Cody's three ranges is evaluated only on the elements that fall
-    in it, so no full-size temporary is kept per range.
+    Each of Cody's three ranges is gathered by index, evaluated on the
+    elements that fall in it and scattered back, so no full-size temporary
+    is kept per range. The result is C-ordered, so its flat view is never a
+    copy, whatever the layout of x.
     """
-    out = np.abs(x)  # a NaN falls in no range and stays NaN
-    small = out <= 0.5
-    mid = (out > 0.5) & (out <= 4.0)
-    big = out > 4.0
-    ys = out[small]
-    num, den = _rational(_ERF_A[:3], _ERF_B[:3], ys * ys, _ERF_A[4])
-    num += _ERF_A[3]
-    num *= ys
-    den += _ERF_B[3]
-    num /= den
-    out[small] = num
-    ym = out[mid]
-    num, den = _rational(_ERF_C[:7], _ERF_D[:7], ym, _ERF_C[8])
-    num += _ERF_C[7]
-    erfc = _exp_neg_square(ym)
-    erfc *= num
-    den += _ERF_D[7]
-    erfc /= den
-    out[mid] = _one_minus(erfc)
-    yb = out[big]
-    np.minimum(yb, _ERFC_ZERO, out=yb)
-    z = yb * yb
-    np.divide(1.0, z, out=z)
-    num, den = _rational(_ERF_P[:4], _ERF_Q[:4], z, _ERF_P[5])
-    num += _ERF_P[4]
-    num *= z
-    den += _ERF_Q[4]
-    num /= den
-    erfc = _exp_neg_square(yb)
-    erfc *= np.subtract(_RSQRT_PI, num, out=num)
-    erfc /= yb
-    out[big] = _one_minus(erfc)
+    out = np.abs(x, order="C")  # a NaN falls in no range and stays NaN
+    flat = out.reshape(-1)
+    small = np.flatnonzero(flat <= 0.5)
+    mid = np.flatnonzero((flat > 0.5) & (flat <= 4.0))
+    big = np.flatnonzero(flat > 4.0)
+    if small.size:
+        ys = flat.take(small)
+        num, den = _rational(_ERF_A[:3], _ERF_B[:3], ys * ys, _ERF_A[4])
+        num += _ERF_A[3]
+        num *= ys
+        den += _ERF_B[3]
+        num /= den
+        flat[small] = num
+    if mid.size:
+        ym = flat.take(mid)
+        num, den = _rational(_ERF_C[:7], _ERF_D[:7], ym, _ERF_C[8])
+        num += _ERF_C[7]
+        erfc = _exp_neg_square(ym)
+        erfc *= num
+        den += _ERF_D[7]
+        erfc /= den
+        flat[mid] = _one_minus(erfc)
+    if big.size:
+        yb = flat.take(big)
+        np.minimum(yb, _ERFC_ZERO, out=yb)
+        z = yb * yb
+        np.divide(1.0, z, out=z)
+        num, den = _rational(_ERF_P[:4], _ERF_Q[:4], z, _ERF_P[5])
+        num += _ERF_P[4]
+        num *= z
+        den += _ERF_Q[4]
+        num /= den
+        erfc = _exp_neg_square(yb)
+        erfc *= np.subtract(_RSQRT_PI, num, out=num)
+        erfc /= yb
+        flat[big] = _one_minus(erfc)
     return np.copysign(out, x, out=out)
 
 
@@ -485,8 +502,19 @@ def gelu(x):
     cdf = _erf(v / math.sqrt(2.0))
     cdf += 1.0
     cdf *= 0.5
-    return Tensor(v * cdf, _parents=((x, lambda g: g * (
-        cdf + v * (np.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi)))),))
+
+    def dx(g):
+        # g * (cdf + v * exp(-v^2 / 2) / sqrt(2 pi)), in one buffer
+        out = np.multiply(v, -0.5)
+        out *= v
+        np.exp(out, out=out)
+        out /= _SQRT_2PI
+        out *= v
+        out += cdf
+        out *= g
+        return out
+
+    return Tensor(v * cdf, _parents=((x, dx),))
 
 
 def grad_check(f, x, eps=1e-5):

@@ -13,7 +13,7 @@ from ttm_lab.gsot import (BACKTRACK, CONTINUE, EmptyPathError, GsotConfig,
                           recovery_step, schedule_target)
 from ttm_lab.model import (ModelConfig, ModelParams, final_field,
                            forward_embedded, reasoning_head)
-from ttm_lab.numerics import Rng, Tensor
+from ttm_lab.numerics import NumericError, Rng, Tensor
 
 
 def toy_model(seed=0, **kw):
@@ -209,6 +209,23 @@ class TestPipeline:
         with pytest.raises(ValueError, match=r"outside \[0, 12\)"):
             gsot_pipeline([1, 2, bad, 3], uni, params, GsotConfig(K=K))
         assert calls == []
+
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_overflowing_scores_raise_naming_the_op(self, K):
+        # q and k stay finite at this scale, their products do not
+        params = toy_model(seed=3)
+        params.blocks[0].attn.W_qkv.values[...] *= 1e160
+        universe = toy_universe(params)
+        X = [1, 2, 3, 4, 5, 6]
+        x = Tensor(universe.primary[X])
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError,
+                               match="^_scaled_scores produced"):
+                forward_embedded(x, params)
+            with pytest.raises(NumericError,
+                               match=r"^attention scores produced non-finite "
+                                     r"values of shape \(2, 6, 6\)"):
+                gsot_pipeline(X, universe, params, GsotConfig(K=K))
 
     def test_trace_deterministic(self):
         def run():

@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 from ttm_lab import numerics
-from ttm_lab.attention import (AttentionParams, _scaled_scores, _weigh,
-                               attention_baseline)
-from ttm_lab.numerics import (Rng, Tensor, _erf, gelu, layer_norm,
-                              softmax_rows)
+from ttm_lab.attention import (AttentionParams, _baseline_values,
+                               _scaled_scores, _weigh, attention_baseline)
+from ttm_lab.numerics import (NumericError, Rng, Tensor, _erf, gelu,
+                              layer_norm, softmax_rows)
 
 # -- references: the pre-change expressions -----------------------------------
 
@@ -170,6 +170,26 @@ class TestErfParity:
         x = inputs(shape, 1)
         assert_bits_equal(_erf(x), ref_erf(x))
 
+    def test_transposed_input(self):
+        x = inputs((7, 12), 13).T
+        got = _erf(x)
+        assert got.flags.c_contiguous
+        assert_bits_equal(got, ref_erf(x))
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 0.5),
+                                        (np.nextafter(0.5, 1.0), 4.0),
+                                        (np.nextafter(4.0, 5.0), 30.0)])
+    def test_one_range_at_a_time(self, lo, hi):
+        # every |x| in the one range [lo, hi], so the other two are empty:
+        # its first and last values and their neighbours inside it
+        x = np.concatenate([np.linspace(lo, hi, 257),
+                            [np.nextafter(lo, hi), np.nextafter(hi, lo)]])
+        x = np.concatenate([x, -x])[::-1].reshape(2, -1)
+        assert_bits_equal(_erf(x), ref_erf(x))
+
+    def test_empty_input(self):
+        assert _erf(np.empty((0, 3))).shape == (0, 3)
+
 
 @pytest.mark.parametrize("shape", SHAPES)
 class TestKernelParity:
@@ -222,6 +242,18 @@ class TestKernelParity:
         assert_same(run_both(kernel(attention_baseline),
                              kernel(ref_attention_baseline), arrays, 12))
 
+    @pytest.mark.parametrize("h", [1, 2, 4])
+    def test_baseline_values(self, shape, h):
+        # the off-tape path against the Tensor path it stands in for
+        *lead, n, _ = shape
+        d, d_k = 8, 2
+        rng = Rng(13 + h)
+        x = Tensor(rng.normal((*lead[:1], n, d)))
+        params = AttentionParams(W_qkv=Tensor(rng.normal((h, 3, d, d_k))),
+                                 W_o=Tensor(rng.normal((h * d_k, d))))
+        assert_bits_equal(_baseline_values(x, params),
+                          attention_baseline(x, params).values.values)
+
 
 # -- allocation guards -------------------------------------------------------
 
@@ -261,3 +293,39 @@ class TestAllocation:
         x = Tensor(rng.normal((n, d)))
         peak, _ = peak_bytes(attention_baseline, x, params)
         assert peak <= 2.5 * n * n * 8
+
+    def test_baseline_values_hold_one_array(self):
+        # attention_baseline holds 2.33 n x n arrays at this size
+        n, d = 256, 16
+        rng = Rng(2)
+        params = AttentionParams(W_qkv=Tensor(rng.normal((1, 3, d, d))),
+                                 W_o=Tensor(rng.normal((d, d))))
+        x = Tensor(rng.normal((n, d)))
+        peak, _ = peak_bytes(_baseline_values, x, params)
+        assert peak <= 1.5 * n * n * 8
+
+
+class TestBaselineValuesChecks:
+    @pytest.mark.parametrize("grad_on", ["x", "W_qkv", "W_o"])
+    def test_refuses_what_requires_a_gradient(self, grad_on):
+        rng = Rng(3)
+        arrays = {"x": rng.normal((5, 6)), "W_qkv": rng.normal((2, 3, 6, 3)),
+                  "W_o": rng.normal((6, 6))}
+        t = {k: Tensor(a, requires_grad=k == grad_on)
+             for k, a in arrays.items()}
+        params = AttentionParams(W_qkv=t["W_qkv"], W_o=t["W_o"])
+        with pytest.raises(ValueError, match="records no tape"):
+            _baseline_values(t["x"], params)
+
+    @pytest.mark.parametrize("w_qkv, w_o, op", [
+        (1e308, 1.0, "attention projection"),
+        (1e160, 1.0, "attention scores"),
+        (1.0, 1e308, "attention output")])
+    def test_overflow_names_the_array(self, w_qkv, w_o, op):
+        # constant positive fills, so every sum adds up to the overflow
+        params = AttentionParams(W_qkv=Tensor(np.full((2, 3, 6, 3), w_qkv)),
+                                 W_o=Tensor(np.full((6, 6), w_o)))
+        x = Tensor(np.full((5, 6), 10.0))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match=f"^{op} produced"):
+            _baseline_values(x, params)

@@ -183,11 +183,46 @@ class TestFinalField:
                                                 ("outer", 0.0), ("outer", 0.3),
                                                 ("broadcast", 0.3)])
     def test_matches_full_forward_bitwise(self, layers, variant, alpha):
-        params = ModelParams(toy_cfg(layers=layers, attention_variant=variant,
-                                     blend_alpha=alpha, seed=layers))
+        self.assert_matches(layers=layers, attention_variant=variant,
+                            blend_alpha=alpha, seed=layers)
+
+    # toy_cfg's 2 heads run above
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("variant, alpha", [("baseline", 0.0),
+                                                ("broadcast", 0.3),
+                                                ("outer", 0.0)])
+    def test_matches_full_forward_bitwise_per_head_count(self, heads, layers,
+                                                         variant, alpha):
+        self.assert_matches(heads=heads, layers=layers,
+                            attention_variant=variant, blend_alpha=alpha,
+                            seed=heads)
+
+    @staticmethod
+    def assert_matches(**cfg):
+        params = ModelParams(toy_cfg(**cfg))
         x = Tensor(Rng(9).normal((6, 8)))
         want = forward_embedded(x, params)[1][-1].array()
         assert np.array_equal(final_field(x, params).array(), want)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_runs_off_the_tape(self, layers):
+        params = ModelParams(toy_cfg(layers=layers))
+        x = Tensor(Rng(9).normal((6, 8)), requires_grad=True)
+        field = final_field(x, params).values
+        assert field._parents == () and not field.requires_grad
+        field.sum().backward()
+        assert x.grad is None
+        assert all(t.grad is None for _, t in params.named_tensors())
+
+    def test_detached_shares_arrays_without_gradients(self):
+        params = ModelParams(toy_cfg())
+        view = params.detached()
+        for (name, t), (view_name, v) in zip(params.named_tensors(),
+                                             view.named_tensors()):
+            assert name == view_name and v.values is t.values
+            assert t.requires_grad and not v.requires_grad
+        assert view.blocks[0].attn.W_qkv is view.tensors["block0.attn.wqkv"]
 
     def test_rejects_past_max_seq_len(self):
         params = ModelParams(toy_cfg())
