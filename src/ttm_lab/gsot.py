@@ -8,7 +8,10 @@ per-step thresholds, which keeps the active-set size within (1 - k/K) * n by
 construction; with K = 1 it is a single pass keeping every token whose mean
 temperature exceeds tau_p. Extraction reads only the last block's temperature
 field, so each extraction step runs the model only as far as that field
-(`final_field`), off the tape; the final pass is the one full forward.
+(`final_field`), off the tape, through one frozen view of the parameters per
+call; the final pass is the one full forward. The active set is an array of
+sequence positions, and hidden admission builds one table per call, scoring
+each distinct surviving id once.
 """
 
 import json
@@ -177,18 +180,27 @@ def schedule_target(n, K, k):
     return ((K - k) * n) // K
 
 
-def _admit_hidden(x, context, universe, cfg):
-    """Hidden ids admitted for primary token x, and the MACs of scoring them.
+def _admit_hidden(ids, context, universe, cfg):
+    """Hidden ids admitted for the primary tokens `ids`, token by token, and
+    the MACs of scoring them.
 
     A candidate enters iff its probability strictly exceeds theta and its
-    relevance-scaled temperature strictly exceeds tau_h.
+    relevance-scaled temperature strictly exceeds tau_h. Admission depends
+    only on (id, context), so each distinct id is scored once, into a table
+    that its repeats read, and each candidate's unscaled temperature is
+    computed once; the MACs still charge one scoring per token.
     """
-    probs = hidden_token_probs(x, context, universe)
     base = universe.vocab_size
-    admitted = [base + j for j, p in enumerate(probs)
-                if p > cfg.theta
-                and hidden_temperature(base + j, p, universe) > cfg.tau_h]
-    macs = universe.hidden_count * (universe.W_h.shape[1] + universe.primary.shape[1])
+    temps = [hidden_temperature(h, 1.0, universe) for h in universe.hidden_ids()]
+    table, admitted = {}, []
+    for x in ids:
+        if x not in table:
+            probs = hidden_token_probs(x, context, universe)
+            table[x] = [base + j for j, (p, t) in enumerate(zip(probs, temps))
+                        if p > cfg.theta and t * p > cfg.tau_h]
+        admitted += table[x]
+    macs = len(ids) * universe.hidden_count * (
+        universe.W_h.shape[1] + universe.primary.shape[1])
     return admitted, macs
 
 
@@ -211,32 +223,38 @@ def gsot_pipeline(X, universe, params, cfg, context=None):
     tau_p thresholding for K = 1). Stage 2 appends active hidden-token
     embeddings to the surviving sequence. Stage 3 runs the model and the
     reasoning head over the integrated sequence. Every id in X must lie in
-    the primary vocabulary.
+    the primary vocabulary, and the context must be a finite (d_c,) vector.
     """
-    X = list(X)
+    X = np.asarray(list(X))
     check_token_ids(X, universe.vocab_size)
+    X = X.astype(np.intp, copy=False)
     n = len(X)
+    d_c = params.cfg.d_c
     if context is None:
-        context = np.zeros(params.cfg.d_c)
+        context = np.zeros(d_c)
     context = np.asarray(context, dtype=np.float64)
+    if context.shape != (d_c,) or not np.isfinite(context).all():
+        raise ValueError(f"context must be a finite (d_c,) = ({d_c},) "
+                         f"vector, got shape {context.shape}")
+    frozen = params.detached()
     trace = ReasoningTrace()
     ops = 0
 
-    # stage 1: primary extraction
-    active = list(range(n))
+    # stage 1: primary extraction; `active` holds sequence positions
     if cfg.K == 1:
         emb = Tensor(universe.primary[X], check=False)
         ops += forward_macs(n, params.cfg)
-        temps = _token_temps(final_field(emb, params))
-        active = [i for i in active if temps[i] > cfg.tau_p]
+        temps = _token_temps(final_field(emb, frozen))
+        active = np.flatnonzero(temps > cfg.tau_p)
         mean_t = float(temps.mean())
-        trace.add(step=1, active_primary=list(active), active_hidden=[],
+        trace.add(step=1, active_primary=active.tolist(), active_hidden=[],
                   mean_temperature=mean_t, decision=CONTINUE, op_count=ops)
     else:
+        active = np.arange(n)
         for k in range(1, cfg.K):
-            emb = Tensor(universe.primary[[X[i] for i in active]], check=False)
-            ops += forward_macs(len(active), params.cfg)
-            temps = _token_temps(final_field(emb, params))
+            emb = Tensor(universe.primary[X[active]], check=False)
+            ops += forward_macs(active.size, params.cfg)
+            temps = _token_temps(final_field(emb, frozen))
             target = schedule_target(n, cfg.K, k)
             # on a backtrack, the alternate branch drops the coldest survivor
             for size in (target, max(target - 1, 1)):
@@ -244,39 +262,38 @@ def gsot_pipeline(X, universe, params, cfg, context=None):
                 if not keep.size:
                     raise EmptyPathError(
                         f"primary extraction emptied the active set at step {k}")
-                candidate = [active[i] for i in keep]
                 mean_t = float(temps[keep].mean())
                 decision = recovery_step(mean_t, cfg)
                 if decision == CONTINUE:
                     break
-            active = candidate
-            trace.add(step=k, active_primary=list(active), active_hidden=[],
+            active = active[keep]
+            trace.add(step=k, active_primary=active.tolist(), active_hidden=[],
                       mean_temperature=mean_t, decision=decision, op_count=ops)
             if decision == BACKTRACK:
                 trace.failed = True
                 break
-    if not active:
+    if not active.size:
         raise EmptyPathError("all tokens filtered during primary extraction")
 
     # stage 2: hidden generation and integration
-    h_active = []
-    for i in active:
-        admitted, macs = _admit_hidden(X[i], context, universe, cfg)
-        h_active += admitted
-        ops += macs
+    ids = X[active]
+    h_active, macs = _admit_hidden(ids.tolist(), context, universe, cfg)
+    ops += macs
 
     # stage 3: integrated forward and reasoning head
-    rows = [universe.primary[X[i]] for i in active]
-    rows += [universe.hidden_embedding(h) for h in h_active]
-    emb = Tensor(np.asarray(rows), check=False)
+    rows = universe.primary[ids]
+    if h_active:
+        rows = np.concatenate(
+            [rows, universe.hidden_embedding(np.asarray(h_active))])
+    emb = Tensor(rows, check=False)
     logits, fields, hidden_states = forward_embedded(emb, params)
     m = len(rows)
     ops += forward_macs(m, params.cfg)
     probs = reasoning_head(hidden_states, fields[-1], params.W_reason)
     ops += m * params.W_reason.shape[0] * params.W_reason.shape[1]
     final_step = trace.steps[-1].step + 1 if trace.steps else 1
-    trace.add(step=final_step, active_primary=list(active),
-              active_hidden=list(h_active),
+    trace.add(step=final_step, active_primary=active.tolist(),
+              active_hidden=h_active,
               mean_temperature=float(_token_temps(fields[-1]).mean()),
               decision=CONTINUE, op_count=ops)
     return probs, trace

@@ -204,7 +204,10 @@ class ModelParams:
 
     def detached(self):
         """The same arrays behind tensors that require no gradient, so a
-        forward through them records no tape; nothing is copied."""
+        forward through them records no tape; nothing is copied. A view
+        whose tensors already require none is returned as it is."""
+        if not any(t.requires_grad for t in self.tensors.values()):
+            return self
         return ModelParams(self.cfg, tensors=OrderedDict(
             (name, Tensor(t.values, check=False))
             for name, t in self.tensors.items()))

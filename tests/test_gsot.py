@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import math
 
@@ -11,7 +13,7 @@ from ttm_lab.gsot import (BACKTRACK, CONTINUE, EmptyPathError, GsotConfig,
                           complexity_fit, forward_macs, gsot_pipeline,
                           hidden_temperature, hidden_token_probs,
                           recovery_step, schedule_target)
-from ttm_lab.model import (ModelConfig, ModelParams, final_field,
+from ttm_lab.model import (VARIANTS, ModelConfig, ModelParams, final_field,
                            forward_embedded, reasoning_head)
 from ttm_lab.numerics import NumericError, Rng, Tensor
 
@@ -39,7 +41,7 @@ def spread_universe(params, seed):
 
 
 def admitted(x, context, universe, **cfg):
-    return _admit_hidden(x, context, universe, GsotConfig(**cfg))[0]
+    return _admit_hidden([x], context, universe, GsotConfig(**cfg))[0]
 
 
 def step1_active(X, universe, params, tau_p):
@@ -102,8 +104,11 @@ class TestHiddenTokens:
     def test_admission_macs_count_scored_candidates(self):
         params = toy_model()
         uni = toy_universe(params, hidden_count=5)
-        _, macs = _admit_hidden(1, np.zeros(4), uni, GsotConfig())
+        _, macs = _admit_hidden([1], np.zeros(4), uni, GsotConfig())
         assert macs == 5 * ((8 + 4) + 8)
+        # a repeated id is scored once but charged per token
+        _, macs = _admit_hidden([1, 3, 1], np.zeros(4), uni, GsotConfig())
+        assert macs == 3 * 5 * ((8 + 4) + 8)
 
     def test_unknown_primary_token(self):
         uni = toy_universe(toy_model())
@@ -211,6 +216,63 @@ class TestPipeline:
         assert calls == []
 
     @pytest.mark.parametrize("K", [1, 3])
+    @pytest.mark.parametrize("X, context, match", [
+        ([1, 2, 2.5, 3], None, "token ids must be integers"),
+        ([1, 2, 3], np.zeros(3), r"finite \(d_c,\) = \(4,\) vector"),
+        ([1, 2, 3], np.zeros((2, 2)), r"finite \(d_c,\) = \(4,\) vector"),
+        ([1, 2, 3], np.array([0.0, np.nan, 0.0, 0.0]),
+         r"finite \(d_c,\) = \(4,\) vector"),
+    ], ids=["fractional-id", "short-context", "matrix-context",
+            "nan-context"])
+    def test_bad_input_rejected_before_forward(self, monkeypatch, X, context,
+                                               match, K):
+        params = toy_model(seed=14)
+        uni = toy_universe(params)
+        calls = []
+        for name in ("final_field", "forward_embedded"):
+            monkeypatch.setattr(gsot, name, lambda *a, **kw: calls.append(a))
+        with pytest.raises(ValueError, match=match):
+            gsot_pipeline(X, uni, params, GsotConfig(K=K), context=context)
+        assert calls == []
+
+    def test_scores_each_distinct_survivor_once_through_one_view(
+            self, monkeypatch):
+        # 9 tokens of 2 distinct ids, K = 3: two extraction passes leave 3
+        # survivors, so at least one id repeats among them
+        params = toy_model(seed=7, temp_init_std=0.2)
+        uni = spread_universe(params, seed=8)
+        X = [4, 9, 4, 4, 9, 4, 9, 9, 4]
+        cfg = GsotConfig(theta=0.05, tau_h=0.05, tau_backtrack=0.01, K=3)
+        probs_calls, temp_calls, views = [], [], []
+
+        def probs_spy(x, context, universe):
+            probs_calls.append(x)
+            return hidden_token_probs(x, context, universe)
+
+        def temp_spy(hidden_id, relevance, universe):
+            temp_calls.append((hidden_id, relevance))
+            return hidden_temperature(hidden_id, relevance, universe)
+
+        detached = ModelParams.detached
+
+        def detached_spy(self):
+            views.append((self, detached(self)))
+            return views[-1][1]
+
+        monkeypatch.setattr(gsot, "hidden_token_probs", probs_spy)
+        monkeypatch.setattr(gsot, "hidden_temperature", temp_spy)
+        monkeypatch.setattr(ModelParams, "detached", detached_spy)
+        _, trace = gsot_pipeline(X, uni, params, cfg)
+        survivors = [X[i] for i in trace.steps[-1].active_primary]
+        assert len(survivors) == 3 and trace.steps[-1].active_hidden
+        assert probs_calls == list(dict.fromkeys(survivors))
+        assert temp_calls == [(h, 1.0) for h in uni.hidden_ids()]
+        # one view is built; each extraction pass's final_field gets it back
+        view = views[0][1]
+        assert view is not params
+        assert views == [(params, view), (view, view), (view, view)]
+
+    @pytest.mark.parametrize("K", [1, 3])
     def test_overflowing_scores_raise_naming_the_op(self, K):
         # q and k stay finite at this scale, their products do not
         params = toy_model(seed=3)
@@ -261,6 +323,61 @@ class TestPipeline:
         _, trace = gsot_pipeline([5] * 8, uni, params, GsotConfig(K=3))
         ops = [s.op_count for s in trace.steps]
         assert all(a <= b for a, b in zip(ops, ops[1:]))
+
+
+# `random_pipelines_digest()` recorded at commit e5ae6c9, whose pipeline
+# walked the active set and the admission rule token by token in Python: a
+# change to any computed value, or to the order of the trace, changes it
+PIPELINE_PARITY_SHA256 = (
+    "775caab8186773aeb258cc62c233a7f266c6cb378cdad83b6306301d1e7f0198")
+
+
+def random_pipelines_digest():
+    """sha256 over 54 random pipelines (layers 1-3 x heads 1/2/4 x every
+    variant x blend_alpha 0/0.3, K 1-6, n 2-23 over 6 ids, random context)
+    of each run's probabilities and trace, or its EmptyPathError message;
+    also a tally of the paths the runs took."""
+    digest = hashlib.sha256()
+    rng = Rng(1414)
+    tally = {"empty": 0, "backtrack": 0, "repeated_admitting": 0}
+
+    def u(lo, hi):
+        return float(rng.uniform((), lo, hi))
+
+    for layers, heads, variant, alpha in itertools.product(
+            (1, 2, 3), (1, 2, 4), VARIANTS, (0.0, 0.3)):
+        params = ModelParams(ModelConfig(
+            d_model=8, heads=heads, layers=layers, d_ff=16, vocab_size=6,
+            d_c=4, attention_variant=variant, blend_alpha=alpha,
+            temp_init_std=u(0.05, 1.0), seed=int(rng.integers(0, 1 << 30)),
+            max_seq_len=24))
+        universe = spread_universe(params, seed=int(rng.integers(0, 1 << 30)))
+        cfg = GsotConfig(theta=u(0.05, 0.4), tau_p=u(0.3, 0.7),
+                         tau_h=u(0.05, 0.5), tau_backtrack=u(0.05, 0.6),
+                         K=int(rng.integers(1, 7)))
+        X = rng.integers(0, 6, size=int(rng.integers(2, 24))).tolist()
+        context = rng.normal((4,))
+        try:
+            probs, trace = gsot_pipeline(X, universe, params, cfg,
+                                         context=context)
+        except EmptyPathError as exc:
+            digest.update(str(exc).encode())
+            tally["empty"] += 1
+            continue
+        digest.update(probs.values.tobytes())
+        digest.update(trace.to_jsonl().encode())
+        tally["backtrack"] += trace.failed
+        last = trace.steps[-1]
+        ids = [X[i] for i in last.active_primary]
+        if last.active_hidden and len(set(ids)) < len(ids):
+            tally["repeated_admitting"] += 1
+    return digest.hexdigest(), tally
+
+
+def test_random_pipelines_match_recorded_digest():
+    got, tally = random_pipelines_digest()
+    assert min(tally.values()) > 0, tally
+    assert got == PIPELINE_PARITY_SHA256
 
 
 class TestRecovery:

@@ -35,8 +35,6 @@ ALLOWED = {
     "eval_arith_program": "reference evaluator for arithmetic programs",
     "memory_estimate": "the lab's record of the paper's memory claim",
     "PUBLISHED_MEMORY_CLAIM_BYTES": "the paper's published memory figure",
-    "TokenUniverse.hidden_ids": "the id range of the hidden tokens; the gsot "
-                                "tests check it against the primary range",
     "Rng.permutation": "seeded permutation for the attention "
                        "permutation-equivariance test",
     "TrainHistory.column": "one metric over all steps; acceptance gate 09 "

@@ -223,6 +223,7 @@ class TestFinalField:
             assert name == view_name and v.values is t.values
             assert t.requires_grad and not v.requires_grad
         assert view.blocks[0].attn.W_qkv is view.tensors["block0.attn.wqkv"]
+        assert view.detached() is view
 
     def test_rejects_past_max_seq_len(self):
         params = ModelParams(toy_cfg())
