@@ -15,8 +15,8 @@ from .gsot import GsotConfig, TokenUniverse, build_universe, gsot_pipeline
 from .model import (ModelConfig, ModelParams, checkpoint_load,
                     checkpoint_save, model_forward)
 from .numerics import NumericError, Rng, Tensor, grad_check
-from .temperature import (TemperatureField, collapse_penalty,
-                          compute_temperature, detect_collapse, squash)
+from .temperature import (collapse_penalty, compute_temperature,
+                          detect_collapse, squash)
 from .training import (TaskSpec, TrainConfig, confidence_interval, evaluate,
                        make_task, significance_label, train)
 
@@ -31,8 +31,7 @@ __all__ = [
     "ModelConfig", "ModelParams", "checkpoint_load", "checkpoint_save",
     "model_forward",
     "NumericError", "Rng", "Tensor", "grad_check",
-    "TemperatureField", "collapse_penalty", "compute_temperature",
-    "detect_collapse", "squash",
+    "collapse_penalty", "compute_temperature", "detect_collapse", "squash",
     "TaskSpec", "TrainConfig", "confidence_interval", "evaluate", "make_task",
     "significance_label", "train",
 ]

@@ -151,9 +151,9 @@ def _baseline_values(x, params):
 
 def _check_field(base, field, params):
     """The field must be (..., h, n) for base's (..., h, n, n) weights."""
-    if field.values.shape != base.weights.shape[:-1]:
+    if field.shape != base.weights.shape[:-1]:
         raise DimensionError(
-            f"field shape {field.values.shape} does not match "
+            f"field shape {field.shape} does not match "
             f"h={params.head_count} and weights {base.weights.shape}")
 
 
@@ -164,8 +164,8 @@ def attention_temp_broadcast(base, params, field):
     an information source.
     """
     _check_field(base, field, params)
-    *lead, h, n = field.values.shape
-    mod = field.values.reshape(*lead, h, 1, n)
+    *lead, h, n = field.shape
+    mod = field.reshape(*lead, h, 1, n)
     return _weigh(base.pre_softmax * mod, base.v, params.W_o)
 
 
@@ -175,9 +175,8 @@ def attention_temp_outer(base, params, field):
     Logit [h, i, j] is multiplied by T[h, i] * T[h, j].
     """
     _check_field(base, field, params)
-    t = field.values
-    *lead, h, n = t.shape
-    outer = t.reshape(*lead, h, n, 1) * t.reshape(*lead, h, 1, n)
+    *lead, h, n = field.shape
+    outer = field.reshape(*lead, h, n, 1) * field.reshape(*lead, h, 1, n)
     return _weigh(base.pre_softmax * outer, base.v, params.W_o)
 
 

@@ -20,9 +20,9 @@ import numpy as np
 from . import dynamics, gsot, training
 from .attention import (attention_baseline, attention_temp_broadcast,
                         attention_temp_outer)
-from .model import ModelConfig, ModelParams, check_token_ids, model_forward
+from .model import ModelConfig, ModelParams, model_forward
 from .numerics import NumericError, Rng, Tensor, grad_check, layer_norm, gelu, softmax_rows
-from .temperature import TemperatureField, compute_temperature, squash
+from .temperature import compute_temperature, squash
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -89,9 +89,8 @@ def _check_plain_blocks(resolved, model_cfg, gsot_given):
                                sweep["steps"], sweep["log_spacing"])
     blk = resolved["gsot"]
     seq = blk["sequence"]
-    if seq is not None:
-        check_token_ids(seq, model_cfg.vocab_size)
-    n = blk["length"] if seq is None else len(seq)
+    n = blk["length"] if seq is None else \
+        len(gsot.check_sequence(seq, model_cfg.vocab_size))
     if n < 1:
         raise ValueError(f"gsot sequence length {n} must be >= 1")
     # only a length the file sets must fit the model: the default one must
@@ -172,7 +171,7 @@ def _check_temperature_bounds(model_cfg):
         tokens = rng.integers(0, model_cfg.vocab_size, size=6)
         _, fields = model_forward(tokens, params)
         for f in fields:
-            v = f.array()
+            v = f.values
             assert v.min() >= model_cfg.eps_min - 1e-15, f"field below {model_cfg.eps_min}"
             assert v.max() <= 1.0 - model_cfg.eps_min + 1e-15, "field above bound"
 
@@ -199,8 +198,7 @@ def _check_identity_reduction(model_cfg):
     block = params.blocks[0]
     n = 6
     x = Tensor(rng.normal((n, model_cfg.d_model)))
-    unit = TemperatureField(Tensor(np.ones((model_cfg.heads, n))),
-                            model_cfg.eps_min, validate=False)
+    unit = Tensor(np.ones((model_cfg.heads, n)))
     base = attention_baseline(x, block.attn)
     for out in (attention_temp_broadcast(base, block.attn, unit),
                 attention_temp_outer(base, block.attn, unit)):
@@ -401,10 +399,8 @@ def bench_op_counts(blk, gsot_cfg, seed):
         rng = Rng(seed + n)
         universe = gsot.build_universe(params, blk["hidden_count"], rng)
         seq = [int(v) for v in rng.integers(0, cfg.vocab_size, size=n)]
-        run_cfg = gsot.GsotConfig(theta=gsot_cfg.theta, tau_p=gsot_cfg.tau_p,
-                                  tau_h=gsot_cfg.tau_h,
-                                  tau_backtrack=gsot_cfg.tau_backtrack,
-                                  K=max(2, math.ceil(math.log2(n))))
+        run_cfg = dataclasses.replace(gsot_cfg,
+                                      K=max(2, math.ceil(math.log2(n))))
         _, trace = gsot.gsot_pipeline(seq, universe, params, run_cfg)
         counts.append((n, trace.steps[-1].op_count))
     return counts

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, Tensor
-from .temperature import DEFAULT_EPS_MIN, TemperatureField
+from .numerics import Rng
+from .temperature import DEFAULT_EPS_MIN
 
 
 @dataclass
@@ -20,15 +20,13 @@ class EvolutionConfig:
 
 
 def evolve_layer(field, cfg):
-    """One layer step: affine contraction toward 0.5.
+    """One layer step on a field array: affine contraction toward 0.5.
 
-    T' = clamp(0.5 + gain * (T - 0.5) + bias) into [eps_min, 1 - eps_min].
+    T' = clamp(0.5 + gain * (T - 0.5) + bias) into [eps_min, 1 - eps_min],
+    with eps_min = DEFAULT_EPS_MIN.
     """
-    v = field.array()
-    out = 0.5 + cfg.gain * (v - 0.5) + cfg.bias
-    out = np.clip(out, field.eps_min, 1.0 - field.eps_min)
-    return TemperatureField(Tensor(out, check=False), field.eps_min,
-                            validate=False)
+    out = 0.5 + cfg.gain * (field - 0.5) + cfg.bias
+    return np.clip(out, DEFAULT_EPS_MIN, 1.0 - DEFAULT_EPS_MIN)
 
 
 @dataclass
@@ -55,7 +53,7 @@ def iterate_to_fixed_point(update, start, tol, max_iter):
     converged = False
     for _ in range(max_iter):
         nxt = update(current)
-        r = float(np.linalg.norm(nxt.array() - current.array()))
+        r = float(np.linalg.norm(nxt - current))
         residuals.append(r)
         current = nxt
         if r < tol:
@@ -87,9 +85,7 @@ def estimate_contraction(update, sample_count, seed):
         dist = np.linalg.norm(a - b)
         if dist == 0.0:
             continue
-        fa = update(TemperatureField(Tensor(a, check=False), eps_min, validate=False))
-        fb = update(TemperatureField(Tensor(b, check=False), eps_min, validate=False))
-        best = max(best, float(np.linalg.norm(fa.array() - fb.array()) / dist))
+        best = max(best, float(np.linalg.norm(update(a) - update(b)) / dist))
     return best
 
 

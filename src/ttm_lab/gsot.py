@@ -166,7 +166,7 @@ def forward_macs(n, cfg):
 
 def _token_temps(field):
     """Per-token summary: mean over heads of the final layer's field."""
-    return field.array().mean(axis=0)
+    return field.values.mean(axis=0)
 
 
 def _rank_keep(temps, target):
@@ -216,18 +216,28 @@ def recovery_step(field_summary, cfg):
     return CONTINUE if field_summary >= cfg.tau_backtrack else BACKTRACK
 
 
+def check_sequence(X, vocab_size):
+    """X as an (n,) int array; ValueError unless it is a non-empty 1-D
+    sequence of integer ids in [0, vocab_size)."""
+    X = np.asarray(list(X))
+    if X.ndim != 1 or not X.size:
+        raise ValueError(f"sequence must be a non-empty (n,) list of token "
+                         f"ids, got shape {X.shape}")
+    check_token_ids(X, vocab_size)
+    return X.astype(np.intp, copy=False)
+
+
 def gsot_pipeline(X, universe, params, cfg, context=None):
     """Three-stage guided reasoning; returns output probabilities and trace.
 
     Stage 1 extracts primary tokens (scheduled shrinkage for K > 1, plain
     tau_p thresholding for K = 1). Stage 2 appends active hidden-token
     embeddings to the surviving sequence. Stage 3 runs the model and the
-    reasoning head over the integrated sequence. Every id in X must lie in
-    the primary vocabulary, and the context must be a finite (d_c,) vector.
+    reasoning head over the integrated sequence. X must be a non-empty 1-D
+    sequence of ids in the primary vocabulary, and the context a finite
+    (d_c,) vector.
     """
-    X = np.asarray(list(X))
-    check_token_ids(X, universe.vocab_size)
-    X = X.astype(np.intp, copy=False)
+    X = check_sequence(X, universe.vocab_size)
     n = len(X)
     d_c = params.cfg.d_c
     if context is None:

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import attention as attn_mod
 from .numerics import DimensionError, Rng, Tensor, concat, gelu, layer_norm, softmax_rows
-from .temperature import (DEFAULT_EPS_MIN, TemperatureField,
-                          TemperatureHeadParams, compute_temperature)
+from .temperature import (DEFAULT_EPS_MIN, TemperatureHeadParams,
+                          compute_temperature)
 
 VARIANTS = ("baseline", "broadcast", "outer")
 
@@ -223,9 +223,7 @@ class ModelParams:
 def _scaled_field(field, multiplier, eps_min):
     if multiplier == 1.0:
         return field
-    return TemperatureField(
-        (field.values * float(multiplier)).clip(eps_min, 1.0 - eps_min),
-        eps_min, validate=False)
+    return (field * float(multiplier)).clip(eps_min, 1.0 - eps_min)
 
 
 def block_forward(x, block, cfg, temp_multiplier=1.0):
@@ -297,8 +295,8 @@ def forward_embedded(x, params, temp_multiplier=1.0):
         fields.append(field)
     logits = x @ params.W_out
     last = fields[-1]
-    mean_t = last.values.sum(axis=(-2, -1), keepdims=True) \
-        / float(last.head_count * last.seq_len)
+    mean_t = last.sum(axis=(-2, -1), keepdims=True) \
+        / float(last.shape[-2] * last.shape[-1])
     return logits * mean_t, fields, x
 
 
@@ -330,11 +328,12 @@ def model_forward(tokens, params, temp_multiplier=1.0):
 
 def reasoning_head(attn_out, field, W_reason):
     """softmax(W_r . [attention output ; token temperatures]) per token."""
-    if W_reason.shape[0] != attn_out.shape[1] + field.head_count:
+    width = attn_out.shape[1] + field.shape[-2]
+    if W_reason.shape[0] != width:
         raise DimensionError(
             f"reasoning projection expects width {W_reason.shape[0]}, got "
-            f"{attn_out.shape[1] + field.head_count}")
-    joint = concat([attn_out, field.values.T], axis=1)
+            f"{width}")
+    joint = concat([attn_out, field.T], axis=1)
     return softmax_rows(joint @ W_reason)
 
 

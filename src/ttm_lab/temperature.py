@@ -1,9 +1,9 @@
 """Token temperature fields and every stability fix applied to them.
 
-A temperature field is an h x n matrix of per-head, per-token scalars kept
-strictly inside [eps_min, 1 - eps_min]. Range enforcement is structural: the
-field is produced through the affine squash eps + (1 - 2 eps) * sigmoid(.),
-which is differentiable everywhere.
+A temperature field is a Tensor of per-head, per-token scalars, shape (h, n)
+or (B, h, n) for a batch, kept strictly inside [eps_min, 1 - eps_min]. Range
+enforcement is structural: the field is produced through the affine squash
+eps + (1 - 2 eps) * sigmoid(.), which is differentiable everywhere.
 """
 
 import math
@@ -45,44 +45,6 @@ class TemperatureHeadParams:
             raise DimensionError(
                 f"W_t {self.W_t.shape} and b_t {self.b_t.shape} inconsistent")
 
-    @property
-    def head_count(self):
-        return self.W_t.shape[0]
-
-
-class TemperatureField:
-    """Per-head, per-token temperatures, shape (head_count, seq_len), or
-    (B, head_count, seq_len) for a batch of B sequences."""
-
-    def __init__(self, values, eps_min=DEFAULT_EPS_MIN, validate=True):
-        if not isinstance(values, Tensor):
-            values = Tensor(values)
-        if values.values.ndim not in (2, 3):
-            raise DimensionError(
-                f"field must be (h, n) or (B, h, n), got {values.shape}")
-        if validate:
-            v = values.values
-            if v.size and (v.min() < eps_min - 1e-12 or v.max() > 1.0 - eps_min + 1e-12):
-                raise ValueError(
-                    f"field entries [{v.min()}, {v.max()}] escape "
-                    f"[{eps_min}, {1.0 - eps_min}]")
-        self.values = values
-        self.eps_min = eps_min
-
-    @property
-    def head_count(self):
-        return self.values.shape[-2]
-
-    @property
-    def seq_len(self):
-        return self.values.shape[-1]
-
-    def array(self):
-        return self.values.values
-
-    def __repr__(self):
-        return f"TemperatureField(h={self.head_count}, n={self.seq_len})"
-
 
 def compute_temperature(activations, params):
     """Temperature field from per-token attention outputs.
@@ -97,15 +59,14 @@ def compute_temperature(activations, params):
         raise DimensionError(
             f"W_t expects width {params.W_t.shape[1]}, activations have {d}")
     logits = activations @ params.W_t.T + params.b_t  # (..., n, h)
-    return TemperatureField(squash(logits, params.eps_min).T,
-                            params.eps_min, validate=False)
+    return squash(logits, params.eps_min).T
 
 
 def collapse_penalty(field, lam):
     """Differentiable regularizer lam * sum((T - 0.5)^2)."""
     if lam < 0:
         raise ConfigurationError("lambda must be nonnegative")
-    return ((field.values - 0.5) ** 2).sum() * lam
+    return ((field - 0.5) ** 2).sum() * lam
 
 
 @dataclass
@@ -124,7 +85,7 @@ def detect_collapse(field, eps):
     """
     if not 0.0 < eps < 0.5:
         raise ConfigurationError(f"eps {eps} outside (0, 0.5)")
-    v = field.array()
+    v = field.values
     bad = (v < eps) | (v > 1.0 - eps)
     frac = float(bad.mean(axis=(-2, -1)).max()) if v.size else 0.0
     return CollapseReport(collapsed=bool(bad.any()), fraction=frac,

@@ -16,7 +16,7 @@ from ttm_lab.attention import (attention_baseline, attention_temp_broadcast,
                                attention_temp_outer)
 from ttm_lab.model import ModelConfig, ModelParams, forward_embedded
 from ttm_lab.numerics import Rng, Tensor, grad_check, gelu, layer_norm, softmax_rows
-from ttm_lab.temperature import TemperatureField, compute_temperature, squash
+from ttm_lab.temperature import compute_temperature, squash
 
 
 def verdict(number, label, ok, detail=""):
@@ -47,7 +47,7 @@ def test_01_temperature_fields_stay_in_bounds():
             x = Tensor(rng.normal((6, 8), std=3.0))
             field = compute_temperature(attention_baseline(x, block.attn).values,
                                         block.temp)
-            v = field.array()
+            v = field.values
             lo, hi = min(lo, v.min()), max(hi, v.max())
             count += 1
     elapsed = time.time() - t0
@@ -90,8 +90,7 @@ def test_03_unit_field_reduces_to_baseline():
     for _ in range(100):
         n = int(rng.integers(2, 10))
         x = Tensor(rng.normal((n, 8)))
-        unit = TemperatureField(Tensor(np.ones((2, n))), eps_min=0.0,
-                                validate=False)
+        unit = Tensor(np.ones((2, n)))
         base = attention_baseline(x, block.attn)
         for fn in (attention_temp_broadcast, attention_temp_outer):
             out = fn(base, block.attn, unit).values.values
@@ -145,20 +144,20 @@ def test_05_contraction_error_bound_and_rate_recovery():
     # gains 0.90 and 0.93.
     update = lambda f, g: dynamics.evolve_layer(
         f, dynamics.EvolutionConfig(gain=g))
-    start = TemperatureField(Rng(505).uniform((2, 4), 0.1, 0.9))
+    start = Rng(505).uniform((2, 4), 0.1, 0.9)
     star = np.full((2, 4), 0.5)
-    e0 = np.linalg.norm(start.array() - star)
+    e0 = np.linalg.norm(start - star)
     current, bound_ok = start, True
     for k in range(1, 80):
         current = update(current, 0.9)
-        err = np.linalg.norm(current.array() - star)
+        err = np.linalg.norm(current - star)
         bound_ok = bound_ok and err <= 0.9 ** k * e0 * (1 + 1e-9)
 
     fits = {}
     for gain in (0.90, 0.93):
         report = dynamics.iterate_to_fixed_point(
             lambda f: update(f, gain),
-            TemperatureField(Rng(506).uniform((2, 4), 0.1, 0.9)),
+            Rng(506).uniform((2, 4), 0.1, 0.9),
             tol=1e-9, max_iter=1000)
         _, fits[gain] = dynamics.convergence_rate_fit(report.residuals)
     ok = (bound_ok and abs(fits[0.90] - 0.90) < 0.02
@@ -175,7 +174,7 @@ def test_06_iteration_count_tracks_tolerance():
     L = 0.9
     update = lambda f: dynamics.evolve_layer(
         f, dynamics.EvolutionConfig(gain=L))
-    start = TemperatureField(Rng(606).uniform((2, 4), 0.1, 0.9))
+    start = Rng(606).uniform((2, 4), 0.1, 0.9)
     iters = {}
     for tol in (1e-3, 1e-6):
         report = dynamics.iterate_to_fixed_point(update, start, tol=tol,

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from ttm_lab.attention import (AttentionConfigError, AttentionParams,
                                attention_baseline, attention_temp_broadcast,
                                attention_temp_outer, residual_blend)
-from ttm_lab.numerics import Rng, Tensor, grad_check
-from ttm_lab.temperature import TemperatureField
+from ttm_lab.numerics import DimensionError, Rng, Tensor, grad_check
 
 
 def make_params(h, d_model, d_k, seed=0):
@@ -18,11 +17,11 @@ def make_params(h, d_model, d_k, seed=0):
 
 
 def random_field(h, n, seed=0, lo=0.05, hi=0.95):
-    return TemperatureField(Rng(seed).uniform((h, n), lo, hi))
+    return Tensor(Rng(seed).uniform((h, n), lo, hi))
 
 
 def unit_field(h, n):
-    return TemperatureField(np.ones((h, n)), eps_min=0.0, validate=False)
+    return Tensor(np.ones((h, n)))
 
 
 class TestBaseline:
@@ -69,7 +68,7 @@ class TestModulatedVariants:
     def test_broadcast_zero_logits_stay_uniform(self):
         p = make_params(1, 4, 2, seed=7)
         x = Tensor(np.zeros((4, 4)))
-        f = TemperatureField(np.full((1, 4), 0.7))
+        f = Tensor(np.full((1, 4), 0.7))
         out = attention_temp_broadcast(attention_baseline(x, p), p, f)
         assert np.abs(out.weights.values - 0.25).max() < 1e-15
 
@@ -83,7 +82,7 @@ class TestModulatedVariants:
         e = np.exp(mod - mod.max(axis=-1, keepdims=True))
         w = e / e.sum(axis=-1, keepdims=True)
         out = attention_temp_broadcast(attention_baseline(Tensor(x), p), p,
-                                       TemperatureField(t))
+                                       Tensor(t))
         assert np.abs(out.weights.values[0] - w).max() < 1e-12
 
     def test_outer_constant_field_scales_logits(self):
@@ -94,7 +93,7 @@ class TestModulatedVariants:
         scaled = base.pre_softmax.values * c * c
         e = np.exp(scaled - scaled.max(axis=-1, keepdims=True))
         want = e / e.sum(axis=-1, keepdims=True)
-        out = attention_temp_outer(base, p, TemperatureField(np.full((1, 3), c)))
+        out = attention_temp_outer(base, p, Tensor(np.full((1, 3), c)))
         assert np.abs(out.weights.values - want).max() < 1e-12
 
     def test_outer_hand_case(self):
@@ -107,7 +106,7 @@ class TestModulatedVariants:
         e = np.exp(mod - mod.max(axis=-1, keepdims=True))
         want = e / e.sum(axis=-1, keepdims=True)
         out = attention_temp_outer(attention_baseline(Tensor(x), p), p,
-                                   TemperatureField(t))
+                                   Tensor(t))
         assert np.abs(out.weights.values[0] - want).max() < 1e-12
 
     def test_field_length_mismatch(self):
@@ -116,6 +115,18 @@ class TestModulatedVariants:
             attention_temp_broadcast(
                 attention_baseline(Tensor(np.zeros((3, 4))), p), p,
                 random_field(1, 5))
+
+    @pytest.mark.parametrize("variant", [attention_temp_broadcast,
+                                         attention_temp_outer])
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 2, 3)],
+                             ids=["one-token-too-many", "batched-field"])
+    def test_wrong_field_shape_rejected(self, variant, shape):
+        # h = 2, n = 3: a batched field would broadcast against unbatched
+        # logits without the shape check
+        p = make_params(2, 4, 2)
+        base = attention_baseline(Tensor(Rng(3).normal((3, 4))), p)
+        with pytest.raises(DimensionError, match=r"field shape \("):
+            variant(base, p, Tensor(np.full(shape, 0.5)))
 
 
 def reference_attention(x, p, mult=None):
@@ -142,7 +153,7 @@ class TestMultiHeadOracle:
         p = make_params(h, h * d_k + 1, d_k, seed=40 + h)
         x = Rng(50 + h).normal((n, h * d_k + 1))
         t = Rng(60 + h).uniform((h, n), 0.1, 0.9)
-        f = TemperatureField(t)
+        f = Tensor(t)
         base = attention_baseline(Tensor(x), p)
         cases = [(base, None),
                  (attention_temp_broadcast(base, p, f), t[:, None, :]),
@@ -186,8 +197,8 @@ class TestStructuralProperties:
             lo = t.copy()
             lo[0, 1] *= 0.5
             base = attention_baseline(Tensor(x), p)
-            w_hi = attention_temp_broadcast(base, p, TemperatureField(t))
-            w_lo = attention_temp_broadcast(base, p, TemperatureField(lo))
+            w_hi = attention_temp_broadcast(base, p, Tensor(t))
+            w_lo = attention_temp_broadcast(base, p, Tensor(lo))
             assert np.all(w_lo.weights.values[0][:, 1]
                           <= w_hi.weights.values[0][:, 1] + 1e-12)
 
@@ -197,9 +208,9 @@ class TestStructuralProperties:
         f = Rng(24).uniform((2, 5), 0.1, 0.9)
         perm = Rng(25).permutation(5)
         direct = attention_temp_broadcast(attention_baseline(Tensor(x[perm]), p),
-                                          p, TemperatureField(f[:, perm]))
+                                          p, Tensor(f[:, perm]))
         original = attention_temp_broadcast(attention_baseline(Tensor(x), p), p,
-                                            TemperatureField(f))
+                                            Tensor(f))
         assert np.abs(direct.values.values
                       - original.values.values[perm]).max() < 1e-12
 

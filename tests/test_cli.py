@@ -79,6 +79,7 @@ class TestConfigLoading:
         {"gsot": {"sequence": [1, 2, 100]}},
         {"gsot": {"sequence": [-1, 2]}},
         {"gsot": {"sequence": [1.5, 2]}},
+        {"gsot": {"sequence": [[1, 2], [3, 4]]}},
         {"gsot": {"length": 0}},
         {"gsot": {"length": 100}},
         {"gsot": {"hidden_count": 0}},
@@ -92,7 +93,8 @@ class TestConfigLoading:
         {"model": 5},
     ], ids=["heads-0", "d_model-0", "d_ff-0", "batch-0", "steps-negative",
             "count-0", "length-0", "arith-length-1", "arith-count-unfillable",
-            "gsot-id-100", "gsot-id-negative", "gsot-id-float", "gsot-length-0",
+            "gsot-id-100", "gsot-id-negative", "gsot-id-float",
+            "gsot-sequence-nested", "gsot-length-0",
             "gsot-length-over-max_seq_len", "gsot-hidden_count-0",
             "sweep-steps-1", "sweep-t_min-above-t_max", "stats-level-0.5",
             "stats-one-sample", "bench-two-lengths", "bench-length-1",

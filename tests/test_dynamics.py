@@ -8,15 +8,14 @@ from ttm_lab.dynamics import (EvolutionConfig,
                               evolve_layer, iterate_to_fixed_point,
                               temperature_sweep)
 from ttm_lab.numerics import Rng
-from ttm_lab.temperature import TemperatureField
 
 
-def field(values, eps_min=0.01):
-    return TemperatureField(np.asarray(values, dtype=np.float64), eps_min)
+def field(values):
+    return np.asarray(values, dtype=np.float64)
 
 
 def random_field(shape, seed):
-    return TemperatureField(Rng(seed).uniform(shape, 0.1, 0.9))
+    return Rng(seed).uniform(shape, 0.1, 0.9)
 
 
 def contraction(gain):
@@ -28,19 +27,19 @@ class TestEvolveLayer:
     def test_identity_configuration(self):
         f = random_field((2, 4), seed=1)
         out = evolve_layer(f, EvolutionConfig(gain=1.0))
-        assert np.abs(out.array() - f.array()).max() < 1e-15
+        assert np.abs(out - f).max() < 1e-15
 
     def test_hand_case(self):
         cfg = EvolutionConfig(gain=0.5, bias=0.02)
         f = field([[0.3, 0.7]])
         out = evolve_layer(f, cfg)
         want = 0.5 + 0.5 * (np.array([0.3, 0.7]) - 0.5) + 0.02
-        assert np.abs(out.array()[0] - want).max() < 1e-12
+        assert np.abs(out[0] - want).max() < 1e-12
 
     def test_clamps_into_bounds(self):
         cfg = EvolutionConfig(gain=1.0, bias=5.0)
         out = evolve_layer(field([[0.5, 0.5]]), cfg)
-        assert out.array().max() <= 0.99
+        assert out.max() <= 0.99
 
 
 class TestFixedPoint:
@@ -76,10 +75,10 @@ class TestFixedPoint:
         start = random_field((2, 4), seed=7)
         star = np.full((2, 4), 0.5)
         current = start
-        e0 = np.linalg.norm(start.array() - star)
+        e0 = np.linalg.norm(start - star)
         for k in range(1, 60):
             current = update(current)
-            err = np.linalg.norm(current.array() - star)
+            err = np.linalg.norm(current - star)
             assert err <= L ** k * e0 * (1 + 1e-9)
 
     def test_residuals_monotone_for_contractions(self):

@@ -148,7 +148,7 @@ class TestIntegratedProcessing:
         ctx = Rng(9).normal((4,))
         _, trace = gsot_pipeline(X, uni, params, cfg, context=ctx)
         _, fields, _ = forward_embedded(Tensor(uni.primary[X]), params)
-        temps = fields[-1].array().mean(axis=0)
+        temps = fields[-1].values.mean(axis=0)
         want_v = [i for i in range(len(X)) if temps[i] > cfg.tau_p]
         want_h, theta_only, tau_h_only = [], [], []
         for i in want_v:
@@ -222,8 +222,10 @@ class TestPipeline:
         ([1, 2, 3], np.zeros((2, 2)), r"finite \(d_c,\) = \(4,\) vector"),
         ([1, 2, 3], np.array([0.0, np.nan, 0.0, 0.0]),
          r"finite \(d_c,\) = \(4,\) vector"),
+        ([], None, r"non-empty \(n,\) list .* shape \(0,\)"),
+        ([[1, 2], [3, 4]], None, r"non-empty \(n,\) list .* shape \(2, 2\)"),
     ], ids=["fractional-id", "short-context", "matrix-context",
-            "nan-context"])
+            "nan-context", "empty-sequence", "nested-sequence"])
     def test_bad_input_rejected_before_forward(self, monkeypatch, X, context,
                                                match, K):
         params = toy_model(seed=14)

@@ -16,7 +16,6 @@ from ttm_lab.model import (CheckpointFormatError, ModelConfig, ModelParams,
                            reasoning_head)
 from ttm_lab.numerics import (DimensionError, Rng, Tensor, gelu, grad_check,
                               layer_norm)
-from ttm_lab.temperature import TemperatureField
 
 
 def toy_cfg(**kw):
@@ -64,7 +63,7 @@ class TestBlockForward:
         block.temp.W_t.values[:] = 0.0
         block.temp.b_t.values[:] = 0.0
         _, field = block_forward(Tensor(Rng(1).normal((4, 8))), block, cfg)
-        assert np.array_equal(field.array(), np.full((2, 4), 0.5))
+        assert np.array_equal(field.values, np.full((2, 4), 0.5))
 
     def test_baseline_variant_composition(self):
         cfg = toy_cfg(layers=1, attention_variant="baseline")
@@ -125,7 +124,7 @@ class TestModelForward:
             block.temp.W_t.values[:] = 0.0
             block.temp.b_t.values[:] = 0.0
         logits, fields = model_forward([1, 2, 3], params)
-        assert np.array_equal(fields[-1].array(), np.full((2, 3), 0.5))
+        assert np.array_equal(fields[-1].values, np.full((2, 3), 0.5))
         # rebuild the unscaled projection from the last hidden state
         from ttm_lab.model import embed_tokens, forward_embedded
         _, _, hidden = forward_embedded(embed_tokens([1, 2, 3], params), params)
@@ -136,7 +135,7 @@ class TestModelForward:
         params = ModelParams(toy_cfg(seed=4))
         tokens = [3, 1, 4, 1, 5]
         logits, fields = model_forward(tokens, params)
-        mean_t = fields[-1].array().mean()
+        mean_t = fields[-1].values.mean()
         unscaled = logits.values / mean_t
         assert np.array_equal(logits.values.argmax(axis=-1),
                               unscaled.argmax(axis=-1))
@@ -159,7 +158,7 @@ class TestModelForward:
         from ttm_lab.model import embed_tokens, forward_embedded
         x = embed_tokens(tokens, params) + params.pos_emb[np.arange(3)]
         h, field = block_forward(x, params.blocks[0], cfg)
-        want = (h @ params.W_out) * field.values.mean()
+        want = (h @ params.W_out) * field.mean()
         got, fields = model_forward(tokens, params)
         assert np.abs(got.values - want.values).max() < 1e-10
 
@@ -202,14 +201,14 @@ class TestFinalField:
     def assert_matches(**cfg):
         params = ModelParams(toy_cfg(**cfg))
         x = Tensor(Rng(9).normal((6, 8)))
-        want = forward_embedded(x, params)[1][-1].array()
-        assert np.array_equal(final_field(x, params).array(), want)
+        want = forward_embedded(x, params)[1][-1].values
+        assert np.array_equal(final_field(x, params).values, want)
 
     @pytest.mark.parametrize("layers", [1, 2])
     def test_runs_off_the_tape(self, layers):
         params = ModelParams(toy_cfg(layers=layers))
         x = Tensor(Rng(9).normal((6, 8)), requires_grad=True)
-        field = final_field(x, params).values
+        field = final_field(x, params)
         assert field._parents == () and not field.requires_grad
         field.sum().backward()
         assert x.grad is None
@@ -257,7 +256,7 @@ class TestHeads:
     def test_reasoning_head_rows_sum_to_one(self):
         params = ModelParams(toy_cfg())
         attn_out = Tensor(Rng(12).normal((4, 8)))
-        field = TemperatureField(Rng(13).uniform((2, 4), 0.1, 0.9))
+        field = Tensor(Rng(13).uniform((2, 4), 0.1, 0.9))
         probs = reasoning_head(attn_out, field, params.W_reason)
         assert np.abs(probs.values.sum(axis=-1) - 1.0).max() < 1e-9
 
@@ -265,9 +264,9 @@ class TestHeads:
         params = ModelParams(toy_cfg())
         params.W_reason.values[8:, :] = 0.0  # zero the temperature columns
         attn_out = Tensor(Rng(14).normal((4, 8)))
-        a = reasoning_head(attn_out, TemperatureField(np.full((2, 4), 0.2)),
+        a = reasoning_head(attn_out, Tensor(np.full((2, 4), 0.2)),
                            params.W_reason).values
-        b = reasoning_head(attn_out, TemperatureField(np.full((2, 4), 0.8)),
+        b = reasoning_head(attn_out, Tensor(np.full((2, 4), 0.8)),
                            params.W_reason).values
         assert np.array_equal(a, b)
 
@@ -275,7 +274,7 @@ class TestHeads:
         params = ModelParams(toy_cfg())
         with pytest.raises(Exception, match="width"):
             reasoning_head(Tensor(np.zeros((2, 5))),
-                           TemperatureField(np.full((2, 2), 0.5)),
+                           Tensor(np.full((2, 2), 0.5)),
                            params.W_reason)
 
 

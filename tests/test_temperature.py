@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttm_lab.numerics import Rng, Tensor
-from ttm_lab.temperature import (ConfigurationError, TemperatureField,
-                                 TemperatureHeadParams, clip_temperature_grad,
-                                 collapse_penalty, compute_temperature,
-                                 default_grad_clip_tau, detect_collapse,
-                                 squash)
+from ttm_lab.temperature import (ConfigurationError, TemperatureHeadParams,
+                                 clip_temperature_grad, collapse_penalty,
+                                 compute_temperature, default_grad_clip_tau,
+                                 detect_collapse, squash)
 
 
 def head_params(h, d, seed=0, std=1.0):
@@ -22,20 +21,20 @@ class TestComputeTemperature:
         p = TemperatureHeadParams(W_t=Tensor(np.zeros((2, 4))),
                                   b_t=Tensor(np.zeros(2)))
         f = compute_temperature(Tensor(Rng(0).normal((3, 4))), p)
-        assert np.array_equal(f.array(), np.full((2, 3), 0.5))
+        assert np.array_equal(f.values, np.full((2, 3), 0.5))
 
     def test_scalar_formula(self):
         # near-zero squash margin: value approaches sigmoid(2)
         p = TemperatureHeadParams(W_t=Tensor([[2.0, 0.0]]), b_t=Tensor([0.0]),
                                   eps_min=1e-9)
         f = compute_temperature(Tensor([[1.0, 0.0]]), p)
-        assert abs(f.array()[0, 0] - 0.8807970779778823) < 1e-8
+        assert abs(f.values[0, 0] - 0.8807970779778823) < 1e-8
 
     def test_bounds_hold_for_extreme_params(self):
         for seed in range(20):
             p = head_params(2, 8, seed=seed, std=50.0)
             f = compute_temperature(Tensor(Rng(seed + 100).normal((5, 8), 0, 10)), p)
-            assert f.array().min() >= 0.01 and f.array().max() <= 0.99
+            assert f.values.min() >= 0.01 and f.values.max() <= 0.99
 
     def test_width_mismatch(self):
         with pytest.raises(Exception, match="width"):
@@ -44,38 +43,37 @@ class TestComputeTemperature:
 
 class TestCollapse:
     def test_penalty_zero_at_center(self):
-        f = TemperatureField(np.full((2, 3), 0.5))
+        f = Tensor(np.full((2, 3), 0.5))
         assert float(collapse_penalty(f, 1.0).values) == 0.0
 
     def test_penalty_single_offset(self):
-        f = TemperatureField(np.array([[0.7]]))
+        f = Tensor(np.array([[0.7]]))
         assert abs(float(collapse_penalty(f, 1.0).values) - 0.04) < 1e-15
 
     def test_penalty_matches_sum_oracle(self):
         v = Rng(4).uniform((2, 3), 0.1, 0.9)
-        got = float(collapse_penalty(TemperatureField(v), 0.5).values)
+        got = float(collapse_penalty(Tensor(v), 0.5).values)
         assert abs(got - 0.5 * ((v - 0.5) ** 2).sum()) < 1e-12
 
     def test_penalty_gradient_points_to_center(self):
         v = Rng(6).uniform((2, 4), 0.1, 0.9)
         t = Tensor(v, requires_grad=True)
-        f = TemperatureField(t)
-        collapse_penalty(f, 1.0).backward()
+        collapse_penalty(t, 1.0).backward()
         # descending the gradient moves every entry toward 0.5
         assert np.all(np.sign(t.grad) == np.sign(v - 0.5))
 
     def test_detect_clean_field(self):
-        rep = detect_collapse(TemperatureField(np.full((2, 5), 0.5)), 0.01)
+        rep = detect_collapse(Tensor(np.full((2, 5), 0.5)), 0.01)
         assert not rep.collapsed and rep.fraction == 0.0
 
     def test_detect_counts_offenders(self):
         v = np.full((1, 10), 0.5)
         v[0, 0] = 0.005
-        rep = detect_collapse(TemperatureField(v, eps_min=0.001), 0.01)
+        rep = detect_collapse(Tensor(v), 0.01)
         assert rep.collapsed and rep.fraction == 0.1
 
     def test_boundary_is_not_collapse(self):
-        rep = detect_collapse(TemperatureField(np.full((1, 4), 0.01)), 0.01)
+        rep = detect_collapse(Tensor(np.full((1, 4), 0.01)), 0.01)
         assert not rep.collapsed
 
     def test_batch_reports_worst_example(self):
@@ -86,19 +84,19 @@ class TestCollapse:
         v[1, 0, :2] = 0.005
         v[1, 1, 3] = 0.996
         v[3, 1, 2] = 0.7
-        rep = detect_collapse(TemperatureField(v, eps_min=0.001), 0.01)
+        rep = detect_collapse(Tensor(v), 0.01)
         assert rep.collapsed
         assert rep.fraction == 3 / 8
         assert rep.min_value == 0.005 and rep.max_value == 0.996
         clean = np.delete(v, 1, axis=0)
-        rep = detect_collapse(TemperatureField(clean, eps_min=0.001), 0.01)
+        rep = detect_collapse(Tensor(clean), 0.01)
         assert not rep.collapsed and rep.fraction == 0.0
         assert rep.min_value == 0.3 and rep.max_value == 0.7
 
     def test_batch_matches_per_example_reports(self):
         v = Rng(8).uniform((5, 2, 6), 0.001, 0.999)
-        rep = detect_collapse(TemperatureField(v, eps_min=0.001), 0.05)
-        each = [detect_collapse(TemperatureField(e, eps_min=0.001), 0.05)
+        rep = detect_collapse(Tensor(v), 0.05)
+        each = [detect_collapse(Tensor(e), 0.05)
                 for e in v]
         assert rep.fraction == max(r.fraction for r in each)
         assert rep.min_value == min(r.min_value for r in each)
@@ -125,7 +123,7 @@ class TestGradClip:
 def test_field_bounds_under_random_draws(seed):
     p = head_params(2, 6, seed=seed, std=30.0)
     f = compute_temperature(Tensor(Rng(seed + 1).normal((4, 6), 0, 5)), p)
-    assert f.array().min() >= 0.01 and f.array().max() <= 0.99
+    assert f.values.min() >= 0.01 and f.values.max() <= 0.99
 
 
 def test_squash_rejects_bad_eps():

@@ -345,7 +345,7 @@ class TestBatchedParity:
             for b in range(size):
                 assert _close(logits.values[b], one[b][0].values)
                 for f, g in zip(fields, one[b][1]):
-                    assert _close(f.array()[b], g.array())
+                    assert _close(f.values[b], g.values)
             ce = cross_entropy(logits, np.stack([ex.targets for ex in part]),
                                np.stack([ex.mask for ex in part]))
             assert _close(float(ce.values), np.mean(one_ce[:size]))
@@ -360,11 +360,11 @@ class TestBatchedParity:
         params = toy_params(seed=11)
         tokens = np.array([[1, 2, 3, 4], [5, 5, 6, 0], [9, 8, 7, 6]])
         logits, fields = model_forward(tokens, params)
-        means = fields[-1].array().mean(axis=(-2, -1))
+        means = fields[-1].values.mean(axis=(-2, -1))
         assert len(set(means.tolist())) == 3
         for b in range(3):
             one, one_fields = model_forward(tokens[b], params)
-            assert _close(one_fields[-1].array().mean(), means[b])
+            assert _close(one_fields[-1].values.mean(), means[b])
             assert _close(logits.values[b], one.values)
 
     def test_batch_gradient_is_sum_of_example_gradients(self):
