@@ -18,7 +18,7 @@ from .numerics import NumericError, Rng, Tensor, grad_check
 from .temperature import (collapse_penalty, compute_temperature,
                           detect_collapse, squash)
 from .training import (TaskSpec, TrainConfig, confidence_interval, evaluate,
-                       make_task, significance_label, train)
+                       make_task, significance_label, t_test_p, train)
 
 __version__ = "0.1.0"
 
@@ -33,5 +33,5 @@ __all__ = [
     "NumericError", "Rng", "Tensor", "grad_check",
     "collapse_penalty", "compute_temperature", "detect_collapse", "squash",
     "TaskSpec", "TrainConfig", "confidence_interval", "evaluate", "make_task",
-    "significance_label", "train",
+    "significance_label", "t_test_p", "train",
 ]

@@ -41,7 +41,7 @@ _BENCH_DEFAULTS = {"lengths": [64, 128, 256, 512, 1024],
                    "d_model": 16, "heads": 1, "layers": 1, "d_ff": 512,
                    "vocab_size": 32, "hidden_count": 4}
 _STATS_DEFAULTS = {"samples": [1.0, 2.0, 3.0, 4.0, 5.0], "level": 0.95,
-                   "p": None, "samples_file": None}
+                   "samples_file": None}
 
 
 def _merge(defaults, given, block):
@@ -108,12 +108,12 @@ def _check_plain_blocks(resolved, model_cfg, gsot_given):
         raise ValueError("bench.lengths must all be >= 2")
     _bench_model_config(bench, resolved["seed"])
     stats = resolved["stats"]
+    if stats["level"] not in training.LEVELS:
+        raise ValueError(f"stats.level must be one of {list(training.LEVELS)}")
     if stats["samples_file"] is None:
+        if any(type(v) not in (int, float) for v in stats["samples"]):
+            raise ValueError("stats.samples must all be JSON numbers")
         training.confidence_interval(stats["samples"], stats["level"])
-    else:
-        training.t_quantile(stats["level"], 1)
-    if stats["p"] is not None:
-        training.significance_label(stats["p"])
 
 
 def load_config(path, seed=None, out=None):
@@ -234,6 +234,8 @@ def _check_statistics(model_cfg):
     lo, hi = training.confidence_interval([1, 2, 3, 4, 5], 0.95)
     assert abs(lo - 1.0368) < 1e-3 and abs(hi - 4.9632) < 1e-3
     assert training.significance_label(0.003) == "strong"
+    assert abs(training.t_quantile(0.95, 121) - 1.97976) < 1e-5
+    assert abs(training.t_test_p([1, 2, 3, 4, 5]) - 0.0132356) < 1e-7
 
 
 CHECKS = {
@@ -324,10 +326,22 @@ def cmd_gradcheck(resolved, model_cfg, args):
 # -- train / sweep / gsot / bench / stats --------------------------------------
 
 
+def _model_and_task(resolved, model_cfg, spec):
+    """Output directory, fresh parameters and dataset of a train or sweep run.
+    A task whose ids or length the model cannot take is a config error here,
+    not at load: a gsot run ignores the task block."""
+    vocab = training.ARITH_VOCAB if spec.kind == "arithmetic_chain" \
+        else spec.alphabet
+    if vocab > model_cfg.vocab_size or spec.length > model_cfg.max_seq_len:
+        raise ConfigError(f"task needs vocab_size >= {vocab} and max_seq_len "
+                          f">= {spec.length}, the model has "
+                          f"{model_cfg.vocab_size} and {model_cfg.max_seq_len}")
+    return (_write_resolved(resolved), ModelParams(model_cfg),
+            training.make_task(spec))
+
+
 def cmd_train(resolved, model_cfg, train_cfg, task_spec, args):
-    out_dir = _write_resolved(resolved)
-    params = ModelParams(model_cfg)
-    dataset = training.make_task(task_spec)
+    out_dir, params, dataset = _model_and_task(resolved, model_cfg, task_spec)
     history = training.train(params, dataset, train_cfg)
     history.to_csv(os.path.join(out_dir, "metrics.csv"))
     if history.aborted:
@@ -340,10 +354,8 @@ def cmd_train(resolved, model_cfg, train_cfg, task_spec, args):
 
 
 def cmd_sweep(resolved, model_cfg, train_cfg, task_spec, args):
-    out_dir = _write_resolved(resolved)
+    out_dir, params, dataset = _model_and_task(resolved, model_cfg, task_spec)
     blk = resolved["sweep"]
-    params = ModelParams(model_cfg)
-    dataset = training.make_task(task_spec)
     t_star, curve = dynamics.temperature_sweep(
         lambda m: training.dataset_loss(params, dataset, m),
         blk["t_min"], blk["t_max"], blk["steps"], blk["log_spacing"])
@@ -427,20 +439,19 @@ def cmd_stats(resolved, args):
         if path is not None:
             with open(path) as fh:
                 samples = [float(line) for line in fh if line.strip()]
+        samples = np.asarray(samples, dtype=np.float64)
         lo, hi = training.confidence_interval(samples, blk["level"])
     except (OSError, ValueError) as exc:
         # load_config checked the inline samples, so only a file fails here
         raise ConfigError(f"cannot use samples_file {path}: {exc}")
-    doc = {"n": len(samples), "mean": float(np.mean(samples)),
-           "level": blk["level"], "ci_low": lo, "ci_high": hi}
-    if blk["p"] is not None:
-        doc["p"] = blk["p"]
-        doc["significance"] = training.significance_label(blk["p"])
+    p = training.t_test_p(samples)
+    doc = {"n": samples.size, "mean": float(samples.mean()),
+           "level": blk["level"], "ci_low": lo, "ci_high": hi, "p": p,
+           "significance": training.significance_label(p)}
     with open(os.path.join(out_dir, "stats.json"), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-    print(f"ci=[{lo!r}, {hi!r}]"
-          + (f" significance={doc['significance']}" if blk["p"] is not None else ""))
+    print(f"ci=[{lo!r}, {hi!r}] p={p!r} significance={doc['significance']}")
     return EXIT_OK
 
 
@@ -466,7 +477,7 @@ def build_parser():
     sub.add_parser("sweep", help="grid-search a global temperature multiplier")
     sub.add_parser("gsot", help="run the guided reasoning pipeline")
     sub.add_parser("bench", help="op-count scaling over sequence lengths")
-    sub.add_parser("stats", help="confidence interval and significance label")
+    sub.add_parser("stats", help="confidence interval and t-test p-value")
     return parser
 
 

@@ -45,6 +45,10 @@ class TrainConfig:
             raise ValueError("loss weights must be nonnegative")
         if self.batch < 1 or self.steps < 0:
             raise ValueError("need batch >= 1 and steps >= 0")
+        if self.t0 < 1:
+            raise ValueError(f"t0 {self.t0} must be >= 1")
+        if not 0.0 < self.collapse_eps < 0.5:
+            raise ValueError(f"collapse_eps {self.collapse_eps} outside (0, 0.5)")
 
 
 @dataclass
@@ -404,100 +408,81 @@ def dataset_loss(params, dataset, temp_multiplier=1.0):
 
 # -- descriptive statistics ---------------------------------------------------
 
-# two-sided t quantiles, df = 1 .. 120 (generated once from the t CDF)
-_T_TABLE = {
-    0.90: (
-        6.313752, 2.919986, 2.353363, 2.131847, 2.015048, 1.943180,
-        1.894579, 1.859548, 1.833113, 1.812461, 1.795885, 1.782288,
-        1.770933, 1.761310, 1.753050, 1.745884, 1.739607, 1.734064,
-        1.729133, 1.724718, 1.720743, 1.717144, 1.713872, 1.710882,
-        1.708141, 1.705618, 1.703288, 1.701131, 1.699127, 1.697261,
-        1.695519, 1.693889, 1.692360, 1.690924, 1.689572, 1.688298,
-        1.687094, 1.685954, 1.684875, 1.683851, 1.682878, 1.681952,
-        1.681071, 1.680230, 1.679427, 1.678660, 1.677927, 1.677224,
-        1.676551, 1.675905, 1.675285, 1.674689, 1.674116, 1.673565,
-        1.673034, 1.672522, 1.672029, 1.671553, 1.671093, 1.670649,
-        1.670219, 1.669804, 1.669402, 1.669013, 1.668636, 1.668271,
-        1.667916, 1.667572, 1.667239, 1.666914, 1.666600, 1.666294,
-        1.665996, 1.665707, 1.665425, 1.665151, 1.664885, 1.664625,
-        1.664371, 1.664125, 1.663884, 1.663649, 1.663420, 1.663197,
-        1.662978, 1.662765, 1.662557, 1.662354, 1.662155, 1.661961,
-        1.661771, 1.661585, 1.661404, 1.661226, 1.661052, 1.660881,
-        1.660715, 1.660551, 1.660391, 1.660234, 1.660081, 1.659930,
-        1.659782, 1.659637, 1.659495, 1.659356, 1.659219, 1.659085,
-        1.658953, 1.658824, 1.658697, 1.658573, 1.658450, 1.658330,
-        1.658212, 1.658096, 1.657982, 1.657870, 1.657759, 1.657651,
-    ),
-    0.95: (
-        12.706205, 4.302653, 3.182446, 2.776445, 2.570582, 2.446912,
-        2.364624, 2.306004, 2.262157, 2.228139, 2.200985, 2.178813,
-        2.160369, 2.144787, 2.131450, 2.119905, 2.109816, 2.100922,
-        2.093024, 2.085963, 2.079614, 2.073873, 2.068658, 2.063899,
-        2.059539, 2.055529, 2.051831, 2.048407, 2.045230, 2.042272,
-        2.039513, 2.036933, 2.034515, 2.032245, 2.030108, 2.028094,
-        2.026192, 2.024394, 2.022691, 2.021075, 2.019541, 2.018082,
-        2.016692, 2.015368, 2.014103, 2.012896, 2.011741, 2.010635,
-        2.009575, 2.008559, 2.007584, 2.006647, 2.005746, 2.004879,
-        2.004045, 2.003241, 2.002465, 2.001717, 2.000995, 2.000298,
-        1.999624, 1.998972, 1.998341, 1.997730, 1.997138, 1.996564,
-        1.996008, 1.995469, 1.994945, 1.994437, 1.993943, 1.993464,
-        1.992997, 1.992543, 1.992102, 1.991673, 1.991254, 1.990847,
-        1.990450, 1.990063, 1.989686, 1.989319, 1.988960, 1.988610,
-        1.988268, 1.987934, 1.987608, 1.987290, 1.986979, 1.986675,
-        1.986377, 1.986086, 1.985802, 1.985523, 1.985251, 1.984984,
-        1.984723, 1.984467, 1.984217, 1.983972, 1.983731, 1.983495,
-        1.983264, 1.983038, 1.982815, 1.982597, 1.982383, 1.982173,
-        1.981967, 1.981765, 1.981567, 1.981372, 1.981180, 1.980992,
-        1.980808, 1.980626, 1.980448, 1.980272, 1.980100, 1.979930,
-    ),
-    0.99: (
-        63.656741, 9.924843, 5.840909, 4.604095, 4.032143, 3.707428,
-        3.499483, 3.355387, 3.249836, 3.169273, 3.105807, 3.054540,
-        3.012276, 2.976843, 2.946713, 2.920782, 2.898231, 2.878440,
-        2.860935, 2.845340, 2.831360, 2.818756, 2.807336, 2.796940,
-        2.787436, 2.778715, 2.770683, 2.763262, 2.756386, 2.749996,
-        2.744042, 2.738481, 2.733277, 2.728394, 2.723806, 2.719485,
-        2.715409, 2.711558, 2.707913, 2.704459, 2.701181, 2.698066,
-        2.695102, 2.692278, 2.689585, 2.687013, 2.684556, 2.682204,
-        2.679952, 2.677793, 2.675722, 2.673734, 2.671823, 2.669985,
-        2.668216, 2.666512, 2.664870, 2.663287, 2.661759, 2.660283,
-        2.658857, 2.657479, 2.656145, 2.654854, 2.653604, 2.652394,
-        2.651220, 2.650081, 2.648977, 2.647905, 2.646863, 2.645852,
-        2.644869, 2.643913, 2.642983, 2.642078, 2.641198, 2.640340,
-        2.639505, 2.638691, 2.637897, 2.637123, 2.636369, 2.635632,
-        2.634914, 2.634212, 2.633527, 2.632858, 2.632204, 2.631565,
-        2.630940, 2.630330, 2.629732, 2.629148, 2.628576, 2.628016,
-        2.627468, 2.626931, 2.626405, 2.625891, 2.625386, 2.624891,
-        2.624407, 2.623932, 2.623465, 2.623008, 2.622560, 2.622120,
-        2.621688, 2.621265, 2.620849, 2.620440, 2.620039, 2.619645,
-        2.619258, 2.618878, 2.618504, 2.618137, 2.617776, 2.617421,
-    ),
-}
-_NORMAL_QUANTILE = {0.90: 1.644854, 0.95: 1.959964, 0.99: 2.575829}
+LEVELS = (0.90, 0.95, 0.99)   # two-sided confidence levels t_quantile takes
+
+
+def _incomplete_beta(x, y, a, b):
+    """Regularized incomplete beta I_x(a, b), y = 1 - x given apart: Lentz's
+    method on the continued fraction of Numerical Recipes 6.4, which converges
+    for x < (a + 1) / (a + b + 2); 1 - I_y(b, a) covers the rest. lgamma's
+    rounding leaves a relative error of about 1e-9 at a = 5e5."""
+    if x <= 0.0 or y <= 0.0:
+        return 0.0 if x <= 0.0 else 1.0
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _incomplete_beta(y, x, b, a)
+    f, c, d = 1.0, math.inf, 1.0   # Lentz's state after the leading 1 / 1
+    for j in range(1, 1000):
+        m = j // 2
+        num = (m * (b - m) if j % 2 == 0 else -(a + m) * (a + b + m)) \
+            * x / ((a + j - 1) * (a + j))
+        d = 1.0 / ((1.0 + num * d) or 1e-300)
+        c = (1.0 + num / c) or 1e-300
+        f *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            return f / a * math.exp(math.lgamma(a + b) - math.lgamma(a)
+                                    - math.lgamma(b) + a * math.log(x)
+                                    + b * math.log(y))
+    raise ValueError(f"I_{x}({a}, {b}) did not converge")
+
+
+def _t_tail(t, df):
+    """P(|T| >= |t|) for Student's t with df degrees of freedom."""
+    t2 = t * t
+    return _incomplete_beta(df / (df + t2), t2 / (df + t2), 0.5 * df, 0.5)
 
 
 def t_quantile(level, df):
-    """Two-sided t quantile from the embedded table; normal beyond df 120."""
-    if level not in _T_TABLE:
-        raise ValueError(f"level must be one of {sorted(_T_TABLE)}")
+    """Two-sided t quantile: the t with P(|T| >= t) = 1 - level, by bisection
+    to 1e-12 relative."""
+    if level not in LEVELS:
+        raise ValueError(f"level must be one of {list(LEVELS)}")
     if df < 1:
         raise ValueError("degrees of freedom must be >= 1")
-    table = _T_TABLE[level]
-    if df <= len(table):
-        return table[df - 1]
-    return _NORMAL_QUANTILE[level]
+    lo, hi = 0.0, 64.0   # the largest quantile, level 0.99 at df 1, is 63.66
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _t_tail(mid, df) > 1.0 - level else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def _moments(samples):
+    """(n, mean, sample std) of a flat list of at least 2 finite samples. A
+    finite sum of squares bounds s by 1.4e154, so mu +- t * s stays finite."""
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 1 or samples.size < 2 or not np.isfinite(samples).all():
+        raise ValueError("need a flat list of at least 2 finite samples")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu, s = float(samples.mean()), float(samples.std(ddof=1))
+    if not (math.isfinite(mu) and math.isfinite(s)):
+        raise ValueError(f"sample mean {mu} or std {s} overflows")
+    return samples.size, mu, s
 
 
 def confidence_interval(samples, level=0.95):
     """mu +- t_{alpha/2, n-1} * s / sqrt(n) with the sample std deviation."""
-    samples = np.asarray(samples, dtype=np.float64)
-    n = samples.size
-    if n < 2:
-        raise ValueError("need at least 2 samples")
-    mu = float(samples.mean())
-    s = float(samples.std(ddof=1))
+    n, mu, s = _moments(samples)
     half = t_quantile(level, n - 1) * s / math.sqrt(n)
     return mu - half, mu + half
+
+
+def t_test_p(samples):
+    """Two-sided p of a one-sample t-test of mean 0 (the paired t-test when
+    the samples are per-pair differences). Zero spread gives the t -> +-inf
+    limit, 0.0, or 1.0 if the mean is 0 too."""
+    n, mu, s = _moments(samples)
+    if s == 0.0:
+        return float(mu == 0.0)
+    return _t_tail(mu * math.sqrt(n) / s, n - 1)
 
 
 def significance_label(p):

@@ -45,7 +45,8 @@ class TestConfigLoading:
 
     @pytest.mark.parametrize("block,key", [("model", "dropout"),
                                            ("model", "temp_init_mean"),
-                                           ("gsot_cfg", "max_paths")])
+                                           ("gsot_cfg", "max_paths"),
+                                           ("stats", "p")])
     def test_removed_keys_rejected(self, tmp_path, capsys, block, key):
         code, _ = run(tmp_path, "check", {block: {key: 1}})
         assert code == EXIT_USAGE
@@ -72,6 +73,10 @@ class TestConfigLoading:
         {"model": {"d_ff": 0}},
         {"train": {"batch": 0}},
         {"train": {"steps": -1}},
+        {"train": {"collapse_eps": 0.7}},
+        {"train": {"collapse_eps": 0.0}},
+        {"train": {"t0": -5}},
+        {"train": {"t0": 0}},
         {"task": {"count": 0}},
         {"task": {"length": 0}},
         {"task": {"kind": "arithmetic_chain", "length": 1}},
@@ -87,32 +92,42 @@ class TestConfigLoading:
         {"sweep": {"t_min": 2.0}},
         {"stats": {"level": 0.5}},
         {"stats": {"samples": [1.0]}},
+        {"stats": {"samples": [1, 2, "nan"]}},
+        {"stats": {"samples": [1, True, 2]}},
+        {"stats": {"samples": [1, 2, 1e308, -1e308]}},
         {"bench": {"lengths": [64, 128]}},
         {"bench": {"lengths": [1, 2, 3, 4]}},
         {"bench": {"heads": 3}},
         {"model": 5},
     ], ids=["heads-0", "d_model-0", "d_ff-0", "batch-0", "steps-negative",
+            "collapse_eps-0.7", "collapse_eps-0", "t0-negative", "t0-0",
             "count-0", "length-0", "arith-length-1", "arith-count-unfillable",
             "gsot-id-100", "gsot-id-negative", "gsot-id-float",
             "gsot-sequence-nested", "gsot-length-0",
             "gsot-length-over-max_seq_len", "gsot-hidden_count-0",
             "sweep-steps-1", "sweep-t_min-above-t_max", "stats-level-0.5",
-            "stats-one-sample", "bench-two-lengths", "bench-length-1",
+            "stats-one-sample", "stats-sample-string", "stats-sample-bool",
+            "stats-std-overflow",
+            "bench-two-lengths", "bench-length-1",
             "bench-heads-not-dividing-d_model", "block-not-an-object"])
     def test_bad_value_exits_usage(self, tmp_path, capsys, doc):
         code, _ = run(tmp_path, "check", doc)
         assert code == EXIT_USAGE
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", [None, "1.0\nabc\n", "1.0\n"],
-                             ids=["missing", "non-numeric", "one-number"])
+    @pytest.mark.parametrize("text", [None, "1.0\nabc\n", "1.0\n",
+                                      "1.0\nnan\n2.0\n", "1.0\ninf\n",
+                                      "1e308\n-1e308\n"],
+                             ids=["missing", "non-numeric", "one-number",
+                                  "nan", "inf", "std-overflow"])
     def test_bad_samples_file_exits_usage(self, tmp_path, capsys, text):
         sf = tmp_path / "samples.txt"
         if text is not None:
             sf.write_text(text)
-        code, _ = run(tmp_path, "stats", {"stats": {"samples_file": str(sf)}})
+        code, out = run(tmp_path, "stats", {"stats": {"samples_file": str(sf)}})
         assert code == EXIT_USAGE
         assert "samples_file" in capsys.readouterr().err
+        assert not (out / "stats.json").exists()
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -170,6 +185,34 @@ class TestGradcheck:
         assert "full_model" in text and "FAIL" not in text
 
 
+class TestTaskFitsModel:
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("task", [
+        {"kind": "copy", "alphabet": 16},
+        {"kind": "reverse", "alphabet": 13},
+        {"kind": "arithmetic_chain", "length": 6},
+        {"kind": "copy", "alphabet": 10, "length": 12},
+    ], ids=["copy-alphabet-above-vocab", "reverse-alphabet-above-vocab",
+            "arithmetic-below-ARITH_VOCAB", "length-above-max_seq_len"])
+    def test_mismatch_exits_usage_before_any_step(self, tmp_path, capsys,
+                                                  command, task):
+        doc = {"model": SMALL_MODEL,
+               "task": dict({"length": 4, "count": 4}, **task),
+               "train": {"steps": 2, "batch": 2}, "sweep": {"steps": 2}}
+        code, out = run(tmp_path, command, doc)
+        assert code == EXIT_USAGE
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_alphabet_equal_to_vocab_runs(self, tmp_path):
+        doc = {"model": SMALL_MODEL,
+               "task": {"kind": "copy", "alphabet": 12, "length": 8,
+                        "count": 4},
+               "train": {"steps": 2, "batch": 2}}
+        code, _ = run(tmp_path, "train", doc)
+        assert code == EXIT_OK
+
+
 class TestTrain:
     def test_artifacts_and_exit(self, tmp_path, capsys):
         doc = {"model": SMALL_MODEL,
@@ -214,15 +257,25 @@ class TestGsot:
 
 class TestStats:
     def test_interval_and_significance(self, tmp_path, capsys):
-        doc = {"stats": {"samples": [1, 2, 3, 4, 5], "level": 0.95,
-                         "p": 0.003}}
+        doc = {"stats": {"samples": [1, 2, 3, 4, 5], "level": 0.95}}
         code, out = run(tmp_path, "stats", doc)
         assert code == EXIT_OK
         doc = json.loads((out / "stats.json").read_text())
         assert abs(doc["ci_low"] - 1.0368) < 1e-3
         assert abs(doc["ci_high"] - 4.9632) < 1e-3
-        assert doc["significance"] == "strong"
-        assert "significance=strong" in capsys.readouterr().out
+        assert abs(doc["p"] - 0.01324) < 1e-5
+        assert doc["significance"] == "moderate"
+        assert "significance=moderate" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("samples,p,label", [
+        ([2, 2, 2], 0.0, "strong"), ([0, 0], 1.0, "insufficient")],
+        ids=["equal-nonzero", "all-zero"])
+    def test_zero_spread_writes_finite_p(self, tmp_path, samples, p, label):
+        code, out = run(tmp_path, "stats", {"stats": {"samples": samples}})
+        assert code == EXIT_OK
+        doc = json.loads((out / "stats.json").read_text())
+        assert doc["p"] == p and doc["significance"] == label
+        assert doc["ci_low"] == doc["ci_high"] == doc["mean"]
 
     def test_samples_file(self, tmp_path):
         sf = tmp_path / "samples.txt"

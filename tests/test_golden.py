@@ -19,7 +19,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 COMMAND_ARTIFACTS = {"train": "metrics.csv", "sweep": "sweep.csv",
                      "gsot": "trace.jsonl", "bench": "complexity.csv",
-                     "check": "check.report.json"}
+                     "check": "check.report.json", "stats": "stats.json"}
 
 CASES = [(config.name, command)
          for config in sorted(GOLDEN.iterdir())

@@ -30,8 +30,6 @@ ALLOWED = {
                                  "the acceptance gates call it",
     "published_scale_comparison": "the lab's record of the paper's "
                                   "parameter-count claims",
-    "ARITH_VOCAB": "vocabulary size the arithmetic task needs; configs and "
-                   "the benchmark set it",
     "eval_arith_program": "reference evaluator for arithmetic programs",
     "memory_estimate": "the lab's record of the paper's memory claim",
     "PUBLISHED_MEMORY_CLAIM_BYTES": "the paper's published memory figure",

@@ -18,7 +18,8 @@ from ttm_lab.training import (ARITH_VOCAB, EVAL_SLICE, METRIC_COLUMNS,
                               confidence_interval, cross_entropy,
                               dataset_loss, eval_arith_program, evaluate,
                               lr_schedule, make_task, memory_estimate,
-                              significance_label, t_quantile, train)
+                              significance_label, t_quantile, t_test_p,
+                              train)
 
 
 def toy_params(seed=0, **kw):
@@ -479,9 +480,9 @@ class TestStatistics:
     def test_quantiles_match_scipy_for_all_df(self):
         scipy_stats = pytest.importorskip("scipy.stats")
         for level in (0.90, 0.95, 0.99):
-            for df in range(1, 121):
+            for df in range(1, 201):
                 want = scipy_stats.t.ppf(0.5 + level / 2.0, df)
-                assert abs(t_quantile(level, df) - want) < 5e-6
+                assert abs(t_quantile(level, df) - want) < 1e-8
 
     def test_interval_matches_scipy_within_width_tolerance(self):
         scipy_stats = pytest.importorskip("scipy.stats")
@@ -496,9 +497,56 @@ class TestStatistics:
             assert abs(lo - (mu - q * se)) < 1e-3 * max(width, 1e-9) + 2e-5
             assert abs(hi - (mu + q * se)) < 1e-3 * max(width, 1e-9) + 2e-5
 
-    def test_large_df_uses_normal_quantile(self):
-        assert t_quantile(0.95, 121) == pytest.approx(1.959964)
-        assert t_quantile(0.99, 500) == pytest.approx(2.575829)
+    def test_large_df_quantiles_match_scipy(self):
+        # no normal fallback: at df 121 the 95% quantile is 1.97976, not 1.96
+        scipy_stats = pytest.importorskip("scipy.stats")
+        for level in (0.90, 0.95, 0.99):
+            for df in (121, 500, 10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6):
+                want = scipy_stats.t.ppf(0.5 + level / 2.0, df)
+                assert abs(t_quantile(level, df) - want) < 1e-8
+        assert abs(t_quantile(0.95, 121) - 1.97976) < 1e-5
+
+    def test_unlisted_level_rejected(self):
+        for level in (0.5, 0.975, 1.0):
+            with pytest.raises(ValueError, match="level"):
+                t_quantile(level, 10)
+        with pytest.raises(ValueError):
+            t_quantile(0.95, 0)
+
+    def test_p_value_matches_scipy_ttest(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(1)
+        checked = 0
+        for n in (2, 3, 5, 12, 40, 121, 500, 3000):
+            for loc in (0.0, 0.1, 0.5, 2.0, -3.0):
+                samples = rng.normal(loc=loc, size=n)
+                want = scipy_stats.ttest_1samp(samples, 0.0).pvalue
+                if want >= 1e-12:
+                    assert t_test_p(samples) == pytest.approx(want, rel=1e-8)
+                    checked += 1
+        assert checked >= 30
+        assert t_test_p([1, 2, 3, 4, 5]) == pytest.approx(0.0132356, abs=1e-7)
+
+    def test_zero_spread_p_is_the_limit(self):
+        # t is +-inf with zero spread and a nonzero mean: p -> 0 as the
+        # spread shrinks, which scipy shows on nearly equal samples
+        scipy_stats = pytest.importorskip("scipy.stats")
+        assert scipy_stats.ttest_1samp([2.0, 2.0, 2.0 + 1e-9], 0.0).pvalue < 1e-6
+        assert t_test_p([2.0, 2.0, 2.0]) == 0.0
+        assert t_test_p([-0.5, -0.5]) == 0.0
+        assert t_test_p([0.0, 0.0, 0.0]) == 1.0
+        assert t_test_p([-1.0, 1.0]) == 1.0  # mean 0, nonzero spread
+
+    @pytest.mark.parametrize("samples", [
+        [1.0, float("nan")], [1.0, 2.0, float("inf")], [1e308, -1e308],
+        [1.7e308, 1.7e308], [[1.0, 2.0], [3.0, 4.0]], [1.0]],
+        ids=["nan", "inf", "std-overflow", "mean-overflow", "nested",
+             "one-sample"])
+    def test_bad_samples_rejected(self, samples):
+        with pytest.raises(ValueError):
+            confidence_interval(samples)
+        with pytest.raises(ValueError):
+            t_test_p(samples)
 
     def test_significance_labels(self):
         assert significance_label(0.003) == "strong"
