@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DimensionError, Tensor, check_finite, softmax_rows
+from .numerics import (DimensionError, Tensor, _unbroadcast, check_finite,
+                       softmax_rows)
 
 
 class AttentionConfigError(ValueError):
@@ -67,11 +68,32 @@ class AttentionOutput:
     v: Tensor               # (h, n, d_k) per-head value rows
 
 
+def _side_by_side(heads):
+    """(..., h, n, d_k) per-head arrays laid side by side as (..., n, h * d_k),
+    head 0 first."""
+    *lead, h, n, d_k = heads.shape
+    return np.swapaxes(heads, -3, -2).reshape(*lead, n, h * d_k)
+
+
 def merge_heads(head_values, W_o):
     """(..., h, n, d_k) per-head outputs, laid side by side as
-    (..., n, h * d_k) with head 0 first, projected by W_o."""
+    (..., n, h * d_k) with head 0 first, projected by W_o; one node.
+
+    Values and gradients are those of the transpose, reshape and matmul chain
+    this replaces, bit for bit: the heads' gradient is the product's, folded
+    back into (..., h, n, d_k), and W_o's is merged^T @ g.
+    """
     *lead, h, n, d_k = head_values.shape
-    return head_values.transpose(-3, -2).reshape(*lead, n, h * d_k) @ W_o
+    merged = _side_by_side(head_values.values)
+    wv = W_o.values
+
+    def dheads(g):
+        side = (g @ np.swapaxes(wv, -1, -2)).reshape(*lead, n, h, d_k)
+        return np.swapaxes(side, -3, -2)
+
+    return Tensor(merged @ wv, _parents=(
+        (head_values, dheads),
+        (W_o, lambda g: np.swapaxes(merged, -1, -2) @ g)))
 
 
 def _weigh(pre, v, W_o):
@@ -81,27 +103,50 @@ def _weigh(pre, v, W_o):
                            weights=weights, pre_softmax=pre, v=v)
 
 
-def _scaled_scores(q, k, scale):
-    """(q @ k^T) * scale as one node, its product scaled in place.
+def _project(x, W_qkv):
+    """x.reshape(..., 1, 1, n, d) @ W_qkv as one node: every head's q, k and
+    v rows, stacked as (..., h, 3, n, d_k).
 
-    The vjps repeat the arithmetic of the matmul-then-multiply chain this
-    replaces, bit for bit: the product's gradient is g * scale with -0.0
-    turned into 0.0 (as accumulating it into its own node did), and k's is
-    the transpose of q^T @ that gradient.
+    Values and gradients are those of the reshape-then-matmul chain this
+    replaces, bit for bit: x's gradient is the product's summed over the
+    head and q/k/v axes, as accumulating it into the reshaped x did.
     """
-    qv, kv = q.values, k.values
+    *lead, n, d = shape = x.shape
+    xs = x.values.reshape(*lead, 1, 1, n, d)
+    wv = W_qkv.values
+
+    def dx(g):
+        gx = _unbroadcast(g @ np.swapaxes(wv, -1, -2), xs.shape)
+        return gx.reshape(shape)
+
+    return Tensor(xs @ wv, _parents=(
+        (x, dx), (W_qkv, lambda g: np.swapaxes(xs, -1, -2) @ g)))
+
+
+def _scaled_scores(qkv, scale):
+    """(q @ k^T) * scale as one node, q and k read from the stacked
+    (..., h, 3, n, d_k) projection and their product scaled in place.
+
+    The vjp repeats the arithmetic of the slice, matmul and multiply chain
+    this replaces, bit for bit: the product's gradient is g * scale with
+    -0.0 turned into 0.0 (as accumulating it into its own node did), q's
+    slot of the stacked gradient is that @ k, and k's the transpose of
+    q^T @ that; v's slot is 0.
+    """
+    stacked = qkv.values
+    qv, kv = stacked[..., 0, :, :], stacked[..., 1, :, :]
     out = qv @ np.swapaxes(kv, -1, -2)
     out *= scale
 
-    def scaled(g):
+    def dqkv(g):
         gs = g * scale
         gs += 0.0
-        return gs
+        full = np.zeros_like(stacked)
+        full[..., 0, :, :] = gs @ kv
+        full[..., 1, :, :] = np.swapaxes(np.swapaxes(qv, -1, -2) @ gs, -1, -2)
+        return full
 
-    return Tensor(out, _parents=(
-        (q, lambda g: scaled(g) @ kv),
-        (k, lambda g: np.swapaxes(np.swapaxes(qv, -1, -2) @ scaled(g),
-                                  -1, -2))))
+    return Tensor(out, _parents=((qkv, dqkv),))
 
 
 def attention_baseline(x, params):
@@ -110,11 +155,9 @@ def attention_baseline(x, params):
     x is (n, d_model) or a (B, n, d_model) batch.
     """
     x = Tensor._coerce(x)
-    *lead, n, d = x.shape
-    qkv = x.reshape(*lead, 1, 1, n, d) @ params.W_qkv   # (..., h, 3, n, d_k)
-    q, k, v = (qkv[..., i, :, :] for i in range(3))
-    pre = _scaled_scores(q, k, 1.0 / np.sqrt(params.d_k))
-    return _weigh(pre, v, params.W_o)
+    qkv = _project(x, params.W_qkv)   # (..., h, 3, n, d_k)
+    pre = _scaled_scores(qkv, 1.0 / np.sqrt(params.d_k))
+    return _weigh(pre, qkv[..., 2, :, :], params.W_o)
 
 
 def _baseline_values(x, params):
@@ -133,20 +176,19 @@ def _baseline_values(x, params):
         raise ValueError("_baseline_values records no tape; its input and "
                          "projections must not require a gradient")
     *lead, n, d = x.shape
-    h, d_k = params.head_count, params.d_k
     qkv = check_finite(x.values.reshape(*lead, 1, 1, n, d)
                        @ params.W_qkv.values, "attention projection")
     q, k, v = (qkv[..., i, :, :] for i in range(3))
     w = q @ np.swapaxes(k, -1, -2)
-    w *= 1.0 / np.sqrt(d_k)
+    w *= 1.0 / np.sqrt(params.d_k)
     check_finite(w, "attention scores")
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
     check_finite(w, "attention weights")
     heads = check_finite(w @ v, "attention weighted values")
-    merged = np.swapaxes(heads, -3, -2).reshape(*lead, n, h * d_k)
-    return check_finite(merged @ params.W_o.values, "attention output")
+    return check_finite(_side_by_side(heads) @ params.W_o.values,
+                        "attention output")
 
 
 def _check_field(base, field, params):

@@ -250,11 +250,11 @@ CHECKS = {
 
 
 def cmd_check(resolved, model_cfg, args):
-    out_dir = _write_resolved(resolved)
     modules = [args.filter] if args.filter else sorted(CHECKS)
     if args.filter and args.filter not in CHECKS:
         raise ConfigError(f"--filter {args.filter!r}: no such module "
                           f"(have {sorted(CHECKS)})")
+    out_dir = _write_resolved(resolved)
     report = {}
     failed = False
     for module in modules:
@@ -432,7 +432,6 @@ def cmd_bench(resolved, model_cfg, gsot_cfg, args):
 
 
 def cmd_stats(resolved, args):
-    out_dir = _write_resolved(resolved)
     blk = resolved["stats"]
     samples, path = blk["samples"], blk["samples_file"]
     try:
@@ -444,8 +443,9 @@ def cmd_stats(resolved, args):
     except (OSError, ValueError) as exc:
         # load_config checked the inline samples, so only a file fails here
         raise ConfigError(f"cannot use samples_file {path}: {exc}")
+    out_dir = _write_resolved(resolved)
     p = training.t_test_p(samples)
-    doc = {"n": samples.size, "mean": float(samples.mean()),
+    doc = {"n": samples.size, "mean": training.sample_mean(samples),
            "level": blk["level"], "ci_low": lo, "ci_high": hi, "p": p,
            "significance": training.significance_label(p)}
     with open(os.path.join(out_dir, "stats.json"), "w") as fh:

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention as attn_mod
-from .numerics import DimensionError, Rng, Tensor, concat, gelu, layer_norm, softmax_rows
+from .numerics import (DimensionError, Rng, Tensor, concat, gelu, layer_norm,
+                       linear, softmax_rows)
 from .temperature import (DEFAULT_EPS_MIN, TemperatureHeadParams,
                           compute_temperature)
 
@@ -249,7 +250,8 @@ def block_forward(x, block, cfg, temp_multiplier=1.0):
         else:
             att_values = mod.values
     h1 = layer_norm(x + att_values, block.ln1_gain, block.ln1_bias)
-    ff = gelu(h1 @ block.W_ff1 + block.b_ff1) @ block.W_ff2 + block.b_ff2
+    ff = linear(gelu(linear(h1, block.W_ff1, block.b_ff1)), block.W_ff2,
+                block.b_ff2)
     out = layer_norm(h1 + ff, block.ln2_gain, block.ln2_bias)
     return out, field
 

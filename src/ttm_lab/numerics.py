@@ -23,6 +23,7 @@ __all__ = [
     "Tensor",
     "Rng",
     "matmul",
+    "linear",
     "softmax_rows",
     "sigmoid_map",
     "layer_norm",
@@ -365,9 +366,10 @@ class Tensor:
         return Tensor(self.values.reshape(*shape),
                       _parents=((self, lambda g: g.reshape(old)),))
 
-    def transpose(self, axis0=-2, axis1=-1):
-        return Tensor(np.swapaxes(self.values, axis0, axis1), _parents=(
-            (self, lambda g: np.swapaxes(g, axis0, axis1)),))
+    def transpose(self):
+        """The last two axes swapped."""
+        return Tensor(np.swapaxes(self.values, -1, -2), _parents=(
+            (self, lambda g: np.swapaxes(g, -1, -2)),))
 
     @property
     def T(self):
@@ -438,6 +440,23 @@ def matmul(a, b):
         (b, lambda g: np.swapaxes(av, -1, -2) @ g)))
 
 
+def linear(x, W, b):
+    """x @ W + b as one node: a dense layer with a bias.
+
+    Values and gradients are those of matmul followed by +, bit for bit. The
+    product's gradient was the + node's gradient, added to 0.0 by
+    Tensor._accumulate; a node's own gradient has been through that add
+    already, so the product's vjps take it as it is.
+    """
+    xv, wv = x.values, W.values
+    out = xv @ wv
+    out += b.values
+    return Tensor(out, _parents=(
+        (x, lambda g: g @ np.swapaxes(wv, -1, -2)),
+        (W, lambda g: np.swapaxes(xv, -1, -2) @ g),
+        (b, _same)))
+
+
 def softmax_rows(x):
     """Row-wise softmax over the last axis, with max-subtraction."""
     x = Tensor._coerce(x)
@@ -451,13 +470,17 @@ def softmax_rows(x):
         (x, lambda g: p * (g - (g * p).sum(axis=-1, keepdims=True))),))
 
 
+def _sigmoid(v):
+    """Elementwise 1 / (1 + exp(-v)) of an array, evaluated on the stable
+    side of the exponential in each branch. Its derivative is s * (1 - s)."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid_map(x):
     """Elementwise logistic sigmoid 1 / (1 + exp(-x))."""
     x = Tensor._coerce(x)
-    # evaluate on the stable side of the exponential in each branch
-    v = x.values
-    s = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
-                 np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+    s = _sigmoid(x.values)
     return Tensor(s, _parents=((x, lambda g: g * s * (1.0 - s)),))
 
 

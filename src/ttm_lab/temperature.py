@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DimensionError, Tensor, sigmoid_map
+from .numerics import DimensionError, Tensor, _sigmoid, linear
 
 DEFAULT_EPS_MIN = 0.01
 
@@ -21,10 +21,26 @@ class ConfigurationError(ValueError):
 
 
 def squash(logits, eps_min=DEFAULT_EPS_MIN):
-    """Affine sigmoid squash into [eps_min, 1 - eps_min]."""
+    """Affine sigmoid squash into [eps_min, 1 - eps_min], as one node.
+
+    Values and gradients are those of sigmoid_map(logits) * (1 - 2 eps_min)
+    + eps_min, bit for bit: the sigmoid's gradient is g * (1 - 2 eps_min)
+    plus 0.0, as accumulating it into its own node gave.
+    """
     if not 0.0 <= eps_min < 0.5:
         raise ConfigurationError(f"eps_min {eps_min} outside [0, 0.5)")
-    return sigmoid_map(logits) * (1.0 - 2.0 * eps_min) + eps_min
+    logits = Tensor._coerce(logits)
+    span = 1.0 - 2.0 * eps_min
+    s = _sigmoid(logits.values)
+    out = s * span
+    out += eps_min
+
+    def dlogits(g):
+        gs = g * span
+        gs += 0.0
+        return gs * s * (1.0 - s)
+
+    return Tensor(out, _parents=((logits, dlogits),))
 
 
 @dataclass
@@ -58,15 +74,26 @@ def compute_temperature(activations, params):
     if params.W_t.shape[1] != d:
         raise DimensionError(
             f"W_t expects width {params.W_t.shape[1]}, activations have {d}")
-    logits = activations @ params.W_t.T + params.b_t  # (..., n, h)
+    logits = linear(activations, params.W_t.T, params.b_t)  # (..., n, h)
     return squash(logits, params.eps_min).T
 
 
 def collapse_penalty(field, lam):
-    """Differentiable regularizer lam * sum((T - 0.5)^2)."""
+    """Differentiable regularizer lam * sum((T - 0.5)^2), as one node.
+
+    Values and gradients are those of ((field - 0.5) ** 2).sum() * lam, bit
+    for bit: the sum's gradient is g * lam plus 0.0, and the square's is
+    twice that times field - 0.5.
+    """
     if lam < 0:
         raise ConfigurationError("lambda must be nonnegative")
-    return ((field - 0.5) ** 2).sum() * lam
+    d = field.values - 0.5
+
+    def dfield(g):
+        gs = g * lam + 0.0
+        return gs * 2.0 * d
+
+    return Tensor((d ** 2.0).sum() * lam, _parents=((field, dfield),))
 
 
 @dataclass

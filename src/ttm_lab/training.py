@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .model import model_forward
-from .numerics import NumericError, Rng, Tensor
+from .numerics import NumericError, Rng, Tensor, check_finite
 from .temperature import (clip_temperature_grad, collapse_penalty,
                           default_grad_clip_tau, detect_collapse)
 
@@ -204,6 +204,12 @@ def cross_entropy(logits, targets, mask):
     Logits are (n, vocab) with (n,) targets and mask, or a (B, n, vocab)
     batch with (B, n) ones; a batch's loss is the mean over examples of each
     example's masked mean, so every example weighs the same.
+
+    One node. Its value and gradient repeat, bit for bit, the chain of ten
+    nodes it replaces: z = log(sum(exp(logits - shift))) + shift, the
+    masked z minus the picked target logits, weighted and summed. Where a
+    node of that chain turned a -0.0 gradient into 0.0, the vjp adds 0.0,
+    and logits - shift is checked as its node was.
     """
     targets = np.asarray(targets)
     mask = np.asarray(mask, dtype=bool)
@@ -211,12 +217,29 @@ def cross_entropy(logits, targets, mask):
     if (per_example == 0).any():
         raise NumericError("every example needs at least one masked position")
     rows = np.nonzero(mask)               # one index array per mask axis
-    shift = logits.values.max(axis=-1, keepdims=True)  # constant for stability
-    z = (logits - shift).exp().sum(axis=-1).log() \
-        + Tensor(shift[..., 0], check=False)
-    picked = logits[rows + (targets[rows],)]
+    picked = rows + (targets[rows],)
+    lv = logits.values
+    shift = lv.max(axis=-1, keepdims=True)  # constant for stability
+    e = check_finite(lv - shift, "cross_entropy")
+    np.exp(e, out=e)
+    s = e.sum(axis=-1)
+    z = np.log(s) + shift[..., 0]
     weight = 1.0 / (per_example[rows[:-1]] * float(per_example.size))
-    return ((z[rows] - picked) * weight).sum()
+
+    def dlogits(g):
+        gd = g * weight                   # the gradient of z[rows] - picked
+        gd += 0.0
+        gs = np.zeros_like(z)
+        gs[rows] = gd
+        gs /= s
+        gs += 0.0
+        out = gs[..., None] * e
+        out += 0.0
+        out[picked] -= gd
+        return out
+
+    return Tensor(((z[rows] - lv[picked]) * weight).sum(),
+                  _parents=((logits, dlogits),))
 
 
 def stability_excess(grad_norm, tau):
@@ -456,30 +479,51 @@ def t_quantile(level, df):
 
 
 def _moments(samples):
-    """(n, mean, sample std) of a flat list of at least 2 finite samples. A
-    finite sum of squares bounds s by 1.4e154, so mu +- t * s stays finite."""
+    """(n, mean, sample std, e) of a flat list of at least 2 finite samples,
+    the mean and std being those of the samples scaled by 2**-e, which puts
+    the largest magnitude in [0.5, 1). The squared deviations then cannot
+    overflow, nor vanish because every sample is tiny. Scaling by a power of
+    two is exact, so samples of ordinary magnitude give the bits of the
+    unscaled arithmetic once a caller scales back with _unscaled."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1 or samples.size < 2 or not np.isfinite(samples).all():
         raise ValueError("need a flat list of at least 2 finite samples")
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu, s = float(samples.mean()), float(samples.std(ddof=1))
-    if not (math.isfinite(mu) and math.isfinite(s)):
-        raise ValueError(f"sample mean {mu} or std {s} overflows")
-    return samples.size, mu, s
+    _, e = math.frexp(float(np.abs(samples).max()))
+    scaled = np.ldexp(samples, -e)
+    return samples.size, float(scaled.mean()), float(scaled.std(ddof=1)), e
+
+
+def _unscaled(x, e, what):
+    """x * 2**e, or a ValueError naming `what` when that is beyond the
+    largest float."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        raise ValueError(f"{what} does not fit in a float") from None
+
+
+def sample_mean(samples):
+    """The mean of a flat list of at least 2 finite samples, exact in scale
+    for any magnitude the samples have."""
+    _, mu, _, e = _moments(samples)
+    return _unscaled(mu, e, "sample mean")
 
 
 def confidence_interval(samples, level=0.95):
-    """mu +- t_{alpha/2, n-1} * s / sqrt(n) with the sample std deviation."""
-    n, mu, s = _moments(samples)
+    """mu +- t_{alpha/2, n-1} * s / sqrt(n) with the sample std deviation;
+    an interval beyond the largest float raises ValueError."""
+    n, mu, s, e = _moments(samples)
     half = t_quantile(level, n - 1) * s / math.sqrt(n)
-    return mu - half, mu + half
+    return (_unscaled(mu - half, e, "confidence interval"),
+            _unscaled(mu + half, e, "confidence interval"))
 
 
 def t_test_p(samples):
     """Two-sided p of a one-sample t-test of mean 0 (the paired t-test when
     the samples are per-pair differences). Zero spread gives the t -> +-inf
-    limit, 0.0, or 1.0 if the mean is 0 too."""
-    n, mu, s = _moments(samples)
+    limit, 0.0, or 1.0 if the mean is 0 too. t is formed from the scaled
+    mean and std, so it is finite at any scale."""
+    n, mu, s, _ = _moments(samples)
     if s == 0.0:
         return float(mu == 0.0)
     return _t_tail(mu * math.sqrt(n) / s, n - 1)

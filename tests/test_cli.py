@@ -94,7 +94,7 @@ class TestConfigLoading:
         {"stats": {"samples": [1.0]}},
         {"stats": {"samples": [1, 2, "nan"]}},
         {"stats": {"samples": [1, True, 2]}},
-        {"stats": {"samples": [1, 2, 1e308, -1e308]}},
+        {"stats": {"samples": [1, 2, 1.7e308, -1.7e308]}},
         {"bench": {"lengths": [64, 128]}},
         {"bench": {"lengths": [1, 2, 3, 4]}},
         {"bench": {"heads": 3}},
@@ -127,7 +127,7 @@ class TestConfigLoading:
         code, out = run(tmp_path, "stats", {"stats": {"samples_file": str(sf)}})
         assert code == EXIT_USAGE
         assert "samples_file" in capsys.readouterr().err
-        assert not (out / "stats.json").exists()
+        assert not out.exists()
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -172,9 +172,10 @@ class TestCheck:
                                "attention.identity_reduction"}
 
     def test_unknown_filter_is_usage_error(self, tmp_path):
-        code, _ = run(tmp_path, "check", {"model": SMALL_MODEL},
-                      extra=["--filter", "quantum"])
+        code, out = run(tmp_path, "check", {"model": SMALL_MODEL},
+                        extra=["--filter", "quantum"])
         assert code == EXIT_USAGE
+        assert not out.exists()
 
 
 class TestGradcheck:
@@ -276,6 +277,17 @@ class TestStats:
         doc = json.loads((out / "stats.json").read_text())
         assert doc["p"] == p and doc["significance"] == label
         assert doc["ci_low"] == doc["ci_high"] == doc["mean"]
+
+    @pytest.mark.parametrize("samples, mean, p", [
+        ([1e-200, 2e-200], 1.5e-200, 0.2048), ([1.7e308, 1.7e308], 1.7e308, 0.0)],
+        ids=["tiny", "largest-equal"])
+    def test_extreme_scales(self, tmp_path, samples, mean, p):
+        code, out = run(tmp_path, "stats", {"stats": {"samples": samples}})
+        assert code == EXIT_OK
+        doc = json.loads((out / "stats.json").read_text())
+        assert doc["mean"] == pytest.approx(mean, rel=1e-15)
+        assert doc["p"] == pytest.approx(p, abs=1e-4)
+        assert doc["ci_low"] <= doc["mean"] <= doc["ci_high"]
 
     def test_samples_file(self, tmp_path):
         sf = tmp_path / "samples.txt"

@@ -1,11 +1,12 @@
-"""The in-place kernels against the expressions they replaced, and their
-allocation bounds.
+"""The in-place kernels and the fused nodes against the expressions they
+replaced, and their allocation bounds.
 
 Each reference below is a kernel as it was written before it computed its
-temporaries in place. Values and gradients must match it bit for bit: arrays
-are compared as int64 views, so a -0.0 against a 0.0 or a different NaN
-payload fails too. The allocation guards measure the peak of numpy's traced
-allocations during one forward call, which does not depend on the host.
+temporaries in place, or the chain of tape nodes a fused node stands in for.
+Values and gradients must match it bit for bit: arrays are compared as int64
+views, so a -0.0 against a 0.0 or a different NaN payload fails too. The
+allocation guards measure the peak of numpy's traced allocations during one
+forward call, which does not depend on the host.
 """
 
 import math
@@ -15,10 +16,13 @@ import numpy as np
 import pytest
 
 from ttm_lab import numerics
-from ttm_lab.attention import (AttentionParams, _baseline_values,
-                               _scaled_scores, _weigh, attention_baseline)
+from ttm_lab.attention import (AttentionParams, _baseline_values, _project,
+                               _scaled_scores, attention_baseline,
+                               merge_heads)
 from ttm_lab.numerics import (NumericError, Rng, Tensor, _erf, gelu,
-                              layer_norm, softmax_rows)
+                              layer_norm, linear, sigmoid_map, softmax_rows)
+from ttm_lab.temperature import collapse_penalty, squash
+from ttm_lab.training import cross_entropy
 
 # -- references: the pre-change expressions -----------------------------------
 
@@ -95,16 +99,55 @@ def ref_gelu(x):
         cdf + v * (np.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi)))),))
 
 
-def ref_scores(q, k, scale):
+def ref_scores(qkv, scale):
+    q, k = qkv[..., 0, :, :], qkv[..., 1, :, :]
     return (q @ k.T) * scale
 
 
-def ref_attention_baseline(x, params):
+def ref_merge_heads(head_values, W_o):
+    *lead, h, n, d_k = head_values.shape
+    return Tensor(np.swapaxes(head_values.values, -3, -2), _parents=(
+        (head_values, lambda g: np.swapaxes(g, -3, -2)),)
+    ).reshape(*lead, n, h * d_k) @ W_o
+
+
+def ref_project(x, W_qkv):
     *lead, n, d = x.shape
-    qkv = x.reshape(*lead, 1, 1, n, d) @ params.W_qkv
+    return x.reshape(*lead, 1, 1, n, d) @ W_qkv
+
+
+def ref_attention_baseline(x, params):
+    qkv = ref_project(x, params.W_qkv)
     q, k, v = (qkv[..., i, :, :] for i in range(3))
     pre = q @ k.T * (1.0 / np.sqrt(params.d_k))
-    return _weigh(pre, v, params.W_o)
+    weights = softmax_rows(pre)
+    values = ref_merge_heads(weights @ v, params.W_o)
+    return values + weights.sum() + pre.sum()
+
+
+def ref_linear(x, W, b):
+    return x @ W + b
+
+
+def ref_squash(eps_min):
+    return lambda logits: sigmoid_map(logits) * (1.0 - 2.0 * eps_min) + eps_min
+
+
+def ref_collapse_penalty(lam):
+    return lambda field: ((field - 0.5) ** 2).sum() * lam
+
+
+def ref_cross_entropy(targets, mask):
+    def run(logits):
+        per_example = mask.sum(axis=-1)
+        rows = np.nonzero(mask)
+        shift = logits.values.max(axis=-1, keepdims=True)
+        z = (logits - shift).exp().sum(axis=-1).log() \
+            + Tensor(shift[..., 0], check=False)
+        picked = logits[rows + (targets[rows],)]
+        weight = 1.0 / (per_example[rows[:-1]] * float(per_example.size))
+        return ((z[rows] - picked) * weight).sum()
+    return run
 
 
 # -- helpers -----------------------------------------------------------------
@@ -121,6 +164,9 @@ SHAPES = [(8, 5), (2, 3, 6, 6)]
 # signed zeros, subnormals and the float extremes a logit can reach
 EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300,
                   -1e300, 1.0, -3.5])
+# the same, with extremes whose products and squares stay finite
+FINITE_PRODUCTS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310,
+                            1e150, -1e150, 1.0, -3.5])
 
 
 def inputs(shape, seed, edges=EDGES, scale=3.0):
@@ -130,17 +176,26 @@ def inputs(shape, seed, edges=EDGES, scale=3.0):
     return x.reshape(shape)
 
 
-def run_both(kernel, reference, arrays, seed):
+def run_both(kernel, reference, arrays, seed, upstream=None):
     """Values and leaf gradients of kernel and reference on the same leaves,
-    under one random upstream gradient."""
+    under one random upstream gradient, or `upstream(shape)` when given."""
     results = []
     for fn in (kernel, reference):
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
         out = fn(*leaves)
-        w = Rng(seed).normal(out.shape)
+        w = Rng(seed).normal(out.shape) if upstream is None \
+            else upstream(out.shape)
         (out * w).sum().backward()
         results.append((out.values, [t.grad for t in leaves]))
     return results
+
+
+def tiny_upstream(shape):
+    """An upstream gradient led by signed zeros and subnormals, which turn
+    into -0.0 when a vjp scales them down; a scalar one is -5e-324."""
+    if not shape:
+        return -5e-324
+    return inputs(shape, 10, edges=EDGES[:6], scale=1.0)
 
 
 def assert_same(results):
@@ -211,18 +266,61 @@ class TestKernelParity:
             assert_same(run_both(gelu, ref_gelu, [inputs(shape, 7)], 8))
 
     def test_scaled_scores(self, shape):
-        # an upstream gradient of -5e-324 scales to -0.0 on the way down
+        # q and k are strided views of one stacked projection
         *lead, n, _ = shape
-        q, k = inputs((2, *lead, n, 4), 9, scale=1.0)
+        qkv = inputs((*lead, 3, n, 4), 9, scale=1.0)
         for s in (0.5, 1.0 / np.sqrt(3)):
-            results = []
-            for fn in (_scaled_scores, ref_scores):
-                leaves = [Tensor(a, requires_grad=True) for a in (q, k)]
-                out = fn(*leaves, s)
-                w = inputs(out.shape, 10, edges=EDGES[:6])
-                (out * w).sum().backward()
-                results.append((out.values, [t.grad for t in leaves]))
-            assert_same(results)
+            assert_same(run_both(lambda t: _scaled_scores(t, s),
+                                 lambda t: ref_scores(t, s), [qkv], 10,
+                                 tiny_upstream))
+
+    def test_project(self, shape):
+        *lead, n, d = shape
+        for h in (1, 2):
+            w = Rng(h).normal((h, 3, d, 4))
+            assert_same(run_both(_project, ref_project,
+                                 [inputs(shape, 15, edges=EDGES[:6]), w], 16,
+                                 tiny_upstream))
+
+    def test_merge_heads(self, shape):
+        # (h, n, d_k) are the last three axes of (2, *shape)
+        *_, h, n, d_k = stacked = (2, *shape)
+        heads = inputs(stacked, 17, edges=FINITE_PRODUCTS)
+        w = Rng(18).normal((h * d_k, 7))
+        assert_same(run_both(merge_heads, ref_merge_heads, [heads, w], 19,
+                             tiny_upstream))
+
+    def test_linear(self, shape):
+        d = shape[-1]
+        rng = Rng(20)
+        arrays = [inputs(shape, 21, edges=FINITE_PRODUCTS),
+                  rng.normal((d, 7)), rng.normal((7,))]
+        assert_same(run_both(linear, ref_linear, arrays, 22, tiny_upstream))
+
+    @pytest.mark.parametrize("eps_min", [0.01, 0.2])
+    def test_squash(self, shape, eps_min):
+        assert_same(run_both(lambda t: squash(t, eps_min), ref_squash(eps_min),
+                             [inputs(shape, 23)], 24, tiny_upstream))
+
+    @pytest.mark.parametrize("lam", [1.0, 0.3])
+    def test_collapse_penalty(self, shape, lam):
+        field = inputs(shape, 25, edges=np.append(FINITE_PRODUCTS, 0.5))
+        for upstream in (None, tiny_upstream):
+            assert_same(run_both(lambda t: collapse_penalty(t, lam),
+                                 ref_collapse_penalty(lam), [field], 26,
+                                 upstream))
+
+    def test_cross_entropy(self, shape):
+        *lead, vocab = shape
+        rng = Rng(27)
+        targets = rng.integers(0, vocab, size=tuple(lead))
+        mask = rng.uniform(tuple(lead)) < 0.6
+        mask[..., 0] = True
+        for upstream in (None, tiny_upstream):
+            assert_same(run_both(
+                lambda t: cross_entropy(t, targets, mask),
+                ref_cross_entropy(targets, mask), [inputs(shape, 28)], 29,
+                upstream))
 
     def test_attention_baseline(self, shape):
         # q, k and v are strided views of one stacked projection here
@@ -233,14 +331,15 @@ class TestKernelParity:
         arrays = [rng.normal((*lead, n, d)), rng.normal((h, 3, d, d_k)),
                   rng.normal((h * d_k, d))]
 
-        def kernel(fn):
-            def run(x, W_qkv, W_o):
-                out = fn(x, AttentionParams(W_qkv=W_qkv, W_o=W_o))
-                return out.values + out.weights.sum() + out.pre_softmax.sum()
-            return run
+        def kernel(x, W_qkv, W_o):
+            out = attention_baseline(x, AttentionParams(W_qkv=W_qkv, W_o=W_o))
+            return out.values + out.weights.sum() + out.pre_softmax.sum()
 
-        assert_same(run_both(kernel(attention_baseline),
-                             kernel(ref_attention_baseline), arrays, 12))
+        def reference(x, W_qkv, W_o):
+            return ref_attention_baseline(
+                x, AttentionParams(W_qkv=W_qkv, W_o=W_o))
+
+        assert_same(run_both(kernel, reference, arrays, 12))
 
     @pytest.mark.parametrize("h", [1, 2, 4])
     def test_baseline_values(self, shape, h):
@@ -329,3 +428,29 @@ class TestBaselineValuesChecks:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericError, match=f"^{op} produced"):
             _baseline_values(x, params)
+
+
+class TestFusedNodeChecks:
+    """A non-finite value inside a fused node raises NumericError naming it,
+    as the node of the chain it replaced would have. squash is bounded, so
+    no finite input makes it non-finite."""
+
+    @pytest.mark.parametrize("node, run", [
+        ("linear", lambda: linear(Tensor(np.full((2, 3), 1e300)),
+                                  Tensor(np.full((3, 2), 1e300)),
+                                  Tensor(np.zeros(2)))),
+        ("_project", lambda: _project(Tensor(np.full((4, 3), 1e200)),
+                                      Tensor(np.full((2, 3, 3, 2), 1e200)))),
+        ("_scaled_scores", lambda: _scaled_scores(
+            Tensor(np.full((2, 3, 4, 2), 1e200)), 0.5)),
+        ("merge_heads", lambda: merge_heads(Tensor(np.full((2, 4, 3), 1e200)),
+                                            Tensor(np.full((6, 5), 1e200)))),
+        ("collapse_penalty", lambda: collapse_penalty(
+            Tensor(np.full((2, 4), 1e200)), 1.0)),
+        ("cross_entropy", lambda: cross_entropy(
+            Tensor([[1e308, -1e308, 0.0]]), np.array([1]), np.array([True])))])
+    def test_overflow_names_the_node(self, node, run):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match=f"^{node} produced"):
+            run()
+

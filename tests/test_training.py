@@ -18,8 +18,8 @@ from ttm_lab.training import (ARITH_VOCAB, EVAL_SLICE, METRIC_COLUMNS,
                               confidence_interval, cross_entropy,
                               dataset_loss, eval_arith_program, evaluate,
                               lr_schedule, make_task, memory_estimate,
-                              significance_label, t_quantile, t_test_p,
-                              train)
+                              sample_mean, significance_label, t_quantile,
+                              t_test_p, train)
 
 
 def toy_params(seed=0, **kw):
@@ -231,6 +231,44 @@ class TestTrainLoop:
         for (name, t), (_, w) in zip(params.named_tensors(), want.named_tensors()):
             assert np.all(np.isfinite(t.values)), name
             assert np.array_equal(t.values, w.values), name
+
+    @pytest.mark.parametrize("huge, node", [
+        ("block0.attn.wqkv", "_project"), ("block0.attn.wo", "merge_heads"),
+        ("block0.temp.wt", "linear"), ("block0.ffn.w1", "linear")])
+    def test_overflow_in_a_fused_node_aborts_and_restores(self, huge, node):
+        # constant parameters keep every sum one-signed, so the one set to
+        # 1e308 overflows the first node that multiplies by it
+        params = arith_params()
+        for name, t in params.named_tensors():
+            fill = {huge: 1e308, "embed.pos": 0.0}.get(name, 1.0)
+            t.values = np.full_like(t.values, fill)
+        before = {name: t.values for name, t in params.named_tensors()}
+        data = make_task(TaskSpec(kind="arithmetic_chain", length=8, count=64))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=f"^{node} produced"):
+                model_forward(data[0].inputs, params)
+            history = train(params, data, TrainConfig(steps=3, batch=8))
+        assert history.aborted and not history.rows
+        for name, t in params.named_tensors():
+            assert t.values is before[name], name
+
+    def test_step_records_at_most_56_tape_nodes(self, monkeypatch):
+        # one step of test_10's arithmetic config recorded 92 tape nodes
+        # before the model's composite ops became single nodes; per-node
+        # overhead, not arithmetic, is a step's cost at these sizes
+        nodes = []
+        init = Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self._parents:
+                nodes.append(self.shape)
+
+        monkeypatch.setattr(Tensor, "__init__", counting)
+        data = make_task(TaskSpec(kind="arithmetic_chain", length=8, count=64))
+        history = train(arith_params(), data, TrainConfig(steps=1, batch=8))
+        assert len(history.rows) == 1
+        assert len(nodes) <= 56
 
     def test_logged_total_is_optimized_loss(self):
         # lambda_S > 0 and an event at step 3: the logged total must still be
@@ -538,15 +576,50 @@ class TestStatistics:
         assert t_test_p([-1.0, 1.0]) == 1.0  # mean 0, nonzero spread
 
     @pytest.mark.parametrize("samples", [
-        [1.0, float("nan")], [1.0, 2.0, float("inf")], [1e308, -1e308],
-        [1.7e308, 1.7e308], [[1.0, 2.0], [3.0, 4.0]], [1.0]],
-        ids=["nan", "inf", "std-overflow", "mean-overflow", "nested",
-             "one-sample"])
+        [1.0, float("nan")], [1.0, 2.0, float("inf")],
+        [[1.0, 2.0], [3.0, 4.0]], [1.0]],
+        ids=["nan", "inf", "nested", "one-sample"])
     def test_bad_samples_rejected(self, samples):
         with pytest.raises(ValueError):
             confidence_interval(samples)
         with pytest.raises(ValueError):
             t_test_p(samples)
+
+    @pytest.mark.parametrize("samples, unit, p", [
+        ([1e-200, 2e-200], [1.0, 2.0], 0.20483),
+        ([3e-310, -1e-310, 2e-310], [3.0, -1.0, 2.0], 0.38279),
+        ([1e308, 0.0], [1.0, 0.0], 0.5),
+        ([1.7e308, 1.7e308], [1.0, 1.0], 0.0),
+        ([1.7e308, -1.7e308], [1.0, -1.0], 1.0)],
+        ids=["tiny", "subnormal", "std-near-max", "largest-equal",
+             "largest-opposite"])
+    def test_extreme_scales(self, samples, unit, p):
+        # the statistics of c * x are those of x, scaled for the mean and
+        # the interval: the std of tiny samples does not underflow to 0 and
+        # a std up to the largest float is kept; an interval beyond the
+        # largest float raises
+        scale = samples[0] / unit[0]
+        rel = 1e-12 if abs(scale) > 1e-300 else 1e-4
+        assert t_test_p(samples) == pytest.approx(t_test_p(unit), rel=rel)
+        assert t_test_p(samples) == pytest.approx(p, abs=1e-5)
+        assert sample_mean(samples) == pytest.approx(
+            scale * float(np.mean(unit)), rel=rel)
+        want = [scale * v for v in confidence_interval(unit)]
+        if all(math.isfinite(v) for v in want):
+            assert confidence_interval(samples) == pytest.approx(want, rel=rel)
+        else:
+            with pytest.raises(ValueError, match="does not fit"):
+                confidence_interval(samples)
+
+    def test_ordinary_samples_keep_their_bits(self):
+        # scaling by a power of two is exact: the unscaled arithmetic
+        samples = np.random.default_rng(3).normal(loc=2.0, size=50)
+        mu, s = samples.mean(), samples.std(ddof=1)
+        half = t_quantile(0.95, 49) * s / math.sqrt(50)
+        assert confidence_interval(samples) == (mu - half, mu + half)
+        assert sample_mean(samples) == mu
+        assert t_test_p(samples) == training._t_tail(
+            mu * math.sqrt(50) / s, 49)
 
     def test_significance_labels(self):
         assert significance_label(0.003) == "strong"
