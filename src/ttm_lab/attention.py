@@ -72,7 +72,7 @@ def _side_by_side(heads):
     """(..., h, n, d_k) per-head arrays laid side by side as (..., n, h * d_k),
     head 0 first."""
     *lead, h, n, d_k = heads.shape
-    return np.swapaxes(heads, -3, -2).reshape(*lead, n, h * d_k)
+    return heads.swapaxes(-3, -2).reshape(*lead, n, h * d_k)
 
 
 def merge_heads(head_values, W_o):
@@ -88,12 +88,12 @@ def merge_heads(head_values, W_o):
     wv = W_o.values
 
     def dheads(g):
-        side = (g @ np.swapaxes(wv, -1, -2)).reshape(*lead, n, h, d_k)
-        return np.swapaxes(side, -3, -2)
+        side = (g @ wv.swapaxes(-1, -2)).reshape(*lead, n, h, d_k)
+        return side.swapaxes(-3, -2)
 
     return Tensor(merged @ wv, _parents=(
         (head_values, dheads),
-        (W_o, lambda g: np.swapaxes(merged, -1, -2) @ g)))
+        (W_o, lambda g: merged.swapaxes(-1, -2) @ g)))
 
 
 def _weigh(pre, v, W_o):
@@ -116,11 +116,11 @@ def _project(x, W_qkv):
     wv = W_qkv.values
 
     def dx(g):
-        gx = _unbroadcast(g @ np.swapaxes(wv, -1, -2), xs.shape)
+        gx = _unbroadcast(g @ wv.swapaxes(-1, -2), xs.shape)
         return gx.reshape(shape)
 
     return Tensor(xs @ wv, _parents=(
-        (x, dx), (W_qkv, lambda g: np.swapaxes(xs, -1, -2) @ g)))
+        (x, dx), (W_qkv, lambda g: xs.swapaxes(-1, -2) @ g)))
 
 
 def _scaled_scores(qkv, scale):
@@ -128,22 +128,20 @@ def _scaled_scores(qkv, scale):
     (..., h, 3, n, d_k) projection and their product scaled in place.
 
     The vjp repeats the arithmetic of the slice, matmul and multiply chain
-    this replaces, bit for bit: the product's gradient is g * scale with
-    -0.0 turned into 0.0 (as accumulating it into its own node did), q's
+    this replaces, bit for bit: the product's gradient is g * scale, q's
     slot of the stacked gradient is that @ k, and k's the transpose of
     q^T @ that; v's slot is 0.
     """
     stacked = qkv.values
     qv, kv = stacked[..., 0, :, :], stacked[..., 1, :, :]
-    out = qv @ np.swapaxes(kv, -1, -2)
+    out = qv @ kv.swapaxes(-1, -2)
     out *= scale
 
     def dqkv(g):
         gs = g * scale
-        gs += 0.0
         full = np.zeros_like(stacked)
         full[..., 0, :, :] = gs @ kv
-        full[..., 1, :, :] = np.swapaxes(np.swapaxes(qv, -1, -2) @ gs, -1, -2)
+        full[..., 1, :, :] = (qv.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
         return full
 
     return Tensor(out, _parents=((qkv, dqkv),))
@@ -179,7 +177,7 @@ def _baseline_values(x, params):
     qkv = check_finite(x.values.reshape(*lead, 1, 1, n, d)
                        @ params.W_qkv.values, "attention projection")
     q, k, v = (qkv[..., i, :, :] for i in range(3))
-    w = q @ np.swapaxes(k, -1, -2)
+    w = q @ k.swapaxes(-1, -2)
     w *= 1.0 / np.sqrt(params.d_k)
     check_finite(w, "attention scores")
     w -= w.max(axis=-1, keepdims=True)

@@ -284,7 +284,7 @@ def _add_positions(x, params):
     if n > params.cfg.max_seq_len:
         raise DimensionError(
             f"sequence length {n} exceeds max_seq_len {params.cfg.max_seq_len}")
-    return x + params.pos_emb[np.arange(n)]
+    return x + params.pos_emb[:n]
 
 
 def forward_embedded(x, params, temp_multiplier=1.0):

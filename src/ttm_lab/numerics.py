@@ -25,7 +25,6 @@ __all__ = [
     "matmul",
     "linear",
     "softmax_rows",
-    "sigmoid_map",
     "layer_norm",
     "gelu",
     "grad_check",
@@ -40,10 +39,16 @@ class DimensionError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
+def _all_finite(v):
+    """Whether every entry of v is finite; the ufunc reduction itself, not
+    ndarray.all's Python wrapper around it."""
+    return np.logical_and.reduce(np.isfinite(v), axis=None)
+
+
 def check_finite(values, op):
     """`values`, after checking that every entry is finite; otherwise a
     NumericError names `op`, in the words a Tensor uses for its caller."""
-    if not np.isfinite(values).all():
+    if not _all_finite(values):
         raise NumericError(f"{op} produced non-finite values of shape "
                            f"{values.shape}")
     return values
@@ -186,13 +191,18 @@ class Tensor:
     """A float64 array node on an implicit backward tape.
 
     Values are immutable by convention after construction; only `grad` is
-    mutated, and only during a single-threaded backward pass. Every op builds
+    rebound, and only during a single-threaded backward pass. Every op builds
     its node here with one (parent, vjp) pair per operand, where `vjp` maps
     the node's gradient to that parent's; a node none of whose parents
     requires a gradient keeps no pairs, so it ends the tape. A vjp keeps the
     arrays it needs, never the node it belongs to: that reference would make
     a cycle, which holds the whole upstream tape until the cyclic collector
     runs.
+
+    An interior node (one with parents) may share its gradient array with a
+    child's gradient or with a view a vjp returned, so no vjp writes into the
+    gradient it is handed, and a node adds a later contribution into a fresh
+    array. A leaf owns its gradient and adds into it in place.
     """
 
     __slots__ = ("values", "grad", "requires_grad", "_parents")
@@ -202,7 +212,7 @@ class Tensor:
 
     def __init__(self, values, requires_grad=False, _parents=(), check=True):
         self.values = v = np.asarray(values, dtype=np.float64)
-        if check and not np.isfinite(v).all():
+        if check and not _all_finite(v):
             # name the first caller outside this tensor's construction; a
             # wrapper around __init__ shares its `self`
             caller = sys._getframe(1)
@@ -238,14 +248,32 @@ class Tensor:
     # -- tape ---------------------------------------------------------------
 
     def _accumulate(self, g):
+        """Add the contribution g to this node's gradient.
+
+        An interior node keeps its first g as it is when g and the values
+        are both C-ordered; otherwise it copies g into an array laid out like
+        the values, because the gradient feeds the matmuls of the node's
+        vjps, whose BLAS summation order follows the layout. A later
+        contribution goes into a fresh array of that layout, since the
+        stored one may be shared. A leaf copies its first g as g + 0.0 and
+        adds the rest in place.
+
+        Adding 0.0 turns -0.0 into 0.0, as summing into zeros did. An
+        interior gradient may keep a -0.0, but that changes no leaf bit: a
+        vjp only multiplies, divides by values, adds and sums, where a -0.0
+        in place of a 0.0 can flip only the sign of a zero result, and every
+        leaf adds 0.0 to its first contribution.
+        """
         if g.shape != self.values.shape:
             g = _unbroadcast(g, self.values.shape)
         if self.grad is None:
-            # an owned copy laid out like the values, not g (often a view or
-            # a transpose): this gradient feeds the matmuls of the node's
-            # vjps, whose BLAS summation order follows the layout. Adding
-            # 0.0 turns -0.0 into 0.0, as summing into zeros did
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.values))
+            if self._parents and g.flags.c_contiguous \
+                    and self.values.flags.c_contiguous:
+                self.grad = g
+            else:
+                self.grad = np.add(g, 0.0, out=np.empty_like(self.values))
+        elif self._parents:
+            self.grad = np.add(self.grad, g, out=np.empty_like(self.values))
         else:
             self.grad += g
 
@@ -279,7 +307,7 @@ class Tensor:
                     parent._accumulate(vjp(node.grad))
         for node in order:
             if not node._parents and node.grad is not None \
-                    and not np.isfinite(node.grad).all():
+                    and not _all_finite(node.grad):
                 raise NumericError(
                     f"non-finite gradient at a leaf tensor of shape {node.shape}")
 
@@ -357,9 +385,9 @@ class Tensor:
         return Tensor(self.values.sum(axis=axis, keepdims=keepdims), _parents=(
             (self, lambda g: np.broadcast_to(np.expand_dims(g, dropped), shape)),))
 
-    def mean(self, axis=None, keepdims=False):
+    def mean(self, axis=None):
         n = self.size if axis is None else self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) / float(n)
+        return self.sum(axis=axis) / float(n)
 
     def reshape(self, *shape):
         old = self.shape
@@ -368,8 +396,8 @@ class Tensor:
 
     def transpose(self):
         """The last two axes swapped."""
-        return Tensor(np.swapaxes(self.values, -1, -2), _parents=(
-            (self, lambda g: np.swapaxes(g, -1, -2)),))
+        return Tensor(self.values.swapaxes(-1, -2), _parents=(
+            (self, lambda g: g.swapaxes(-1, -2)),))
 
     @property
     def T(self):
@@ -436,24 +464,22 @@ def matmul(a, b):
             f"matmul inner extents differ: {a.shape} x {b.shape}")
     av, bv = a.values, b.values
     return Tensor(av @ bv, _parents=(
-        (a, lambda g: g @ np.swapaxes(bv, -1, -2)),
-        (b, lambda g: np.swapaxes(av, -1, -2) @ g)))
+        (a, lambda g: g @ bv.swapaxes(-1, -2)),
+        (b, lambda g: av.swapaxes(-1, -2) @ g)))
 
 
 def linear(x, W, b):
     """x @ W + b as one node: a dense layer with a bias.
 
-    Values and gradients are those of matmul followed by +, bit for bit. The
-    product's gradient was the + node's gradient, added to 0.0 by
-    Tensor._accumulate; a node's own gradient has been through that add
-    already, so the product's vjps take it as it is.
+    Values and gradients are those of matmul followed by +, bit for bit: the
+    product's gradient is the node's own, as the + node handed it on.
     """
     xv, wv = x.values, W.values
     out = xv @ wv
     out += b.values
     return Tensor(out, _parents=(
-        (x, lambda g: g @ np.swapaxes(wv, -1, -2)),
-        (W, lambda g: np.swapaxes(xv, -1, -2) @ g),
+        (x, lambda g: g @ wv.swapaxes(-1, -2)),
+        (W, lambda g: xv.swapaxes(-1, -2) @ g),
         (b, _same)))
 
 
@@ -477,13 +503,6 @@ def _sigmoid(v):
     return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def sigmoid_map(x):
-    """Elementwise logistic sigmoid 1 / (1 + exp(-x))."""
-    x = Tensor._coerce(x)
-    s = _sigmoid(x.values)
-    return Tensor(s, _parents=((x, lambda g: g * s * (1.0 - s)),))
-
-
 def layer_norm(x, gain, bias, eps=1e-5):
     """Normalize each row of the last axis to zero mean / unit variance, then
     apply gain and bias."""
@@ -497,17 +516,18 @@ def layer_norm(x, gain, bias, eps=1e-5):
             f"and {bias.shape}")
     if eps <= 0:
         raise ValueError("layer_norm eps must be positive")
-    z = x.values - x.values.mean(axis=-1, keepdims=True)
-    # np.var's own arithmetic: the mean of the squared deviations
-    var = (z * z).sum(axis=-1, keepdims=True) / d
+    # np.mean's and np.var's own arithmetic, without their Python wrappers:
+    # a row sum divided by d, of the values and of the squared deviations
+    z = x.values - np.add.reduce(x.values, axis=-1, keepdims=True) / d
+    var = np.add.reduce(z * z, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     z *= inv
     gv = gain.values
 
     def dx(g):
         gz = g * gv
-        term = gz - gz.mean(axis=-1, keepdims=True) \
-            - z * (gz * z).mean(axis=-1, keepdims=True)
+        term = gz - np.add.reduce(gz, axis=-1, keepdims=True) / d \
+            - z * (np.add.reduce(gz * z, axis=-1, keepdims=True) / d)
         return term * inv
 
     out = z * gv

@@ -23,9 +23,9 @@ class ConfigurationError(ValueError):
 def squash(logits, eps_min=DEFAULT_EPS_MIN):
     """Affine sigmoid squash into [eps_min, 1 - eps_min], as one node.
 
-    Values and gradients are those of sigmoid_map(logits) * (1 - 2 eps_min)
-    + eps_min, bit for bit: the sigmoid's gradient is g * (1 - 2 eps_min)
-    plus 0.0, as accumulating it into its own node gave.
+    Values and gradients are those of a logistic sigmoid node over the
+    logits, times 1 - 2 eps_min, plus eps_min, bit for bit: the sigmoid's
+    gradient is g * (1 - 2 eps_min), and the logits' that times s * (1 - s).
     """
     if not 0.0 <= eps_min < 0.5:
         raise ConfigurationError(f"eps_min {eps_min} outside [0, 0.5)")
@@ -36,9 +36,7 @@ def squash(logits, eps_min=DEFAULT_EPS_MIN):
     out += eps_min
 
     def dlogits(g):
-        gs = g * span
-        gs += 0.0
-        return gs * s * (1.0 - s)
+        return g * span * s * (1.0 - s)
 
     return Tensor(out, _parents=((logits, dlogits),))
 
@@ -82,16 +80,15 @@ def collapse_penalty(field, lam):
     """Differentiable regularizer lam * sum((T - 0.5)^2), as one node.
 
     Values and gradients are those of ((field - 0.5) ** 2).sum() * lam, bit
-    for bit: the sum's gradient is g * lam plus 0.0, and the square's is
-    twice that times field - 0.5.
+    for bit: the sum's gradient is g * lam, and the square's is twice that
+    times field - 0.5.
     """
     if lam < 0:
         raise ConfigurationError("lambda must be nonnegative")
     d = field.values - 0.5
 
     def dfield(g):
-        gs = g * lam + 0.0
-        return gs * 2.0 * d
+        return g * lam * 2.0 * d
 
     return Tensor((d ** 2.0).sum() * lam, _parents=((field, dfield),))
 

@@ -166,9 +166,9 @@ class Example:
 def _stack(examples):
     """One Example whose arrays are the examples' (n,) arrays stacked as
     (B, n); the examples must share one length."""
-    return Example(inputs=np.stack([ex.inputs for ex in examples]),
-                   targets=np.stack([ex.targets for ex in examples]),
-                   mask=np.stack([ex.mask for ex in examples]))
+    return Example(inputs=np.array([ex.inputs for ex in examples]),
+                   targets=np.array([ex.targets for ex in examples]),
+                   mask=np.array([ex.mask for ex in examples]))
 
 
 def make_task(spec):
@@ -207,9 +207,8 @@ def cross_entropy(logits, targets, mask):
 
     One node. Its value and gradient repeat, bit for bit, the chain of ten
     nodes it replaces: z = log(sum(exp(logits - shift))) + shift, the
-    masked z minus the picked target logits, weighted and summed. Where a
-    node of that chain turned a -0.0 gradient into 0.0, the vjp adds 0.0,
-    and logits - shift is checked as its node was.
+    masked z minus the picked target logits, weighted and summed; logits -
+    shift is checked as its node was.
     """
     targets = np.asarray(targets)
     mask = np.asarray(mask, dtype=bool)
@@ -228,13 +227,10 @@ def cross_entropy(logits, targets, mask):
 
     def dlogits(g):
         gd = g * weight                   # the gradient of z[rows] - picked
-        gd += 0.0
         gs = np.zeros_like(z)
         gs[rows] = gd
         gs /= s
-        gs += 0.0
         out = gs[..., None] * e
-        out += 0.0
         out[picked] -= gd
         return out
 

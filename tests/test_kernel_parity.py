@@ -1,12 +1,17 @@
 """The in-place kernels and the fused nodes against the expressions they
-replaced, and their allocation bounds.
+replaced, gradient sharing against the copying tape it replaced, and the
+kernels' allocation bounds.
 
 Each reference below is a kernel as it was written before it computed its
 temporaries in place, or the chain of tape nodes a fused node stands in for.
 Values and gradients must match it bit for bit: arrays are compared as int64
-views, so a -0.0 against a 0.0 or a different NaN payload fails too. The
-allocation guards measure the peak of numpy's traced allocations during one
-forward call, which does not depend on the host.
+views, so a -0.0 against a 0.0 or a different NaN payload fails too. A
+backward runs with every stored interior gradient read-only, so a vjp that
+writes into the gradient it was handed raises, and a reference runs once
+more under `copying_accumulate`, the rule under which every node owned a
+copy of its gradient with -0.0 turned into 0.0. The allocation guards
+measure the peak of numpy's traced allocations during one forward call,
+which does not depend on the host.
 """
 
 import math
@@ -19,10 +24,14 @@ from ttm_lab import numerics
 from ttm_lab.attention import (AttentionParams, _baseline_values, _project,
                                _scaled_scores, attention_baseline,
                                merge_heads)
-from ttm_lab.numerics import (NumericError, Rng, Tensor, _erf, gelu,
-                              layer_norm, linear, sigmoid_map, softmax_rows)
+from ttm_lab.gsot import GsotConfig, build_universe, gsot_pipeline
+from ttm_lab.model import ModelConfig, ModelParams
+from ttm_lab.numerics import (NumericError, Rng, Tensor, _erf, _sigmoid,
+                              _unbroadcast, gelu, layer_norm, linear,
+                              softmax_rows)
 from ttm_lab.temperature import collapse_penalty, squash
-from ttm_lab.training import cross_entropy
+from ttm_lab.training import (ARITH_VOCAB, TaskSpec, TrainConfig,
+                              cross_entropy, make_task, train)
 
 # -- references: the pre-change expressions -----------------------------------
 
@@ -129,8 +138,14 @@ def ref_linear(x, W, b):
     return x @ W + b
 
 
+def ref_sigmoid(x):
+    """The logistic sigmoid as a node of its own."""
+    s = _sigmoid(x.values)
+    return Tensor(s, _parents=((x, lambda g: g * s * (1.0 - s)),))
+
+
 def ref_squash(eps_min):
-    return lambda logits: sigmoid_map(logits) * (1.0 - 2.0 * eps_min) + eps_min
+    return lambda logits: ref_sigmoid(logits) * (1.0 - 2.0 * eps_min) + eps_min
 
 
 def ref_collapse_penalty(lam):
@@ -148,6 +163,38 @@ def ref_cross_entropy(targets, mask):
         weight = 1.0 / (per_example[rows[:-1]] * float(per_example.size))
         return ((z[rows] - picked) * weight).sum()
     return run
+
+
+# -- the tape's accumulation rules --------------------------------------------
+
+shared_accumulate = Tensor._accumulate
+
+
+def copying_accumulate(self, g):
+    """Tensor._accumulate before interior nodes shared their gradients:
+    every node copies its first contribution as g + 0.0 into an array laid
+    out like its values and adds the rest in place."""
+    if g.shape != self.values.shape:
+        g = _unbroadcast(g, self.values.shape)
+    if self.grad is None:
+        self.grad = np.add(g, 0.0, out=np.empty_like(self.values))
+    else:
+        self.grad += g
+
+
+def read_only_accumulate(self, g):
+    """Tensor._accumulate, with an interior node's stored gradient then made
+    read-only; a numpy scalar gradient is immutable already."""
+    shared_accumulate(self, g)
+    if self._parents and isinstance(self.grad, np.ndarray):
+        self.grad.flags.writeable = False
+
+
+def under(rule, fn, *args):
+    """fn(*args) with `rule` as Tensor._accumulate."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Tensor, "_accumulate", rule)
+        return fn(*args)
 
 
 # -- helpers -----------------------------------------------------------------
@@ -178,16 +225,22 @@ def inputs(shape, seed, edges=EDGES, scale=3.0):
 
 def run_both(kernel, reference, arrays, seed, upstream=None):
     """Values and leaf gradients of kernel and reference on the same leaves,
-    under one random upstream gradient, or `upstream(shape)` when given."""
-    results = []
-    for fn in (kernel, reference):
+    under one random upstream gradient, or `upstream(shape)` when given.
+
+    Both run with read-only interior gradients; the reference runs a second
+    time under the copying rule, and its results come last."""
+
+    def run(fn):
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
         out = fn(*leaves)
         w = Rng(seed).normal(out.shape) if upstream is None \
             else upstream(out.shape)
         (out * w).sum().backward()
-        results.append((out.values, [t.grad for t in leaves]))
-    return results
+        return out.values, [t.grad for t in leaves]
+
+    return [under(read_only_accumulate, run, kernel),
+            under(read_only_accumulate, run, reference),
+            under(copying_accumulate, run, reference)]
 
 
 def tiny_upstream(shape):
@@ -199,10 +252,11 @@ def tiny_upstream(shape):
 
 
 def assert_same(results):
-    (got, got_grads), (want, want_grads) = results
-    assert_bits_equal(got, want)
-    for g, w in zip(got_grads, want_grads):
-        assert_bits_equal(g, w)
+    (got, got_grads), *wants = results
+    for want, want_grads in wants:
+        assert_bits_equal(got, want)
+        for g, w in zip(got_grads, want_grads):
+            assert_bits_equal(g, w)
 
 
 # -- parity ------------------------------------------------------------------
@@ -352,6 +406,46 @@ class TestKernelParity:
                                  W_o=Tensor(rng.normal((h * d_k, d))))
         assert_bits_equal(_baseline_values(x, params),
                           attention_baseline(x, params).values.values)
+
+
+def arith_step():
+    """One training step of test_10's arithmetic config: its logged row, and
+    each parameter's values and gradient after the step."""
+    params = ModelParams(ModelConfig(
+        d_model=32, heads=2, layers=2, d_ff=64, vocab_size=ARITH_VOCAB, d_c=4,
+        seed=10, max_seq_len=8, attention_variant="broadcast"))
+    data = make_task(TaskSpec(kind="arithmetic_chain", length=8, count=64,
+                              seed=10))
+    history = train(params, data, TrainConfig(steps=1, batch=8, seed=10))
+    return history.rows, [(t.values, t.grad)
+                          for _, t in params.named_tensors()]
+
+
+def toy_pipeline():
+    params = ModelParams(ModelConfig(d_model=8, heads=2, layers=1, d_ff=16,
+                                     vocab_size=12, d_c=4, max_seq_len=32))
+    universe = build_universe(params, 4, Rng(0))
+    probs, trace = gsot_pipeline([1, 2, 3, 4], universe, params, GsotConfig())
+    return probs.values, trace.to_jsonl()
+
+
+class TestGradientSharing:
+    def test_training_step_keeps_every_leaf_bit(self):
+        rows, tensors = under(read_only_accumulate, arith_step)
+        want_rows, want_tensors = under(copying_accumulate, arith_step)
+        assert len(rows) == 1 and rows == want_rows
+        for (values, grad), (want_values, want_grad) in zip(tensors,
+                                                            want_tensors):
+            assert (grad is None) == (want_grad is None)
+            if grad is not None:
+                assert_bits_equal(grad, want_grad)
+            assert_bits_equal(values, want_values)
+
+    def test_gsot_pipeline_under_read_only_gradients(self):
+        probs, trace = under(read_only_accumulate, toy_pipeline)
+        want_probs, want_trace = under(copying_accumulate, toy_pipeline)
+        assert_bits_equal(probs, want_probs)
+        assert trace == want_trace
 
 
 # -- allocation guards -------------------------------------------------------

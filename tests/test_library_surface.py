@@ -35,9 +35,6 @@ ALLOWED = {
     "PUBLISHED_MEMORY_CLAIM_BYTES": "the paper's published memory figure",
     "Rng.permutation": "seeded permutation for the attention "
                        "permutation-equivariance test",
-    "sigmoid_map": "the logistic sigmoid as a node of its own; squash "
-                   "builds its node on the same _sigmoid arithmetic, which "
-                   "the numerics tests pin through it",
     "TrainHistory.column": "one metric over all steps; acceptance gate 09 "
                            "reads the logged collapse fractions",
 }

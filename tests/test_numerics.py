@@ -9,7 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 from ttm_lab.numerics import (DimensionError, NumericError, Rng, Tensor,
                               _erf, concat, gelu, grad_check, layer_norm,
-                              matmul, sigmoid_map, softmax_rows)
+                              matmul, softmax_rows)
+from ttm_lab.temperature import squash
 
 
 def operands():
@@ -42,7 +43,7 @@ EVERY_OP = dict(BINARY_OPS, **{
     "exp": lambda x, y: x.exp(),
     "log": lambda x, y: x.log(),
     "softmax_rows": lambda x, y: softmax_rows(x),
-    "sigmoid_map": lambda x, y: sigmoid_map(x),
+    "squash": lambda x, y: squash(x),
     "layer_norm": lambda x, y: layer_norm(x, y[0], y[1]),
     "gelu": lambda x, y: gelu(x),
 })
@@ -126,15 +127,18 @@ class TestSoftmax:
 
 
 class TestSigmoid:
+    """squash with eps_min = 0 is the logistic sigmoid itself."""
+
     def test_zero(self):
-        assert sigmoid_map(Tensor([0.0])).values[0] == 0.5
+        assert squash(Tensor([0.0]), 0.0).values[0] == 0.5
 
     def test_saturation_stays_finite(self):
-        v = sigmoid_map(Tensor([-50.0])).values[0]
+        v = squash(Tensor([-50.0]), 0.0).values[0]
         assert 0.0 < v <= 1e-20 and math.isfinite(v)
 
     def test_reference_value(self):
-        assert abs(sigmoid_map(Tensor([1.0])).values[0] - 0.7310585786300049) < 1e-12
+        assert abs(squash(Tensor([1.0]), 0.0).values[0]
+                   - 0.7310585786300049) < 1e-12
 
 
 class TestLayerNorm:
@@ -187,7 +191,7 @@ class TestGradCheck:
         w = Tensor(rng.normal((4, 2)))
         fns = [
             lambda t: softmax_rows(t).sum(axis=-1).mean() + (softmax_rows(t) ** 2).sum(),
-            lambda t: sigmoid_map(t).sum(),
+            lambda t: squash(t).sum(),
             lambda t: gelu(t).sum(),
             lambda t: layer_norm(t, gain, bias).sum(),
             lambda t: (t @ w).sum(),
@@ -327,6 +331,22 @@ class TestTensorBasics:
         (a + b).sum().backward()
         assert not np.shares_memory(a.grad, b.grad)
         assert a.grad.flags.writeable and b.grad.flags.writeable
+
+    def test_interior_gradient_is_shared_and_never_written(self):
+        # + hands its gradient on as it is, so y shares z's array; y's
+        # second contribution must go into a fresh array, not into z's
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        w = Rng(4).normal((2, 3))
+        y = x * 2.0
+        z = y + 1.0
+        (z * w).sum().backward()
+        assert y.grad is z.grad
+        y = x * 2.0
+        z = y + y
+        (z * w).sum().backward()
+        assert np.array_equal(z.grad, w)
+        assert np.array_equal(y.grad, w + w)
+        assert not np.shares_memory(x.grad, y.grad)
 
     def test_basic_index_gradient_is_placed(self):
         t = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
