@@ -13,12 +13,13 @@ with negative logits this can raise a weight when the temperature drops, which
 is documented behavior rather than something we correct.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (DimensionError, Tensor, _unbroadcast, check_finite,
-                       softmax_rows)
+from .numerics import (DimensionError, Tensor, _softmax, _unbroadcast,
+                       check_finite, softmax_rows)
 
 
 class AttentionConfigError(ValueError):
@@ -165,26 +166,34 @@ def _baseline_values(x, params):
     over that same array, so a call holds one n x n array per head where
     attention_baseline holds the scores, the weights and their tape. The
     arithmetic is attention_baseline's, in its order, so the values are
-    bit-identical. Every array attention_baseline checks is checked, and a
-    non-finite one raises NumericError naming it. No gradient can flow
-    through this path, so a Tensor that requires one is refused.
+    bit-identical. No gradient can flow through this path, so a Tensor that
+    requires one is refused.
+
+    A non-finite array raises NumericError naming it, as on the tape, but
+    an n x n array is scanned only where it can hold one. The projection's
+    largest magnitude M is one reduction over it, and it is not finite
+    exactly when some entry is not ("attention projection"). Every score
+    |q . k| / sqrt(d_k) is at most d_k * M**2, rounding included, so the
+    scores are scanned ("attention scores") only when d_k * M**2 reaches
+    1e300. Finite scores give weights in [0, 1], since every exp after the
+    row max is in [0, 1] and the row sum is at least 1, so the weights are
+    never scanned. The weighted values and the output are always scanned.
     """
     if x.requires_grad or params.W_qkv.requires_grad \
             or params.W_o.requires_grad:
         raise ValueError("_baseline_values records no tape; its input and "
                          "projections must not require a gradient")
     *lead, n, d = x.shape
-    qkv = check_finite(x.values.reshape(*lead, 1, 1, n, d)
-                       @ params.W_qkv.values, "attention projection")
+    qkv = x.values.reshape(*lead, 1, 1, n, d) @ params.W_qkv.values
+    m = float(np.maximum.reduce(np.abs(qkv), axis=None))
+    if not math.isfinite(m):
+        check_finite(qkv, "attention projection")
     q, k, v = (qkv[..., i, :, :] for i in range(3))
     w = q @ k.swapaxes(-1, -2)
     w *= 1.0 / np.sqrt(params.d_k)
-    check_finite(w, "attention scores")
-    w -= w.max(axis=-1, keepdims=True)
-    np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
-    check_finite(w, "attention weights")
-    heads = check_finite(w @ v, "attention weighted values")
+    if params.d_k * m * m >= 1e300:
+        check_finite(w, "attention scores")
+    heads = check_finite(_softmax(w, out=w) @ v, "attention weighted values")
     return check_finite(_side_by_side(heads) @ params.W_o.values,
                         "attention output")
 

@@ -166,7 +166,13 @@ def forward_macs(n, cfg):
 
 def _token_temps(field):
     """Per-token summary: mean over heads of the final layer's field."""
-    return field.values.mean(axis=0)
+    v = field.values
+    return np.add.reduce(v, axis=0) / v.shape[0]
+
+
+def _mean(a):
+    """a.mean(), computed as numpy does, without its Python wrapper."""
+    return float(np.add.reduce(a, axis=None) / a.size)
 
 
 def _rank_keep(temps, target):
@@ -256,7 +262,7 @@ def gsot_pipeline(X, universe, params, cfg, context=None):
         ops += forward_macs(n, params.cfg)
         temps = _token_temps(final_field(emb, frozen))
         active = np.flatnonzero(temps > cfg.tau_p)
-        mean_t = float(temps.mean())
+        mean_t = _mean(temps)
         trace.add(step=1, active_primary=active.tolist(), active_hidden=[],
                   mean_temperature=mean_t, decision=CONTINUE, op_count=ops)
     else:
@@ -272,7 +278,7 @@ def gsot_pipeline(X, universe, params, cfg, context=None):
                 if not keep.size:
                     raise EmptyPathError(
                         f"primary extraction emptied the active set at step {k}")
-                mean_t = float(temps[keep].mean())
+                mean_t = _mean(temps[keep])
                 decision = recovery_step(mean_t, cfg)
                 if decision == CONTINUE:
                     break
@@ -304,7 +310,7 @@ def gsot_pipeline(X, universe, params, cfg, context=None):
     final_step = trace.steps[-1].step + 1 if trace.steps else 1
     trace.add(step=final_step, active_primary=active.tolist(),
               active_hidden=h_active,
-              mean_temperature=float(_token_temps(fields[-1]).mean()),
+              mean_temperature=_mean(_token_temps(fields[-1])),
               decision=CONTINUE, op_count=ops)
     return probs, trace
 

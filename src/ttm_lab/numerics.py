@@ -180,10 +180,10 @@ def _unbroadcast(grad, shape):
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = np.add.reduce(grad, axis=tuple(range(extra)))
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
+        grad = np.add.reduce(grad, axis=axes, keepdims=True)
     return grad
 
 
@@ -382,7 +382,8 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         shape = self.shape
         dropped = () if axis is None or keepdims else axis
-        return Tensor(self.values.sum(axis=axis, keepdims=keepdims), _parents=(
+        out = np.add.reduce(self.values, axis=axis, keepdims=keepdims)
+        return Tensor(out, _parents=(
             (self, lambda g: np.broadcast_to(np.expand_dims(g, dropped), shape)),))
 
     def mean(self, axis=None):
@@ -483,24 +484,36 @@ def linear(x, W, b):
         (b, _same)))
 
 
+def _softmax(v, out=None):
+    """Softmax over the last axis of the array v, written into out (v itself
+    may be out) or a new array: subtract each row's max, exponentiate in
+    place, divide by the row sum. Finite v gives entries in [0, 1]: every
+    exp is of a value <= 0, and the row max adds exp(0) = 1 to the sum."""
+    out = np.subtract(v, np.maximum.reduce(v, axis=-1, keepdims=True),
+                      out=out)
+    np.exp(out, out=out)
+    out /= np.add.reduce(out, axis=-1, keepdims=True)
+    return out
+
+
 def softmax_rows(x):
     """Row-wise softmax over the last axis, with max-subtraction."""
     x = Tensor._coerce(x)
     if x.values.ndim < 1 or x.shape[-1] < 1:
         raise DimensionError(f"softmax_rows needs a non-empty last axis, got {x.shape}")
-    p = x.values - x.values.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p = _softmax(x.values)
     # dL/dx = p * (g - sum(g * p))
     return Tensor(p, _parents=(
-        (x, lambda g: p * (g - (g * p).sum(axis=-1, keepdims=True))),))
+        (x, lambda g: p * (g - np.add.reduce(g * p, axis=-1,
+                                             keepdims=True))),))
 
 
 def _sigmoid(v):
     """Elementwise 1 / (1 + exp(-v)) of an array, evaluated on the stable
     side of the exponential in each branch. Its derivative is s * (1 - s)."""
     e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(v >= 0, 1.0 / d, e / d)
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
@@ -534,8 +547,8 @@ def layer_norm(x, gain, bias, eps=1e-5):
     out += bias.values
     return Tensor(out, _parents=(
         (x, dx),
-        (gain, lambda g: (g * z).reshape(-1, d).sum(axis=0)),
-        (bias, lambda g: g.reshape(-1, d).sum(axis=0))))
+        (gain, lambda g: np.add.reduce((g * z).reshape(-1, d), axis=0)),
+        (bias, lambda g: np.add.reduce(g.reshape(-1, d), axis=0))))
 
 
 def gelu(x):

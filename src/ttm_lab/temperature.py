@@ -90,7 +90,8 @@ def collapse_penalty(field, lam):
     def dfield(g):
         return g * lam * 2.0 * d
 
-    return Tensor((d ** 2.0).sum() * lam, _parents=((field, dfield),))
+    return Tensor(np.add.reduce(d ** 2.0, axis=None) * lam,
+                  _parents=((field, dfield),))
 
 
 @dataclass

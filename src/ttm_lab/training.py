@@ -212,16 +212,16 @@ def cross_entropy(logits, targets, mask):
     """
     targets = np.asarray(targets)
     mask = np.asarray(mask, dtype=bool)
-    per_example = mask.sum(axis=-1)
+    per_example = np.add.reduce(mask, axis=-1)
     if (per_example == 0).any():
         raise NumericError("every example needs at least one masked position")
     rows = np.nonzero(mask)               # one index array per mask axis
     picked = rows + (targets[rows],)
     lv = logits.values
-    shift = lv.max(axis=-1, keepdims=True)  # constant for stability
+    shift = np.maximum.reduce(lv, axis=-1, keepdims=True)  # for stability
     e = check_finite(lv - shift, "cross_entropy")
     np.exp(e, out=e)
-    s = e.sum(axis=-1)
+    s = np.add.reduce(e, axis=-1)
     z = np.log(s) + shift[..., 0]
     weight = 1.0 / (per_example[rows[:-1]] * float(per_example.size))
 
@@ -234,7 +234,7 @@ def cross_entropy(logits, targets, mask):
         out[picked] -= gd
         return out
 
-    return Tensor(((z[rows] - lv[picked]) * weight).sum(),
+    return Tensor(np.add.reduce((z[rows] - lv[picked]) * weight, axis=None),
                   _parents=((logits, dlogits),))
 
 
@@ -331,7 +331,8 @@ def train(params, dataset, cfg, loss_injection=None):
                 task_val = loss_injection(t, task_val)
             grads_temp = [tensor.grad for name, tensor in params.named_tensors()
                           if _is_temp_param(name) and tensor.grad is not None]
-            grad_norm_temp = math.sqrt(sum(float((g ** 2).sum()) for g in grads_temp))
+            grad_norm_temp = math.sqrt(sum(
+                float(np.add.reduce(g ** 2, axis=None)) for g in grads_temp))
             if not (math.isfinite(task_val) and math.isfinite(grad_norm_temp)):
                 raise NumericError(f"non-finite task loss or temperature "
                                    f"gradient norm at step {t}")

@@ -19,6 +19,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttm_lab import numerics
 from ttm_lab.attention import (AttentionParams, _baseline_values, _project,
@@ -496,6 +498,110 @@ class TestAllocation:
         x = Tensor(rng.normal((n, d)))
         peak, _ = peak_bytes(_baseline_values, x, params)
         assert peak <= 1.5 * n * n * 8
+
+
+def record_scans(monkeypatch):
+    """The shape of every array a finiteness scan reads from now on."""
+    scans = []
+    all_finite = numerics._all_finite
+
+    def recording(v):
+        scans.append(v.shape)
+        return all_finite(v)
+
+    monkeypatch.setattr(numerics, "_all_finite", recording)
+    return scans
+
+
+def near_bound_input():
+    """x and params whose projection's largest magnitude M puts d_k * M**2
+    just above 1e300, with every score, weight and value finite. x is the
+    first rows of the identity, so the projection is W_qkv's first rows
+    exactly."""
+    n, d, h, d_k = 5, 6, 2, 3
+    m = math.sqrt(1e300 / d_k) * (1.0 + 2.0 ** -40)
+    rng = Rng(21)
+    w_qkv = rng.uniform((h, 3, d, d_k), -m, m)
+    w_qkv[0, 0, 0, 0] = m
+    params = AttentionParams(W_qkv=Tensor(w_qkv),
+                             W_o=Tensor(rng.normal((h * d_k, d))))
+    return Tensor(np.eye(n, d)), params
+
+
+# leading entries of the score rows below: the float extremes, signed zeros
+# and subnormals
+SCORE_EDGES = [1.7976931348623157e308, -1.7976931348623157e308, 0.0, -0.0,
+               5e-324, -5e-324, 2.2250738585072014e-308, -1e-310]
+
+
+@st.composite
+def score_rows(draw):
+    """Rows of finite float64 scores, each led by a few drawn SCORE_EDGES."""
+    width = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        lead = draw(st.lists(st.sampled_from(SCORE_EDGES), max_size=width))
+        rest = draw(st.lists(
+            st.floats(allow_nan=False, allow_infinity=False),
+            min_size=width - len(lead), max_size=width - len(lead)))
+        rows.append(lead + rest)
+    return np.array(rows, dtype=np.float64)
+
+
+class TestBaselineValuesScans:
+    """_baseline_values scans an n x n array only where it can hold a
+    non-finite value: the scores when the projection allows an overflow,
+    the weights never."""
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_ordinary_inputs_scan_no_n_by_n_array(self, monkeypatch, lead,
+                                                  h):
+        # the weighted values and the output, nothing n x n
+        n, d, d_k = 7, 6, 3
+        rng = Rng(20 + h)
+        x = Tensor(rng.normal((*lead, n, d)))
+        params = AttentionParams(W_qkv=Tensor(rng.normal((h, 3, d, d_k))),
+                                 W_o=Tensor(rng.normal((h * d_k, d))))
+        scans = record_scans(monkeypatch)
+        _baseline_values(x, params)
+        assert scans == [(*lead, h, n, d_k), (*lead, n, d)]
+
+    def test_overflow_allowing_input_scans_the_scores_once(self,
+                                                           monkeypatch):
+        x, params = near_bound_input()
+        scans = record_scans(monkeypatch)
+        _baseline_values(x, params)
+        assert [s for s in scans if s[-2:] == (5, 5)] == [(2, 5, 5)]
+
+    def test_near_bound_values_keep_their_bits(self):
+        x, params = near_bound_input()
+        qkv = x.values @ params.W_qkv.values
+        m = float(np.abs(qkv).max())
+        assert 1e300 < params.d_k * m * m < 1.0001e300
+        assert_bits_equal(_baseline_values(x, params),
+                          attention_baseline(x, params).values.values)
+
+    def test_scores_overflowing_only_to_minus_inf_raise(self):
+        # q rows [1e200] and [1], k rows [-1e200] and [1]: score [0, 0] is
+        # -inf but each row's max is finite, so the softmax alone would
+        # turn it into a weight of 0 and hide it
+        w_qkv = np.ones((1, 3, 2, 1))
+        w_qkv[0, 0, :, 0] = [1e200, 1.0]
+        w_qkv[0, 1, :, 0] = [-1e200, 1.0]
+        params = AttentionParams(W_qkv=Tensor(w_qkv),
+                                 W_o=Tensor(np.ones((1, 2))))
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericError, match=r"^attention scores produced non-finite "
+                                    r"values of shape \(1, 2, 2\)"):
+            _baseline_values(Tensor(np.eye(2)), params)
+
+    @settings(max_examples=300, deadline=None)
+    @given(score_rows())
+    def test_finite_scores_give_weights_in_the_unit_interval(self, scores):
+        with np.errstate(over="ignore"):
+            w = numerics._softmax(scores, out=scores)
+        assert np.all((w >= 0.0) & (w <= 1.0))
 
 
 class TestBaselineValuesChecks:
