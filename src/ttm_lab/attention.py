@@ -177,7 +177,11 @@ def _baseline_values(x, params):
     scores are scanned ("attention scores") only when d_k * M**2 reaches
     1e300. Finite scores give weights in [0, 1], since every exp after the
     row max is in [0, 1] and the row sum is at least 1, so the weights are
-    never scanned. The weighted values and the output are always scanned.
+    never scanned. Each weighted value then combines v entries (|v| <= M)
+    with weights summing to 1 within n ulps, so it is at most M * (1 + n
+    ulps); below the bound M < 1e150, and the weighted values ("attention
+    weighted values") are scanned only where the scores are. The output is
+    always scanned.
     """
     if x.requires_grad or params.W_qkv.requires_grad \
             or params.W_o.requires_grad:
@@ -191,9 +195,12 @@ def _baseline_values(x, params):
     q, k, v = (qkv[..., i, :, :] for i in range(3))
     w = q @ k.swapaxes(-1, -2)
     w *= 1.0 / np.sqrt(params.d_k)
-    if params.d_k * m * m >= 1e300:
+    near_bound = params.d_k * m * m >= 1e300
+    if near_bound:
         check_finite(w, "attention scores")
-    heads = check_finite(_softmax(w, out=w) @ v, "attention weighted values")
+    heads = _softmax(w, out=w) @ v
+    if near_bound:
+        check_finite(heads, "attention weighted values")
     return check_finite(_side_by_side(heads) @ params.W_o.values,
                         "attention output")
 
@@ -228,12 +235,3 @@ def attention_temp_outer(base, params, field):
     outer = field.reshape(*lead, h, n, 1) * field.reshape(*lead, h, 1, n)
     return _weigh(base.pre_softmax * outer, base.v, params.W_o)
 
-
-def residual_blend(base_weights, modulated_weights, alpha):
-    """Convex blend of two post-softmax weight tensors, rows renormalized."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha {alpha} outside [0, 1]")
-    base_weights = Tensor._coerce(base_weights)
-    modulated_weights = Tensor._coerce(modulated_weights)
-    mix = base_weights * alpha + modulated_weights * (1.0 - alpha)
-    return mix / mix.sum(axis=-1, keepdims=True)

@@ -34,8 +34,7 @@ class ConfigError(ValueError):
 
 
 # defaults for the blocks that are plain dicts rather than dataclasses
-_SWEEP_DEFAULTS = {"t_min": 0.1, "t_max": 1.0, "steps": 10,
-                   "log_spacing": False}
+_SWEEP_DEFAULTS = {"t_min": 0.1, "t_max": 1.0, "steps": 10}
 _GSOT_DEFAULTS = {"sequence": None, "length": 8, "hidden_count": 8}
 _BENCH_DEFAULTS = {"lengths": [64, 128, 256, 512, 1024],
                    "d_model": 16, "heads": 1, "layers": 1, "d_ff": 512,
@@ -50,9 +49,28 @@ def _merge(defaults, given, block):
     unknown = set(given) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown keys in block {block!r}: {sorted(unknown)}")
+    _check_integers(defaults, given, f"{block}.")
     out = dict(defaults)
     out.update(given)
     return out
+
+
+def _check_integers(defaults, given, prefix):
+    """A key whose default is an int, or a list of ints, takes only JSON
+    integers: a float would be truncated or fail mid-run, and true or false
+    would pass as 1 or 0."""
+    for key, value in given.items():
+        default = defaults[key]
+        if type(default) is int:
+            values = [value]
+        elif isinstance(default, list) and isinstance(value, list) \
+                and all(type(d) is int for d in default):
+            values = value
+        else:
+            continue
+        bad = [v for v in values if type(v) is not int]
+        if bad:
+            raise ConfigError(f"{prefix}{key} takes integers, got {bad[0]!r}")
 
 
 def _dataclass_defaults(cls):
@@ -86,7 +104,7 @@ def _check_plain_blocks(resolved, model_cfg, gsot_given):
     """
     sweep = resolved["sweep"]
     dynamics.temperature_sweep(lambda m: 0.0, sweep["t_min"], sweep["t_max"],
-                               sweep["steps"], sweep["log_spacing"])
+                               sweep["steps"])
     blk = resolved["gsot"]
     seq = blk["sequence"]
     n = blk["length"] if seq is None else \
@@ -132,6 +150,7 @@ def load_config(path, seed=None, out=None):
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
     resolved = {"output_dir": doc.get("output_dir", "out"),
                 "seed": doc.get("seed", 0)}
+    _check_integers({"seed": 0}, {"seed": resolved["seed"]}, "")
     for name, factory in _BLOCKS.items():
         resolved[name] = _merge(factory(), doc.get(name, {}), name)
     if seed is not None:
@@ -224,8 +243,7 @@ def _check_gsot_schedule(model_cfg):
 
 
 def _check_contraction(model_cfg):
-    cfg = dynamics.EvolutionConfig(gain=0.9)
-    update = lambda f: dynamics.evolve_layer(f, cfg)
+    update = lambda f: dynamics.evolve_layer(f, 0.9)
     L = dynamics.estimate_contraction(update, 50, seed=3)
     assert L <= 0.9 + 1e-9, f"estimated Lipschitz {L} exceeds the gain"
 
@@ -358,7 +376,7 @@ def cmd_sweep(resolved, model_cfg, train_cfg, task_spec, args):
     blk = resolved["sweep"]
     t_star, curve = dynamics.temperature_sweep(
         lambda m: training.dataset_loss(params, dataset, m),
-        blk["t_min"], blk["t_max"], blk["steps"], blk["log_spacing"])
+        blk["t_min"], blk["t_max"], blk["steps"])
     with open(os.path.join(out_dir, "sweep.csv"), "w") as fh:
         fh.write("step,value\n")
         for mult, loss in curve:

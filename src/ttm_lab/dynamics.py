@@ -13,19 +13,13 @@ from .numerics import Rng
 from .temperature import DEFAULT_EPS_MIN
 
 
-@dataclass
-class EvolutionConfig:
-    gain: float = 0.9            # Lipschitz constant of the affine update
-    bias: float = 0.0
-
-
-def evolve_layer(field, cfg):
+def evolve_layer(field, gain):
     """One layer step on a field array: affine contraction toward 0.5.
 
-    T' = clamp(0.5 + gain * (T - 0.5) + bias) into [eps_min, 1 - eps_min],
-    with eps_min = DEFAULT_EPS_MIN.
+    T' = clamp(0.5 + gain * (T - 0.5)) into [eps_min, 1 - eps_min], with
+    eps_min = DEFAULT_EPS_MIN; the gain is the update's Lipschitz constant.
     """
-    out = 0.5 + cfg.gain * (field - 0.5) + cfg.bias
+    out = 0.5 + gain * (field - 0.5)
     return np.clip(out, DEFAULT_EPS_MIN, 1.0 - DEFAULT_EPS_MIN)
 
 
@@ -109,7 +103,7 @@ def convergence_rate_fit(residuals):
     return 1.0 - gamma, gamma
 
 
-def temperature_sweep(eval_loss, t_min, t_max, steps, log_spacing=False):
+def temperature_sweep(eval_loss, t_min, t_max, steps):
     """Grid search over a global temperature multiplier.
 
     `eval_loss(multiplier)` returns the mean dataset loss with every field
@@ -120,12 +114,7 @@ def temperature_sweep(eval_loss, t_min, t_max, steps, log_spacing=False):
         raise ValueError("t_min must be below t_max")
     if steps < 2:
         raise ValueError("need at least 2 grid points")
-    if log_spacing:
-        if t_min <= 0:
-            raise ValueError("log spacing needs positive t_min")
-        grid = np.exp(np.linspace(np.log(t_min), np.log(t_max), steps))
-    else:
-        grid = np.linspace(t_min, t_max, steps)
+    grid = np.linspace(t_min, t_max, steps)
     losses = [float(eval_loss(float(t))) for t in grid]
     best = min(range(steps), key=lambda i: (losses[i], grid[i]))
     return float(grid[best]), list(zip(grid.tolist(), losses))

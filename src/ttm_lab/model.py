@@ -19,7 +19,7 @@ import struct
 import zlib
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
@@ -33,10 +33,6 @@ VARIANTS = ("baseline", "broadcast", "outer")
 
 MAGIC = b"QSR1"
 CHECKPOINT_VERSION = 3
-
-CONFIG_KEYS = ["d_model", "heads", "layers", "d_ff", "vocab_size", "d_c",
-               "eps_min", "blend_alpha", "attention_variant",
-               "temp_init_std", "seed"]
 
 
 class CheckpointFormatError(ValueError):
@@ -52,7 +48,6 @@ class ModelConfig:
     vocab_size: int = 32
     d_c: int = 8
     eps_min: float = DEFAULT_EPS_MIN
-    blend_alpha: float = 0.0
     attention_variant: str = "broadcast"
     temp_init_std: float = 0.01
     seed: int = 0
@@ -69,8 +64,6 @@ class ModelConfig:
             raise ValueError(f"attention_variant must be one of {VARIANTS}")
         if not 0.0 < self.eps_min < 0.5:
             raise ValueError(f"eps_min {self.eps_min} outside (0, 0.5)")
-        if not 0.0 <= self.blend_alpha <= 1.0:
-            raise ValueError("blend_alpha outside [0, 1]")
 
     @property
     def d_k(self):
@@ -101,6 +94,12 @@ class ModelConfig:
         except (TypeError, ValueError) as exc:
             raise CheckpointFormatError(
                 f"config sidecar value rejected: {exc}") from None
+
+
+# the keys a checkpoint sidecar holds, in field order; the sequence length is
+# the loader's to choose
+CONFIG_KEYS = [f.name for f in dc_fields(ModelConfig)
+               if f.name != "max_seq_len"]
 
 
 @dataclass
@@ -231,25 +230,19 @@ def block_forward(x, block, cfg, temp_multiplier=1.0):
     """One transformer block; returns the output and the field it used.
 
     Pipeline: plain attention -> field from its output -> modulated attention
-    per cfg.attention_variant on the plain logits and values (optionally
-    blended back toward the plain weights) -> LN1(x + attn) -> LN2(. + FFN(.)).
+    per cfg.attention_variant on the plain logits and values -> LN1(x + attn)
+    -> LN2(. + FFN(.)).
     """
     base = attn_mod.attention_baseline(x, block.attn)
     field = _scaled_field(compute_temperature(base.values, block.temp),
                           temp_multiplier, cfg.eps_min)
     if cfg.attention_variant == "baseline":
-        att_values = base.values
+        att = base
+    elif cfg.attention_variant == "broadcast":
+        att = attn_mod.attention_temp_broadcast(base, block.attn, field)
     else:
-        if cfg.attention_variant == "broadcast":
-            mod = attn_mod.attention_temp_broadcast(base, block.attn, field)
-        else:
-            mod = attn_mod.attention_temp_outer(base, block.attn, field)
-        if cfg.blend_alpha > 0.0:
-            w = attn_mod.residual_blend(base.weights, mod.weights, cfg.blend_alpha)
-            att_values = attn_mod.merge_heads(w @ base.v, block.attn.W_o)
-        else:
-            att_values = mod.values
-    h1 = layer_norm(x + att_values, block.ln1_gain, block.ln1_bias)
+        att = attn_mod.attention_temp_outer(base, block.attn, field)
+    h1 = layer_norm(x + att.values, block.ln1_gain, block.ln1_bias)
     ff = linear(gelu(linear(h1, block.W_ff1, block.b_ff1)), block.W_ff2,
                 block.b_ff2)
     out = layer_norm(h1 + ff, block.ln2_gain, block.ln2_bias)
@@ -270,13 +263,15 @@ def check_token_ids(tokens, vocab_size):
 
 
 def embed_tokens(tokens, params):
-    tokens = np.asarray(tokens, dtype=np.int64)
+    tokens = np.asarray(tokens)
     if tokens.ndim not in (1, 2):
         raise DimensionError(
             f"tokens must be one (n,) sequence or a (B, n) batch, got "
             f"shape {tokens.shape}")
+    # the caller's ids are checked before the cast, which would truncate
+    # 1.7 to 1 and turn True into 1
     check_token_ids(tokens, params.cfg.vocab_size)
-    return params.tok_emb[tokens]
+    return params.tok_emb[tokens.astype(np.int64, copy=False)]
 
 
 def _add_positions(x, params):

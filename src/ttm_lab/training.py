@@ -293,13 +293,12 @@ def _restore(params, snap):
         t.values = snap[name]
 
 
-def train(params, dataset, cfg, loss_injection=None):
+def train(params, dataset, cfg):
     """Run the stability-monitored training protocol; returns the history.
 
-    `loss_injection(step, loss)` may perturb the observed task loss (used to
-    script instability scenarios). A non-finite task loss or temperature
-    gradient norm, or a NumericError raised inside a step, aborts the run
-    before that step's update and restores the last good parameter values.
+    A non-finite task loss or temperature gradient norm, or a NumericError
+    raised inside a step, aborts the run before that step's update and
+    restores the last good parameter values.
 
     The logged `total_loss` is the loss backward() ran on, task + lambda_T *
     collapse penalty. `stability_penalty` is logged beside it, never added:
@@ -327,8 +326,6 @@ def train(params, dataset, cfg, loss_injection=None):
             loss.backward()
 
             task_val = float(task_mean.values)
-            if loss_injection is not None:
-                task_val = loss_injection(t, task_val)
             grads_temp = [tensor.grad for name, tensor in params.named_tensors()
                           if _is_temp_param(name) and tensor.grad is not None]
             grad_norm_temp = math.sqrt(sum(

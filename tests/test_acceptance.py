@@ -142,8 +142,7 @@ def test_05_contraction_error_bound_and_rate_recovery():
     # A gain-0.9 update must obey err_k <= 0.9^k * err_0 * (1 + 1e-9) at every
     # step, and the fitted decay rate must land within 0.02 of the truth for
     # gains 0.90 and 0.93.
-    update = lambda f, g: dynamics.evolve_layer(
-        f, dynamics.EvolutionConfig(gain=g))
+    update = dynamics.evolve_layer
     start = Rng(505).uniform((2, 4), 0.1, 0.9)
     star = np.full((2, 4), 0.5)
     e0 = np.linalg.norm(start - star)
@@ -172,8 +171,7 @@ def test_06_iteration_count_tracks_tolerance():
     # Tightening the tolerance from 1e-3 to 1e-6 must add the geometrically
     # predicted number of iterations, within 2.
     L = 0.9
-    update = lambda f: dynamics.evolve_layer(
-        f, dynamics.EvolutionConfig(gain=L))
+    update = lambda f: dynamics.evolve_layer(f, L)
     start = Rng(606).uniform((2, 4), 0.1, 0.9)
     iters = {}
     for tol in (1e-3, 1e-6):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ttm_lab.attention import (AttentionConfigError, AttentionParams,
                                attention_baseline, attention_temp_broadcast,
-                               attention_temp_outer, residual_blend)
+                               attention_temp_outer)
 from ttm_lab.numerics import DimensionError, Rng, Tensor, grad_check
 
 
@@ -223,31 +223,4 @@ class TestStructuralProperties:
                 lambda t: (variant(attention_baseline(t, p), p, f).values ** 2).sum(),
                 x)
             assert err < 1e-5
-
-
-class TestResidualBlend:
-    def rows(self, seed):
-        a = Rng(seed).uniform((1, 2, 2))
-        return Tensor(a / a.sum(axis=-1, keepdims=True))
-
-    def test_alpha_one_is_base(self):
-        base, mod = self.rows(1), self.rows(2)
-        out = residual_blend(base, mod, 1.0)
-        assert np.abs(out.values - base.values).max() < 1e-15
-
-    def test_alpha_zero_is_modulated(self):
-        base, mod = self.rows(3), self.rows(4)
-        out = residual_blend(base, mod, 0.0)
-        assert np.abs(out.values - mod.values).max() < 1e-15
-
-    def test_midpoint_matches_oracle(self):
-        base, mod = self.rows(5), self.rows(6)
-        mix = 0.5 * base.values + 0.5 * mod.values
-        want = mix / mix.sum(axis=-1, keepdims=True)
-        out = residual_blend(base, mod, 0.5)
-        assert np.abs(out.values - want).max() < 1e-12
-
-    def test_alpha_out_of_range(self):
-        with pytest.raises(ValueError):
-            residual_blend(self.rows(7), self.rows(8), 1.5)
 

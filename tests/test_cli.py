@@ -45,12 +45,15 @@ class TestConfigLoading:
 
     @pytest.mark.parametrize("block,key", [("model", "dropout"),
                                            ("model", "temp_init_mean"),
+                                           ("model", "blend_alpha"),
                                            ("gsot_cfg", "max_paths"),
+                                           ("sweep", "log_spacing"),
                                            ("stats", "p")])
     def test_removed_keys_rejected(self, tmp_path, capsys, block, key):
-        code, _ = run(tmp_path, "check", {block: {key: 1}})
+        code, out = run(tmp_path, "check", {block: {key: 1}})
         assert code == EXIT_USAGE
         assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_removed_dynamics_block_rejected(self, tmp_path, capsys):
         code, _ = run(tmp_path, "check", {"dynamics": {"gain": 5.0}})
@@ -99,6 +102,14 @@ class TestConfigLoading:
         {"bench": {"lengths": [1, 2, 3, 4]}},
         {"bench": {"heads": 3}},
         {"model": 5},
+        {"model": {"d_model": 32.0}},
+        {"train": {"steps": 2.5}},
+        {"train": {"steps": True}},
+        {"task": {"count": 4.5}},
+        {"gsot": {"length": 8.5}},
+        {"gsot": {"hidden_count": 2.5}},
+        {"bench": {"lengths": [64.5, 128, 256, 512, 1024]}},
+        {"seed": 1.5},
     ], ids=["heads-0", "d_model-0", "d_ff-0", "batch-0", "steps-negative",
             "collapse_eps-0.7", "collapse_eps-0", "t0-negative", "t0-0",
             "count-0", "length-0", "arith-length-1", "arith-count-unfillable",
@@ -109,11 +120,15 @@ class TestConfigLoading:
             "stats-one-sample", "stats-sample-string", "stats-sample-bool",
             "stats-std-overflow",
             "bench-two-lengths", "bench-length-1",
-            "bench-heads-not-dividing-d_model", "block-not-an-object"])
+            "bench-heads-not-dividing-d_model", "block-not-an-object",
+            "d_model-32.0", "steps-2.5", "steps-true", "count-4.5",
+            "gsot-length-8.5", "gsot-hidden_count-2.5", "bench-length-64.5",
+            "seed-1.5"])
     def test_bad_value_exits_usage(self, tmp_path, capsys, doc):
-        code, _ = run(tmp_path, "check", doc)
+        code, out = run(tmp_path, "check", doc)
         assert code == EXIT_USAGE
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", [None, "1.0\nabc\n", "1.0\n",
                                       "1.0\nnan\n2.0\n", "1.0\ninf\n",

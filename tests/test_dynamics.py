@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ttm_lab.dynamics import (EvolutionConfig,
-                              convergence_rate_fit, estimate_contraction,
+from ttm_lab.dynamics import (convergence_rate_fit, estimate_contraction,
                               evolve_layer, iterate_to_fixed_point,
                               temperature_sweep)
 from ttm_lab.numerics import Rng
@@ -19,27 +18,23 @@ def random_field(shape, seed):
 
 
 def contraction(gain):
-    cfg = EvolutionConfig(gain=gain)
-    return lambda f: evolve_layer(f, cfg)
+    return lambda f: evolve_layer(f, gain)
 
 
 class TestEvolveLayer:
     def test_identity_configuration(self):
         f = random_field((2, 4), seed=1)
-        out = evolve_layer(f, EvolutionConfig(gain=1.0))
+        out = evolve_layer(f, 1.0)
         assert np.abs(out - f).max() < 1e-15
 
     def test_hand_case(self):
-        cfg = EvolutionConfig(gain=0.5, bias=0.02)
-        f = field([[0.3, 0.7]])
-        out = evolve_layer(f, cfg)
-        want = 0.5 + 0.5 * (np.array([0.3, 0.7]) - 0.5) + 0.02
-        assert np.abs(out[0] - want).max() < 1e-12
+        out = evolve_layer(field([[0.3, 0.7]]), 0.5)
+        assert np.abs(out[0] - np.array([0.4, 0.6])).max() < 1e-12
 
     def test_clamps_into_bounds(self):
-        cfg = EvolutionConfig(gain=1.0, bias=5.0)
-        out = evolve_layer(field([[0.5, 0.5]]), cfg)
-        assert out.max() <= 0.99
+        # gain 3 sends 0.1 to -0.7 and 0.9 to 1.7
+        out = evolve_layer(field([[0.1, 0.9]]), 3.0)
+        assert np.array_equal(out, field([[0.01, 0.99]]))
 
 
 class TestFixedPoint:
@@ -63,9 +58,8 @@ class TestFixedPoint:
         assert abs(report.iterations - predicted) <= 2
 
     def test_expansion_flagged_not_raised(self):
-        cfg = EvolutionConfig(gain=1.05)
         report = iterate_to_fixed_point(
-            lambda f: evolve_layer(f, cfg),
+            contraction(1.05),
             field([[0.45, 0.55]]), tol=1e-9, max_iter=20)
         assert not report.converged
 

@@ -96,8 +96,6 @@ ALLOWED_DEFAULTS = {
     "layer_norm.eps": "test_standardizes_rows needs eps 1e-12",
     "gsot_pipeline.context": "dropping it changes W_h's draw and the "
                              "trace.jsonl op counts",
-    "train.loss_injection": "a test hook that perturbs the observed task "
-                            "loss to script instability scenarios",
     "checkpoint_load.cfg": "checks a checkpoint's shapes against an expected "
                            "config; the checkpoint tests set it",
     "main.argv": "the CLI tests pass their arguments through it",

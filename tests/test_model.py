@@ -25,6 +25,13 @@ def toy_cfg(**kw):
     return ModelConfig(**base)
 
 
+def wide_cfg(spread, **kw):
+    """toy_cfg with the temperature head's init std raised by `spread`: at
+    0.3 each field spreads over most of (eps_min, 1 - eps_min) instead of
+    sitting near the neutral 0.5."""
+    return toy_cfg(temp_init_std=ModelConfig.temp_init_std + spread, **kw)
+
+
 def _sealed(body):
     """A checkpoint body followed by its CRC32 trailer, so that a test's
     corruption reaches the check it is aimed at instead of the CRC check."""
@@ -45,14 +52,32 @@ class TestConfig:
             ModelConfig(attention_variant="magic")
 
     def test_checkpoint_json_round_trip(self):
-        cfg = toy_cfg(blend_alpha=0.25, attention_variant="outer")
+        cfg = toy_cfg(temp_init_std=0.25, attention_variant="outer")
         text = cfg.to_checkpoint_json()
         back = ModelConfig.from_checkpoint_json(text, max_seq_len=8)
         assert back == cfg
 
+    def test_checkpoint_json_keeps_its_bytes(self):
+        # the sidecar lists every field but max_seq_len, in field order
+        assert ModelConfig().to_checkpoint_json() == (
+            '{\n  "d_model": 32,\n  "heads": 2,\n  "layers": 2,\n'
+            '  "d_ff": 64,\n  "vocab_size": 32,\n  "d_c": 8,\n'
+            '  "eps_min": 0.01,\n  "attention_variant": "broadcast",\n'
+            '  "temp_init_std": 0.01,\n  "seed": 0\n}\n')
+
     def test_unknown_json_key_rejected(self):
         with pytest.raises(CheckpointFormatError):
             ModelConfig.from_checkpoint_json('{"d_model": 8, "bogus": 1}')
+
+    def test_sidecar_naming_blend_alpha_rejected(self, tmp_path):
+        # a checkpoint saved while the config still had a blend weight
+        path, _, _ = _saved_checkpoint(tmp_path)
+        doc = json.loads(open(path + ".json").read())
+        doc["blend_alpha"] = 0.0
+        open(path + ".json", "w").write(json.dumps(doc))
+        with pytest.raises(CheckpointFormatError,
+                           match=r"unknown config keys: \['blend_alpha'\]"):
+            checkpoint_load(path)
 
 
 class TestBlockForward:
@@ -93,12 +118,12 @@ class TestBlockForward:
         want = layer_norm(h1 + ff, block.ln2_gain, block.ln2_bias)
         assert np.abs(out.values - want.values).max() < 1e-10
 
-    @pytest.mark.parametrize("variant, alpha", [("broadcast", 0.0),
-                                                ("outer", 0.0), ("outer", 0.3)])
-    def test_shared_projection_gradient(self, variant, alpha):
+    @pytest.mark.parametrize("variant, spread", [("broadcast", 0.0),
+                                                 ("outer", 0.0), ("outer", 0.3)])
+    def test_shared_projection_gradient(self, variant, spread):
         # W_qkv feeds both passes: the plain one and, through its logits and
-        # value rows, the modulated one (and the blend)
-        cfg = toy_cfg(layers=1, attention_variant=variant, blend_alpha=alpha)
+        # value rows, the modulated one; spread widens the field (wide_cfg)
+        cfg = wide_cfg(spread, layers=1, attention_variant=variant)
         block = ModelParams(cfg).blocks[0]
         x = Tensor(Rng(4).normal((5, 8)))
         w = Tensor(Rng(5).normal((5, 8)))
@@ -116,6 +141,15 @@ class TestModelForward:
         params = ModelParams(toy_cfg())
         with pytest.raises(ValueError, match="token id"):
             model_forward([0, 99], params)
+
+    @pytest.mark.parametrize("tokens", [[1.7, 2.2, 3.9], [1.0, 2.0, 3.0],
+                                        [True, False, True]],
+                             ids=["fractional", "whole-floats", "bools"])
+    def test_non_integer_ids_rejected_before_any_cast(self, tokens):
+        # cast first, [1.7, 2.2, 3.9] would run as [1, 2, 3]
+        params = ModelParams(toy_cfg())
+        with pytest.raises(ValueError, match="token ids must be integers"):
+            model_forward(tokens, params)
 
     def test_neutral_field_halves_logits(self):
         cfg = toy_cfg()
@@ -177,29 +211,28 @@ class TestModelForward:
 
 class TestFinalField:
     @pytest.mark.parametrize("layers", [1, 2, 3])
-    @pytest.mark.parametrize("variant, alpha", [("baseline", 0.0),
-                                                ("broadcast", 0.0),
-                                                ("outer", 0.0), ("outer", 0.3),
-                                                ("broadcast", 0.3)])
-    def test_matches_full_forward_bitwise(self, layers, variant, alpha):
-        self.assert_matches(layers=layers, attention_variant=variant,
-                            blend_alpha=alpha, seed=layers)
+    @pytest.mark.parametrize("variant, spread", [("baseline", 0.0),
+                                                 ("broadcast", 0.0),
+                                                 ("outer", 0.0), ("outer", 0.3),
+                                                 ("broadcast", 0.3)])
+    def test_matches_full_forward_bitwise(self, layers, variant, spread):
+        self.assert_matches(spread, layers=layers, attention_variant=variant,
+                            seed=layers)
 
     # toy_cfg's 2 heads run above
     @pytest.mark.parametrize("heads", [1, 4])
     @pytest.mark.parametrize("layers", [1, 2])
-    @pytest.mark.parametrize("variant, alpha", [("baseline", 0.0),
-                                                ("broadcast", 0.3),
-                                                ("outer", 0.0)])
+    @pytest.mark.parametrize("variant, spread", [("baseline", 0.0),
+                                                 ("broadcast", 0.3),
+                                                 ("outer", 0.0)])
     def test_matches_full_forward_bitwise_per_head_count(self, heads, layers,
-                                                         variant, alpha):
-        self.assert_matches(heads=heads, layers=layers,
-                            attention_variant=variant, blend_alpha=alpha,
-                            seed=heads)
+                                                         variant, spread):
+        self.assert_matches(spread, heads=heads, layers=layers,
+                            attention_variant=variant, seed=heads)
 
     @staticmethod
-    def assert_matches(**cfg):
-        params = ModelParams(toy_cfg(**cfg))
+    def assert_matches(spread, **cfg):
+        params = ModelParams(wide_cfg(spread, **cfg))
         x = Tensor(Rng(9).normal((6, 8)))
         want = forward_embedded(x, params)[1][-1].values
         assert np.array_equal(final_field(x, params).values, want)
