@@ -225,12 +225,14 @@ def recovery_step(field_summary, cfg):
 def check_sequence(X, vocab_size):
     """X as an (n,) int array; ValueError unless it is a non-empty 1-D
     sequence of integer ids in [0, vocab_size)."""
-    X = np.asarray(list(X))
-    if X.ndim != 1 or not X.size:
+    if not isinstance(X, np.ndarray):
+        X = list(X)
+    ids = np.asarray(X)
+    if ids.ndim != 1 or not ids.size:
         raise ValueError(f"sequence must be a non-empty (n,) list of token "
-                         f"ids, got shape {X.shape}")
+                         f"ids, got shape {ids.shape}")
     check_token_ids(X, vocab_size)
-    return X.astype(np.intp, copy=False)
+    return ids.astype(np.intp, copy=False)
 
 
 def gsot_pipeline(X, universe, params, cfg, context=None):

@@ -249,9 +249,19 @@ def block_forward(x, block, cfg, temp_multiplier=1.0):
     return out, field
 
 
+_BOOL_TYPES = frozenset((bool, np.bool_))
+
+
 def check_token_ids(tokens, vocab_size):
-    """Raise ValueError unless every id is an integer in [0, vocab_size)."""
-    tokens = np.asarray(tokens)
+    """Raise ValueError unless every id is an integer in [0, vocab_size).
+
+    An ndarray is judged by its dtype. Anything else is checked for booleans
+    before numpy casts it, since numpy makes [True, 2, 3] an int64 array."""
+    if not isinstance(tokens, np.ndarray):
+        if not _BOOL_TYPES.isdisjoint(
+                map(type, np.asarray(tokens, dtype=object).flat)):
+            raise ValueError("token ids must be integers, got a boolean")
+        tokens = np.asarray(tokens)
     if not tokens.size:
         return
     if not np.issubdtype(tokens.dtype, np.integer):
@@ -263,15 +273,15 @@ def check_token_ids(tokens, vocab_size):
 
 
 def embed_tokens(tokens, params):
-    tokens = np.asarray(tokens)
-    if tokens.ndim not in (1, 2):
+    ids = np.asarray(tokens)
+    if ids.ndim not in (1, 2):
         raise DimensionError(
             f"tokens must be one (n,) sequence or a (B, n) batch, got "
-            f"shape {tokens.shape}")
+            f"shape {ids.shape}")
     # the caller's ids are checked before the cast, which would truncate
     # 1.7 to 1 and turn True into 1
     check_token_ids(tokens, params.cfg.vocab_size)
-    return params.tok_emb[tokens.astype(np.int64, copy=False)]
+    return params.tok_emb[ids.astype(np.int64, copy=False)]
 
 
 def _add_positions(x, params):

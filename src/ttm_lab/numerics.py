@@ -6,12 +6,23 @@ public operation verifies its output is finite.
 
 A forward kernel allocates only the arrays it returns or its vjp keeps, and
 computes the rest in place: it writes only into arrays it has just created,
-before any of them becomes a Tensor's values or is held by a vjp. A freed
-full-size temporary is handed back to the OS at attention sizes, and the next
-one page-faults its memory back in.
+before any of them becomes a Tensor's values or is held by a vjp. That saves
+an allocation and a pass over memory per temporary.
+
+Importing this module keeps freed numpy buffers in the process heap. Under
+glibc's defaults a freed array of 128 KiB or more (a 16-example slice's tape,
+an n×n attention array) goes back to the OS, and the next array of that size
+page-faults its memory in again. Where the C library has glibc's `mallopt`,
+arrays under 32 MiB come from the heap and the heap is trimmed only past
+1 GiB of free space at its top. The cost is that the process's resident
+memory no longer shrinks after a peak. A process started with any MALLOC_
+variable, or with glibc.malloc tunables in GLIBC_TUNABLES, keeps the
+allocator as its user set it.
 """
 
+import ctypes
 import math
+import os
 import sys
 
 import numpy as np
@@ -29,6 +40,33 @@ __all__ = [
     "gelu",
     "grad_check",
 ]
+
+
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory():
+    """Set glibc's mmap and trim thresholds; whether both were set.
+
+    The mmap threshold goes first: setting either one freezes glibc's
+    dynamic mmap threshold where it stands (128 KiB at start), and a trim
+    threshold alone would then map and fault every n×n attention array
+    afresh."""
+    if (any(name.startswith("MALLOC_") for name in os.environ)
+            or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")):
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+                and mallopt(_M_TRIM_THRESHOLD, 1 << 30))
+
+
+_HEAP_KEPT = _keep_freed_memory()
 
 
 class NumericError(ArithmeticError):

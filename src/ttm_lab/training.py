@@ -283,22 +283,12 @@ def _is_temp_param(name):
     return ".temp." in name
 
 
-def _snapshot(params):
-    # references, not copies: train only ever rebinds a tensor's values
-    return {name: t.values for name, t in params.named_tensors()}
-
-
-def _restore(params, snap):
-    for name, t in params.named_tensors():
-        t.values = snap[name]
-
-
 def train(params, dataset, cfg):
     """Run the stability-monitored training protocol; returns the history.
 
     A non-finite task loss or temperature gradient norm, or a NumericError
-    raised inside a step, aborts the run before that step's update and
-    restores the last good parameter values.
+    raised inside a step, aborts the run before that step's update, so every
+    parameter keeps the values of the last completed step.
 
     The logged `total_loss` is the loss backward() ran on, task + lambda_T *
     collapse penalty. `stability_penalty` is logged beside it, never added:
@@ -312,7 +302,6 @@ def train(params, dataset, cfg):
     history = TrainHistory()
     prev_task_loss = None
     prev_unstable = False
-    last_good = _snapshot(params)
     for t in range(1, cfg.steps + 1):
         idx = rng.integers(0, len(dataset), size=cfg.batch)
         batch = _stack([dataset[int(i)] for i in idx])
@@ -334,7 +323,6 @@ def train(params, dataset, cfg):
                 raise NumericError(f"non-finite task loss or temperature "
                                    f"gradient norm at step {t}")
         except NumericError:
-            _restore(params, last_good)
             history.aborted = True
             break
         penalty_val = float(penalty_mean.values)
@@ -367,7 +355,6 @@ def train(params, dataset, cfg):
                 g = tensor.grad + cfg.weight_decay * tensor.values
                 tensor.values = tensor.values - lr_main * g
 
-        last_good = _snapshot(params)
         history.rows.append({
             "step": t,
             "task_loss": task_val,

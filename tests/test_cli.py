@@ -88,6 +88,7 @@ class TestConfigLoading:
         {"gsot": {"sequence": [-1, 2]}},
         {"gsot": {"sequence": [1.5, 2]}},
         {"gsot": {"sequence": [[1, 2], [3, 4]]}},
+        {"gsot": {"sequence": [True, 2, 3]}},
         {"gsot": {"length": 0}},
         {"gsot": {"length": 100}},
         {"gsot": {"hidden_count": 0}},
@@ -114,7 +115,8 @@ class TestConfigLoading:
             "collapse_eps-0.7", "collapse_eps-0", "t0-negative", "t0-0",
             "count-0", "length-0", "arith-length-1", "arith-count-unfillable",
             "gsot-id-100", "gsot-id-negative", "gsot-id-float",
-            "gsot-sequence-nested", "gsot-length-0",
+            "gsot-sequence-nested", "gsot-id-bool-among-ints",
+            "gsot-length-0",
             "gsot-length-over-max_seq_len", "gsot-hidden_count-0",
             "sweep-steps-1", "sweep-t_min-above-t_max", "stats-level-0.5",
             "stats-one-sample", "stats-sample-string", "stats-sample-bool",

@@ -143,8 +143,9 @@ class TestModelForward:
             model_forward([0, 99], params)
 
     @pytest.mark.parametrize("tokens", [[1.7, 2.2, 3.9], [1.0, 2.0, 3.0],
-                                        [True, False, True]],
-                             ids=["fractional", "whole-floats", "bools"])
+                                        [True, False, True], [True, 2, 3]],
+                             ids=["fractional", "whole-floats", "bools",
+                                  "bool-among-ints"])
     def test_non_integer_ids_rejected_before_any_cast(self, tokens):
         # cast first, [1.7, 2.2, 3.9] would run as [1, 2, 3]
         params = ModelParams(toy_cfg())

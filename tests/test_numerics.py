@@ -1,5 +1,9 @@
 import gc
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import ttm_lab
+from ttm_lab import gsot, numerics, training
+from ttm_lab.model import ModelConfig, ModelParams
 from ttm_lab.numerics import (DimensionError, NumericError, Rng, Tensor,
                               _erf, concat, gelu, grad_check, layer_norm,
                               matmul, softmax_rows)
@@ -406,3 +413,62 @@ class TestRng:
         r = Rng(7)
         assert np.array_equal(r.spawn(1).normal((3,)), Rng(7).spawn(1).normal((3,)))
         assert not np.array_equal(r.spawn(1).normal((3,)), r.spawn(2).normal((3,)))
+
+
+def minor_faults_per_call(fn, calls, warmup=2):
+    """The process's minor page faults per fn() call, after warm-up calls."""
+    import resource
+    for _ in range(warmup):
+        fn()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        fn()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
+
+
+@pytest.mark.skipif(not numerics._HEAP_KEPT,
+                    reason="the allocator's thresholds were not set")
+class TestFreedMemoryStaysInHeap:
+    """Importing numerics keeps freed numpy buffers under 32 MiB in the heap,
+    so a repeated call reuses memory instead of faulting it in again."""
+
+    def test_dataset_loss_reuses_each_slice_tape(self):
+        # test_10's arithmetic config: 4 slices of 16 examples, each slice's
+        # tape about 1 MB; under glibc's defaults a call faults 600 to 1,400
+        # times, as each freed tape goes back to the OS
+        params = ModelParams(ModelConfig(
+            d_model=32, heads=2, layers=2, d_ff=64,
+            vocab_size=training.ARITH_VOCAB, d_c=4, seed=10, max_seq_len=8))
+        data = training.make_task(training.TaskSpec(
+            kind="arithmetic_chain", length=8, count=64, seed=10))
+        assert minor_faults_per_call(
+            lambda: training.dataset_loss(params, data, 0.5), 20) < 50
+
+    def test_gsot_pipeline_reuses_its_n_by_n_arrays(self):
+        # the bench model at n = 512: each n×n array is 2 MB, past glibc's
+        # default 128 KiB mmap threshold, which a trim threshold alone
+        # would freeze there
+        n = 512
+        params = ModelParams(ModelConfig(
+            d_model=16, heads=1, layers=1, d_ff=512, vocab_size=32, d_c=4,
+            seed=3, max_seq_len=n + 1))
+        rng = Rng(3)
+        universe = gsot.build_universe(params, 4, rng)
+        cfg = gsot.GsotConfig(K=9)
+        seqs = iter(rng.integers(0, 32, size=(5, n)))
+        assert minor_faults_per_call(
+            lambda: gsot.gsot_pipeline(next(seqs), universe, params, cfg),
+            3) < 50
+
+    @pytest.mark.parametrize("env", [
+        {"MALLOC_TRIM_THRESHOLD_": "131072"},
+        {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"}],
+        ids=["MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES"])
+    def test_user_malloc_settings_are_left_alone(self, env):
+        src = pathlib.Path(ttm_lab.__file__).parent.parent
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "from ttm_lab import numerics; print(numerics._HEAP_KEPT)"],
+            env=dict(os.environ, PYTHONPATH=str(src), **env),
+            capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "False"
