@@ -11,7 +11,8 @@ from ttm_lab import training
 from ttm_lab.model import ModelConfig, ModelParams, model_forward
 from ttm_lab.numerics import NumericError, Rng, Tensor
 from ttm_lab.temperature import collapse_penalty
-from ttm_lab.training import (ARITH_VOCAB, EVAL_SLICE, METRIC_COLUMNS,
+from ttm_lab.training import (ARITH_VOCAB, EVAL_PASS, EVAL_SLICE,
+                              METRIC_COLUMNS,
                               PUBLISHED_MEMORY_CLAIM_BYTES,
                               TOK_ADD, TOK_HALVE, TOK_INIT,
                               TOK_SUB, TaskSpec, TrainConfig,
@@ -404,6 +405,38 @@ class TestBatchedParity:
             assert _close(dataset_loss(params, part, 0.7),
                           np.mean(scaled[:size]))
 
+    @pytest.mark.parametrize("task", sorted(BATCH_TASKS))
+    @pytest.mark.parametrize("variant, spread", BATCH_VARIANTS)
+    def test_evaluation_equals_one_forward_per_16(self, variant, spread, task):
+        # evaluate and dataset_loss forward EVAL_PASS examples at a time; a
+        # reference loop with one forward per 16 examples must give the
+        # same floats, so no golden moves
+        spec, vocab = BATCH_TASKS[task]
+        params = ModelParams(ModelConfig(
+            d_model=16, heads=2, layers=2, d_ff=32, vocab_size=vocab, d_c=4,
+            seed=3, max_seq_len=spec.length, attention_variant=variant,
+            temp_init_std=ModelConfig.temp_init_std + spread))
+        data = make_task(dataclasses.replace(spec, count=100))
+
+        def per_16(part, m):
+            total, hits = 0.0, 0
+            for lo in range(0, len(part), 16):
+                batch = training._stack(part[lo:lo + 16])
+                logits, _ = model_forward(batch.inputs, params,
+                                          temp_multiplier=m)
+                loss = cross_entropy(logits, batch.targets, batch.mask)
+                total += float(loss.values) * len(batch.inputs)
+                pred = logits.values.argmax(axis=-1)
+                hits += int(((pred == batch.targets) | ~batch.mask)
+                            .all(axis=-1).sum())
+            return total / len(part), hits / len(part)
+
+        for size in (1, 15, 16, 17, 31, 32, 33, 48, 64, 65, 100):
+            part = data[:size]
+            assert evaluate(params, part) == per_16(part, 1.0)
+            for m in (1.0, 0.7):
+                assert dataset_loss(params, part, m) == per_16(part, m)[0]
+
     def test_each_example_scaled_by_its_own_field_mean(self):
         params = toy_params(seed=11)
         tokens = np.array([[1, 2, 3, 4], [5, 5, 6, 0], [9, 8, 7, 6]])
@@ -453,9 +486,50 @@ class TestBatchedParity:
             assert np.array_equal(t.values, want), name
 
 
+class TestEvaluationInputs:
+    """evaluate and dataset_loss take a non-empty dataset of one length."""
+
+    @staticmethod
+    def copies(length, count, seed=2):
+        return make_task(TaskSpec(kind="copy", length=length, count=count,
+                                  seed=seed))
+
+    def test_empty_dataset_rejected(self):
+        params = toy_params(seed=2)
+        with pytest.raises(ValueError, match="dataset is empty"):
+            evaluate(params, [])
+        with pytest.raises(ValueError, match="dataset is empty"):
+            dataset_loss(params, [])
+
+    @pytest.mark.parametrize("first", [8, 16, 32])
+    def test_mixed_lengths_rejected_up_front(self, first, monkeypatch):
+        # a length change at a multiple of the pass size would stack fine
+        # pass by pass; the contract is one length, wherever it changes
+        data = self.copies(4, first) + self.copies(6, 16)
+        forwards = []
+        monkeypatch.setattr(training, "model_forward",
+                            lambda *a, **k: forwards.append(a))
+        for call in (evaluate, dataset_loss):
+            with pytest.raises(ValueError,
+                               match=rf"example {first} has length 6, but "
+                                     rf"example 0 has 4"):
+                call(toy_params(seed=2), data)
+        assert forwards == []
+
+    def test_stack_names_the_lengths(self):
+        data = self.copies(4, 2) + self.copies(6, 1) + self.copies(5, 1)
+        with pytest.raises(ValueError, match=r"lengths \[4, 5, 6\]"):
+            training._stack(data)
+        # a train batch stacks through the same path
+        with pytest.raises(ValueError, match=r"lengths \[4, 5, 6\]"):
+            train(toy_params(seed=2), data,
+                  TrainConfig(steps=1, batch=16, seed=2))
+
+
 class TestBatchedCalls:
     """Each train step is one stacked forward; evaluate and dataset_loss run
-    one forward per slice of at most EVAL_SLICE examples."""
+    one forward per pass of at most EVAL_PASS examples, and one loss per
+    slice of at most EVAL_SLICE."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -476,15 +550,17 @@ class TestBatchedCalls:
         assert counted == {"model_forward": 3, "cross_entropy": 3,
                            "collapse_penalty": 3, "detect_collapse": 3}
 
-    @pytest.mark.parametrize("size", [1, 16, 17, 64])
+    @pytest.mark.parametrize("size", [1, 16, 17, 31, 32, 33, 64])
     def test_one_forward_per_slice(self, counted, size):
-        assert EVAL_SLICE == 16
+        assert (EVAL_PASS, EVAL_SLICE) == (32, 16)
         data = make_task(TaskSpec(kind="copy", length=4, count=size, seed=2))
         params = toy_params(seed=2)
         evaluate(params, data)
-        assert counted["model_forward"] == math.ceil(size / EVAL_SLICE)
+        assert counted["model_forward"] == math.ceil(size / EVAL_PASS)
+        assert counted["cross_entropy"] == math.ceil(size / EVAL_SLICE)
         dataset_loss(params, data, 0.5)
-        assert counted["model_forward"] == 2 * math.ceil(size / EVAL_SLICE)
+        assert counted["model_forward"] == 2 * math.ceil(size / EVAL_PASS)
+        assert counted["cross_entropy"] == 2 * math.ceil(size / EVAL_SLICE)
 
     def test_evaluation_reads_params_without_backward(self, monkeypatch):
         # evaluation forwards the caller's parameters and leaves no gradient
