@@ -49,28 +49,31 @@ def _merge(defaults, given, block):
     unknown = set(given) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown keys in block {block!r}: {sorted(unknown)}")
-    _check_integers(defaults, given, f"{block}.")
+    _check_numbers(defaults, given, f"{block}.")
     out = dict(defaults)
     out.update(given)
     return out
 
 
-def _check_integers(defaults, given, prefix):
+def _check_numbers(defaults, given, prefix):
     """A key whose default is an int, or a list of ints, takes only JSON
-    integers: a float would be truncated or fail mid-run, and true or false
-    would pass as 1 or 0."""
+    integers: a float would be truncated or fail mid-run. A key whose default
+    is a float takes only JSON numbers. In both, true or false would pass as
+    1 or 0."""
     for key, value in given.items():
         default = defaults[key]
-        if type(default) is int:
-            values = [value]
+        if type(default) is float:
+            values, kinds, what = [value], (int, float), "numbers"
+        elif type(default) is int:
+            values, kinds, what = [value], (int,), "integers"
         elif isinstance(default, list) and isinstance(value, list) \
                 and all(type(d) is int for d in default):
-            values = value
+            values, kinds, what = value, (int,), "integers"
         else:
             continue
-        bad = [v for v in values if type(v) is not int]
+        bad = [v for v in values if type(v) not in kinds]
         if bad:
-            raise ConfigError(f"{prefix}{key} takes integers, got {bad[0]!r}")
+            raise ConfigError(f"{prefix}{key} takes {what}, got {bad[0]!r}")
 
 
 def _dataclass_defaults(cls):
@@ -128,10 +131,15 @@ def _check_plain_blocks(resolved, model_cfg, gsot_given):
     stats = resolved["stats"]
     if stats["level"] not in training.LEVELS:
         raise ValueError(f"stats.level must be one of {list(training.LEVELS)}")
-    if stats["samples_file"] is None:
+    path = stats["samples_file"]
+    if path is None:
         if any(type(v) not in (int, float) for v in stats["samples"]):
             raise ValueError("stats.samples must all be JSON numbers")
         training.confidence_interval(stats["samples"], stats["level"])
+    elif type(path) is not str or not path:
+        # open() would take an integer as a file descriptor
+        raise ValueError(f"stats.samples_file must be null or a non-empty "
+                         f"string, got {path!r}")
 
 
 def load_config(path, seed=None, out=None):
@@ -150,7 +158,10 @@ def load_config(path, seed=None, out=None):
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
     resolved = {"output_dir": doc.get("output_dir", "out"),
                 "seed": doc.get("seed", 0)}
-    _check_integers({"seed": 0}, {"seed": resolved["seed"]}, "")
+    _check_numbers({"seed": 0}, {"seed": resolved["seed"]}, "")
+    if type(resolved["output_dir"]) is not str or not resolved["output_dir"]:
+        raise ConfigError(f"output_dir must be a non-empty string, got "
+                          f"{resolved['output_dir']!r}")
     for name, factory in _BLOCKS.items():
         resolved[name] = _merge(factory(), doc.get(name, {}), name)
     if seed is not None:
@@ -295,8 +306,13 @@ def cmd_check(resolved, model_cfg, args):
 
 
 def cmd_gradcheck(resolved, model_cfg, args):
-    _write_resolved(resolved)
     eps = args.eps
+    try:
+        # grad_check states the range of eps; a stand-in call applies it
+        grad_check(lambda x: x.sum(), Tensor([0.0]), eps=eps)
+    except ValueError as exc:
+        raise ConfigError(f"--eps: {exc}")
+    _write_resolved(resolved)
     rng = Rng(resolved["seed"])
     cases = []
 

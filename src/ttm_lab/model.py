@@ -344,44 +344,6 @@ def reasoning_head(attn_out, field, W_reason):
     return softmax_rows(joint @ W_reason)
 
 
-@dataclass
-class ParamCount:
-    attention: int
-    ffn: int
-    temperature: int
-    embeddings: int
-    total: int
-
-
-def count_parameters(cfg):
-    """Count the parameters a model of this config has, by category."""
-    buckets = {"attention": 0, "ffn": 0, "temperature": 0, "embeddings": 0}
-    for name, shape, _ in param_specs(cfg):
-        size = math.prod(shape)
-        if ".attn." in name:
-            buckets["attention"] += size
-        elif ".ffn." in name or ".ln1." in name or ".ln2." in name:
-            buckets["ffn"] += size
-        elif ".temp." in name:
-            buckets["temperature"] += size
-        else:
-            buckets["embeddings"] += size
-    return ParamCount(total=sum(buckets.values()), **buckets)
-
-
-PUBLISHED_SCALE_CLAIMS = {"total": 355_000_000, "attention": 221_000_000,
-                      "ffn": 113_000_000, "temperature": 21_000_000}
-
-
-def published_scale_comparison():
-    """Our counts for the full-size configuration next to the published
-    claims; the two do not reconcile and no equality is asserted."""
-    cfg = ModelConfig(d_model=768, heads=12, layers=24, d_ff=3072,
-                      vocab_size=50257, d_c=768, max_seq_len=1)
-    ours = count_parameters(cfg)
-    return {"ours": ours, "published": PUBLISHED_SCALE_CLAIMS}
-
-
 # -- checkpoint I/O ----------------------------------------------------------
 
 

@@ -554,9 +554,9 @@ def _sigmoid(v):
     return np.where(v >= 0, 1.0 / d, e / d)
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
-    """Normalize each row of the last axis to zero mean / unit variance, then
-    apply gain and bias."""
+def layer_norm(x, gain, bias):
+    """Normalize each row of the last axis to zero mean / unit variance (with
+    1e-5 added to the variance), then apply gain and bias."""
     x = Tensor._coerce(x)
     gain = Tensor._coerce(gain)
     bias = Tensor._coerce(bias)
@@ -565,13 +565,11 @@ def layer_norm(x, gain, bias, eps=1e-5):
         raise DimensionError(
             f"layer_norm gain/bias must have shape ({d},), got {gain.shape} "
             f"and {bias.shape}")
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
     # np.mean's and np.var's own arithmetic, without their Python wrappers:
     # a row sum divided by d, of the values and of the squared deviations
     z = x.values - np.add.reduce(x.values, axis=-1, keepdims=True) / d
     var = np.add.reduce(z * z, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     z *= inv
     gv = gain.values
 
@@ -660,9 +658,6 @@ class Rng:
 
     def integers(self, lo, hi, size=None):
         return self._gen.integers(lo, hi, size=size)
-
-    def permutation(self, n):
-        return self._gen.permutation(n)
 
     def spawn(self, offset):
         """Derive an independent stream; deterministic in (seed, offset)."""

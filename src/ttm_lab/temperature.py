@@ -96,7 +96,6 @@ def collapse_penalty(field, lam):
 
 @dataclass
 class CollapseReport:
-    collapsed: bool
     fraction: float
     min_value: float
     max_value: float
@@ -113,8 +112,8 @@ def detect_collapse(field, eps):
     v = field.values
     bad = (v < eps) | (v > 1.0 - eps)
     frac = float(bad.mean(axis=(-2, -1)).max()) if v.size else 0.0
-    return CollapseReport(collapsed=bool(bad.any()), fraction=frac,
-                          min_value=float(v.min()), max_value=float(v.max()))
+    return CollapseReport(fraction=frac, min_value=float(v.min()),
+                          max_value=float(v.max()))
 
 
 def clip_temperature_grad(grad, tau):

@@ -7,7 +7,6 @@ both base learning rates and doubles the temperature penalty weight, once per
 detected event.
 """
 
-import io
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -270,21 +269,15 @@ class TrainHistory:
     rows: list = dc_field(default_factory=list)
     aborted: bool = False
 
-    def to_csv(self, path_or_buf):
-        buf = path_or_buf if hasattr(path_or_buf, "write") else io.StringIO()
-        buf.write(",".join(METRIC_COLUMNS) + "\n")
-        for row in self.rows:
-            cells = []
-            for col in METRIC_COLUMNS:
-                v = row[col]
-                cells.append(repr(v) if isinstance(v, float) else str(v))
-            buf.write(",".join(cells) + "\n")
-        if buf is not path_or_buf:
-            with open(path_or_buf, "w") as fh:
-                fh.write(buf.getvalue())
-
-    def column(self, name):
-        return [row[name] for row in self.rows]
+    def to_csv(self, path):
+        with open(path, "w") as fh:
+            fh.write(",".join(METRIC_COLUMNS) + "\n")
+            for row in self.rows:
+                cells = []
+                for col in METRIC_COLUMNS:
+                    v = row[col]
+                    cells.append(repr(v) if isinstance(v, float) else str(v))
+                fh.write(",".join(cells) + "\n")
 
 
 def _is_temp_param(name):
@@ -555,13 +548,3 @@ def significance_label(p):
     if p < 0.05:
         return "moderate"
     return "insufficient"
-
-
-def memory_estimate(n, h, b, bytes_per_element):
-    """Attention-weight storage in bytes: n^2 * h * b * element size."""
-    if min(n, h, b, bytes_per_element) <= 0:
-        raise ValueError("all arguments must be positive")
-    return int(n) * int(n) * int(h) * int(b) * int(bytes_per_element)
-
-
-PUBLISHED_MEMORY_CLAIM_BYTES = 16 * 1024 ** 3  # published "~16GB" figure

@@ -237,7 +237,7 @@ def test_09_training_avoids_temperature_collapse():
                              training.TrainConfig(steps=500, batch=4, seed=9,
                                                   lambda_T=0.1,
                                                   collapse_eps=0.02))
-    fractions = history.column("collapse_fraction")
+    fractions = [row["collapse_fraction"] for row in history.rows]
     elapsed = time.time() - t0
     ok = (not history.aborted and len(fractions) == 500
           and max(fractions) == 0.0 and elapsed < 300.0)

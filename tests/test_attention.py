@@ -206,7 +206,7 @@ class TestStructuralProperties:
         p = make_params(2, 6, 3, seed=22)
         x = Rng(23).normal((5, 6))
         f = Rng(24).uniform((2, 5), 0.1, 0.9)
-        perm = Rng(25).permutation(5)
+        perm = np.random.Generator(np.random.PCG64(25)).permutation(5)
         direct = attention_temp_broadcast(attention_baseline(Tensor(x[perm]), p),
                                           p, Tensor(f[:, perm]))
         original = attention_temp_broadcast(attention_baseline(Tensor(x), p), p,

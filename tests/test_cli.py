@@ -1,8 +1,12 @@
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import ttm_lab
 from ttm_lab import cli
 from ttm_lab.cli import EXIT_OK, EXIT_USAGE, load_config, main
 from ttm_lab.model import ModelParams
@@ -111,6 +115,13 @@ class TestConfigLoading:
         {"gsot": {"hidden_count": 2.5}},
         {"bench": {"lengths": [64.5, 128, 256, 512, 1024]}},
         {"seed": 1.5},
+        {"train": {"eta0": True, "steps": 2}},
+        {"train": {"lambda_T": False}},
+        {"sweep": {"t_max": True}},
+        {"output_dir": None},
+        {"output_dir": 5},
+        {"output_dir": ["a"]},
+        {"output_dir": ""},
     ], ids=["heads-0", "d_model-0", "d_ff-0", "batch-0", "steps-negative",
             "collapse_eps-0.7", "collapse_eps-0", "t0-negative", "t0-0",
             "count-0", "length-0", "arith-length-1", "arith-count-unfillable",
@@ -125,7 +136,9 @@ class TestConfigLoading:
             "bench-heads-not-dividing-d_model", "block-not-an-object",
             "d_model-32.0", "steps-2.5", "steps-true", "count-4.5",
             "gsot-length-8.5", "gsot-hidden_count-2.5", "bench-length-64.5",
-            "seed-1.5"])
+            "seed-1.5", "eta0-true", "lambda_T-false", "t_max-true",
+            "output_dir-null", "output_dir-5", "output_dir-list",
+            "output_dir-empty"])
     def test_bad_value_exits_usage(self, tmp_path, capsys, doc):
         code, out = run(tmp_path, "check", doc)
         assert code == EXIT_USAGE
@@ -144,6 +157,23 @@ class TestConfigLoading:
         code, out = run(tmp_path, "stats", {"stats": {"samples_file": str(sf)}})
         assert code == EXIT_USAGE
         assert "samples_file" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path", [0, 1.5, ["samples.txt"]],
+                             ids=["int", "float", "list"])
+    def test_samples_file_not_a_path_exits_usage(self, tmp_path, path):
+        # an integer would reach open() as a file descriptor: 0 reads stdin
+        out = tmp_path / "run"
+        src = pathlib.Path(ttm_lab.__file__).parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ttm_lab.cli", "--out", str(out),
+             "--config", write_config(tmp_path, {"stats": {"samples_file": path}}),
+             "stats"],
+            input="1\n2\n3\n", capture_output=True, text=True, env=env,
+            timeout=60)
+        assert proc.returncode == EXIT_USAGE
+        assert "samples_file" in proc.stderr
         assert not out.exists()
 
     def test_malformed_json_rejected(self, tmp_path):
@@ -201,6 +231,14 @@ class TestGradcheck:
         assert code == EXIT_OK
         text = capsys.readouterr().out
         assert "full_model" in text and "FAIL" not in text
+
+    @pytest.mark.parametrize("eps", ["1", "nan", "1e-8"])
+    def test_eps_outside_range_exits_usage(self, tmp_path, capsys, eps):
+        out = tmp_path / "run"
+        code = main(["--out", str(out), "gradcheck", "--eps", eps])
+        assert code == EXIT_USAGE
+        assert "eps" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTaskFitsModel:

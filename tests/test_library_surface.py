@@ -28,15 +28,7 @@ ALLOWED = {
     "active_set_schedule_check": "verifies a gsot trace against the "
                                  "(1 - k/K) * n schedule; the benchmark and "
                                  "the acceptance gates call it",
-    "published_scale_comparison": "the lab's record of the paper's "
-                                  "parameter-count claims",
     "eval_arith_program": "reference evaluator for arithmetic programs",
-    "memory_estimate": "the lab's record of the paper's memory claim",
-    "PUBLISHED_MEMORY_CLAIM_BYTES": "the paper's published memory figure",
-    "Rng.permutation": "seeded permutation for the attention "
-                       "permutation-equivariance test",
-    "TrainHistory.column": "one metric over all steps; acceptance gate 09 "
-                           "reads the logged collapse fractions",
 }
 
 
@@ -93,7 +85,6 @@ def test_allowlist_entries_are_still_uncalled():
 
 
 ALLOWED_DEFAULTS = {
-    "layer_norm.eps": "test_standardizes_rows needs eps 1e-12",
     "gsot_pipeline.context": "dropping it changes W_h's draw and the "
                              "trace.jsonl op counts",
     "checkpoint_load.cfg": "checks a checkpoint's shapes against an expected "

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from ttm_lab.model import (CheckpointFormatError, ModelConfig, ModelParams,
                            block_forward, checkpoint_load, checkpoint_save,
-                           count_parameters, final_field, forward_embedded,
-                           model_forward, published_scale_comparison,
+                           final_field, forward_embedded, model_forward,
                            reasoning_head)
 from ttm_lab.numerics import (DimensionError, Rng, Tensor, gelu, grad_check,
                               layer_norm)
@@ -310,41 +309,6 @@ class TestHeads:
             reasoning_head(Tensor(np.zeros((2, 5))),
                            Tensor(np.full((2, 2), 0.5)),
                            params.W_reason)
-
-
-class TestParameterCount:
-    def test_matches_hand_enumeration(self):
-        cfg = toy_cfg(layers=1, d_ff=16, vocab_size=11)
-        d, h, dk, dff, V, dc = 8, 2, 4, 16, 11, 4
-        attention = h * 3 * d * dk + h * dk * d
-        ffn = d * dff + dff + dff * d + d + 4 * d  # FFN + two layer norms
-        temperature = h * d + h
-        embeddings = V * d + cfg.max_seq_len * d + d * V + (d + h) * V
-        got = count_parameters(cfg)
-        assert got.attention == attention
-        assert got.ffn == ffn
-        assert got.temperature == temperature
-        assert got.embeddings == embeddings
-        assert got.total == attention + ffn + temperature + embeddings
-
-    @pytest.mark.parametrize("layers,heads", [(1, 1), (1, 2), (2, 1), (2, 2)])
-    def test_matches_allocated_tensors(self, layers, heads):
-        cfg = toy_cfg(layers=layers, heads=heads)
-        allocated = sum(t.size for _, t in ModelParams(cfg).named_tensors())
-        assert count_parameters(cfg).total == allocated
-
-    def test_layer_doubling(self):
-        one = count_parameters(toy_cfg(layers=1))
-        two = count_parameters(toy_cfg(layers=2))
-        assert two.attention == 2 * one.attention
-        assert two.ffn == 2 * one.ffn
-        assert two.embeddings == one.embeddings
-
-    def test_large_scale_comparison_reports_both(self):
-        report = published_scale_comparison()
-        assert report["ours"].total > 0
-        assert set(report["published"]) == {"total", "attention", "ffn",
-                                            "temperature"}
 
 
 class TestCheckpoint:

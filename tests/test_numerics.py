@@ -156,8 +156,9 @@ class TestLayerNorm:
 
     def test_direct_formula(self):
         out = layer_norm(Tensor([[1.0, 2.0, 3.0]]), Tensor(np.ones(3)),
-                         Tensor(np.zeros(3)), eps=1e-12)
-        expected = np.array([-1.2247448713915887, 0.0, 1.2247448713915887])
+                         Tensor(np.zeros(3)))
+        # the row's variance is 2/3; layer_norm adds 1e-5 to it
+        expected = np.array([-1.0, 0.0, 1.0]) / np.sqrt(2.0 / 3.0 + 1e-5)
         assert np.abs(out.values[0] - expected).max() < 1e-6
 
     def test_zero_gain_yields_bias(self):
@@ -169,9 +170,10 @@ class TestLayerNorm:
     def test_standardizes_rows(self):
         rng = Rng(5)
         x = Tensor(rng.normal((6, 8)))
-        out = layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)), eps=1e-12)
+        out = layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)))
+        var = x.values.var(axis=-1)
         assert np.abs(out.values.mean(axis=-1)).max() < 1e-9
-        assert np.abs(out.values.var(axis=-1) - 1.0).max() < 1e-9
+        assert np.abs(out.values.var(axis=-1) - var / (var + 1e-5)).max() < 1e-9
 
     def test_width_mismatch(self):
         with pytest.raises(DimensionError):

@@ -64,17 +64,17 @@ class TestCollapse:
 
     def test_detect_clean_field(self):
         rep = detect_collapse(Tensor(np.full((2, 5), 0.5)), 0.01)
-        assert not rep.collapsed and rep.fraction == 0.0
+        assert rep.fraction == 0.0
 
     def test_detect_counts_offenders(self):
         v = np.full((1, 10), 0.5)
         v[0, 0] = 0.005
         rep = detect_collapse(Tensor(v), 0.01)
-        assert rep.collapsed and rep.fraction == 0.1
+        assert rep.fraction == 0.1
 
     def test_boundary_is_not_collapse(self):
         rep = detect_collapse(Tensor(np.full((1, 4), 0.01)), 0.01)
-        assert not rep.collapsed
+        assert rep.fraction == 0.0
 
     def test_batch_reports_worst_example(self):
         # example 1 has 3 of its 8 entries collapsed, the others none; the
@@ -85,12 +85,11 @@ class TestCollapse:
         v[1, 1, 3] = 0.996
         v[3, 1, 2] = 0.7
         rep = detect_collapse(Tensor(v), 0.01)
-        assert rep.collapsed
         assert rep.fraction == 3 / 8
         assert rep.min_value == 0.005 and rep.max_value == 0.996
         clean = np.delete(v, 1, axis=0)
         rep = detect_collapse(Tensor(clean), 0.01)
-        assert not rep.collapsed and rep.fraction == 0.0
+        assert rep.fraction == 0.0
         assert rep.min_value == 0.3 and rep.max_value == 0.7
 
     def test_batch_matches_per_example_reports(self):
@@ -101,7 +100,6 @@ class TestCollapse:
         assert rep.fraction == max(r.fraction for r in each)
         assert rep.min_value == min(r.min_value for r in each)
         assert rep.max_value == max(r.max_value for r in each)
-        assert rep.collapsed == any(r.collapsed for r in each)
 
 
 class TestGradClip:

@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import math
 
 import numpy as np
@@ -13,12 +12,11 @@ from ttm_lab.numerics import NumericError, Rng, Tensor
 from ttm_lab.temperature import collapse_penalty
 from ttm_lab.training import (ARITH_VOCAB, EVAL_PASS, EVAL_SLICE,
                               METRIC_COLUMNS,
-                              PUBLISHED_MEMORY_CLAIM_BYTES,
                               TOK_ADD, TOK_HALVE, TOK_INIT,
                               TOK_SUB, TaskSpec, TrainConfig,
                               confidence_interval, cross_entropy,
                               dataset_loss, eval_arith_program, evaluate,
-                              lr_schedule, make_task, memory_estimate,
+                              lr_schedule, make_task,
                               sample_mean, significance_label, t_quantile,
                               t_test_p, train)
 
@@ -303,29 +301,27 @@ class TestTrainLoop:
         for row, lam in zip(history.rows, (0.1, 0.1, 0.1, 0.1, 0.2)):
             assert row["total_loss"] == row["task_loss"] + lam * row["temp_penalty"]
 
-    def test_metrics_csv_columns(self):
+    def test_metrics_csv_columns(self, tmp_path):
         params = toy_params(seed=8)
         data = make_task(TaskSpec(kind="copy", length=4, count=8, seed=8))
         history = train(params, data, TrainConfig(steps=3, batch=2, seed=8))
-        buf = io.StringIO()
-        history.to_csv(buf)
-        lines = buf.getvalue().strip().split("\n")
+        history.to_csv(tmp_path / "metrics.csv")
+        lines = (tmp_path / "metrics.csv").read_text().strip().split("\n")
         assert lines[0] == ("step,task_loss,temp_penalty,stability_penalty,"
                             "total_loss,lr_main,lr_temp,temp_min,temp_max,"
                             "collapse_fraction,grad_norm_temp,event")
         assert len(lines) == 4
         assert METRIC_COLUMNS[0] == "step" and METRIC_COLUMNS[-1] == "event"
 
-    def test_metrics_csv_cells_are_plain_floats(self):
+    def test_metrics_csv_cells_are_plain_floats(self, tmp_path):
         # grad_norm_temp exceeds tau = 1 / sqrt(d_k) here, which switches on
         # the stability term; every logged number must still print as a float
         params = arith_params()
         data = make_task(TaskSpec(kind="arithmetic_chain", length=8, count=64))
         history = train(params, data, TrainConfig(steps=2, batch=8))
         assert history.rows[0]["grad_norm_temp"] > 0.25
-        buf = io.StringIO()
-        history.to_csv(buf)
-        lines = buf.getvalue().strip().split("\n")
+        history.to_csv(tmp_path / "metrics.csv")
+        lines = (tmp_path / "metrics.csv").read_text().strip().split("\n")
         for line in lines[1:]:
             for col, cell in zip(METRIC_COLUMNS, line.split(",")):
                 if col != "event":
@@ -712,15 +708,3 @@ class TestStatistics:
         assert significance_label(0.05) == "insufficient"
         with pytest.raises(ValueError):
             significance_label(1.5)
-
-    def test_memory_estimate(self):
-        assert memory_estimate(2, 1, 1, 8) == 32
-        assert memory_estimate(4, 1, 1, 8) == 4 * memory_estimate(2, 1, 1, 8)
-        big = memory_estimate(2048, 12, 128, 4)
-        assert big == 2048 * 2048 * 12 * 128 * 4  # exact integer arithmetic
-        # the published figure is reported for context, not asserted: the two
-        # numbers do not reconcile at any standard element size
-        print(f"memory_estimate={big / 2 ** 30:.1f}GiB "
-              f"(published claim {PUBLISHED_MEMORY_CLAIM_BYTES / 2 ** 30:.0f}GiB)")
-        with pytest.raises(ValueError):
-            memory_estimate(0, 1, 1, 1)
