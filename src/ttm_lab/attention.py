@@ -82,19 +82,19 @@ def merge_heads(head_values, W_o):
 
     Values and gradients are those of the transpose, reshape and matmul chain
     this replaces, bit for bit: the heads' gradient is the product's, folded
-    back into (..., h, n, d_k), and W_o's is merged^T @ g.
+    back into (..., h, n, d_k), and W_o's is merged^T @ g. The merged array
+    is not kept: W_o's vjp lays the heads side by side again.
     """
     *lead, h, n, d_k = head_values.shape
-    merged = _side_by_side(head_values.values)
-    wv = W_o.values
+    hv, wv = head_values.values, W_o.values
 
     def dheads(g):
         side = (g @ wv.swapaxes(-1, -2)).reshape(*lead, n, h, d_k)
         return side.swapaxes(-3, -2)
 
-    return Tensor(merged @ wv, _parents=(
+    return Tensor(_side_by_side(hv) @ wv, _parents=(
         (head_values, dheads),
-        (W_o, lambda g: merged.swapaxes(-1, -2) @ g)))
+        (W_o, lambda g: _side_by_side(hv).swapaxes(-1, -2) @ g)))
 
 
 def _weigh(pre, v, W_o):

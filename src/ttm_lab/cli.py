@@ -142,6 +142,14 @@ def _check_plain_blocks(resolved, model_cfg, gsot_given):
                          f"string, got {path!r}")
 
 
+def _check_output_dir(value, name):
+    """value, if it is a non-empty string; otherwise ConfigError naming
+    where it came from."""
+    if type(value) is not str or not value:
+        raise ConfigError(f"{name} must be a non-empty string, got {value!r}")
+    return value
+
+
 def load_config(path, seed=None, out=None):
     """Resolve the run configuration: defaults, file overrides, flags."""
     doc = {}
@@ -159,17 +167,15 @@ def load_config(path, seed=None, out=None):
     resolved = {"output_dir": doc.get("output_dir", "out"),
                 "seed": doc.get("seed", 0)}
     _check_numbers({"seed": 0}, {"seed": resolved["seed"]}, "")
-    if type(resolved["output_dir"]) is not str or not resolved["output_dir"]:
-        raise ConfigError(f"output_dir must be a non-empty string, got "
-                          f"{resolved['output_dir']!r}")
+    _check_output_dir(resolved["output_dir"], "output_dir")
+    if out is not None:
+        resolved["output_dir"] = _check_output_dir(out, "--out")
     for name, factory in _BLOCKS.items():
         resolved[name] = _merge(factory(), doc.get(name, {}), name)
     if seed is not None:
         resolved["seed"] = seed
         for block in ("model", "train", "task"):
             resolved[block]["seed"] = seed
-    if out is not None:
-        resolved["output_dir"] = out
     # construct the typed configs now so invalid values fail at load (exit 2)
     try:
         model_cfg = ModelConfig(**resolved["model"])

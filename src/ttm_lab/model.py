@@ -24,8 +24,11 @@ from dataclasses import dataclass, fields as dc_fields
 import numpy as np
 
 from . import attention as attn_mod
-from .numerics import (DimensionError, Rng, Tensor, concat, gelu, layer_norm,
-                       linear, softmax_rows)
+# layer_norm has no caller here, as block_forward fuses each residual add
+# into its LayerNorm; it stays imported because perfbench wraps
+# model.layer_norm and its tests require every wrap target to exist
+from .numerics import (DimensionError, Rng, Tensor, _add_layer_norm, concat,
+                       gelu, layer_norm, linear, softmax_rows)
 from .temperature import (DEFAULT_EPS_MIN, TemperatureHeadParams,
                           compute_temperature)
 
@@ -231,7 +234,7 @@ def block_forward(x, block, cfg, temp_multiplier=1.0):
 
     Pipeline: plain attention -> field from its output -> modulated attention
     per cfg.attention_variant on the plain logits and values -> LN1(x + attn)
-    -> LN2(. + FFN(.)).
+    -> LN2(. + FFN(.)), each residual add fused into its LayerNorm's node.
     """
     base = attn_mod.attention_baseline(x, block.attn)
     field = _scaled_field(compute_temperature(base.values, block.temp),
@@ -242,10 +245,10 @@ def block_forward(x, block, cfg, temp_multiplier=1.0):
         att = attn_mod.attention_temp_broadcast(base, block.attn, field)
     else:
         att = attn_mod.attention_temp_outer(base, block.attn, field)
-    h1 = layer_norm(x + att.values, block.ln1_gain, block.ln1_bias)
+    h1 = _add_layer_norm(x, att.values, block.ln1_gain, block.ln1_bias)
     ff = linear(gelu(linear(h1, block.W_ff1, block.b_ff1)), block.W_ff2,
                 block.b_ff2)
-    out = layer_norm(h1 + ff, block.ln2_gain, block.ln2_bias)
+    out = _add_layer_norm(h1, ff, block.ln2_gain, block.ln2_bias)
     return out, field
 
 

@@ -554,37 +554,66 @@ def _sigmoid(v):
     return np.where(v >= 0, 1.0 / d, e / d)
 
 
-def layer_norm(x, gain, bias):
-    """Normalize each row of the last axis to zero mean / unit variance (with
-    1e-5 added to the variance), then apply gain and bias."""
-    x = Tensor._coerce(x)
-    gain = Tensor._coerce(gain)
-    bias = Tensor._coerce(bias)
-    d = x.shape[-1]
+def _layer_norm(v, gain, bias, out=None):
+    """layer_norm's arithmetic on the array v, its deviations written into
+    out (v itself may be out) or a new array: the output, the vjp of v, and
+    the (parent, vjp) pairs of gain and bias."""
+    d = v.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError(
             f"layer_norm gain/bias must have shape ({d},), got {gain.shape} "
             f"and {bias.shape}")
     # np.mean's and np.var's own arithmetic, without their Python wrappers:
     # a row sum divided by d, of the values and of the squared deviations
-    z = x.values - np.add.reduce(x.values, axis=-1, keepdims=True) / d
+    z = np.subtract(v, np.add.reduce(v, axis=-1, keepdims=True) / d, out=out)
     var = np.add.reduce(z * z, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + 1e-5)
     z *= inv
     gv = gain.values
 
-    def dx(g):
+    def dv(g):
         gz = g * gv
         term = gz - np.add.reduce(gz, axis=-1, keepdims=True) / d \
             - z * (np.add.reduce(gz * z, axis=-1, keepdims=True) / d)
         return term * inv
 
-    out = z * gv
-    out += bias.values
-    return Tensor(out, _parents=(
-        (x, dx),
+    y = z * gv
+    y += bias.values
+    return y, dv, (
         (gain, lambda g: np.add.reduce((g * z).reshape(-1, d), axis=0)),
-        (bias, lambda g: np.add.reduce(g.reshape(-1, d), axis=0))))
+        (bias, lambda g: np.add.reduce(g.reshape(-1, d), axis=0)))
+
+
+def layer_norm(x, gain, bias):
+    """Normalize each row of the last axis to zero mean / unit variance (with
+    1e-5 added to the variance), then apply gain and bias."""
+    x = Tensor._coerce(x)
+    out, dx, affine = _layer_norm(x.values, Tensor._coerce(gain),
+                                  Tensor._coerce(bias))
+    return Tensor(out, _parents=((x, dx), *affine))
+
+
+def _add_layer_norm(x, y, gain, bias):
+    """layer_norm(x + y, gain, bias) as one node: a residual add and the
+    LayerNorm after it.
+
+    Values and gradients are those of the + and layer_norm chain, bit for
+    bit. The sum is x.values + y.values, as the + node computed it, and is
+    centred in place, so it is not kept. Its gradient is layer_norm's input
+    gradient, computed once per backward: the vjp keeps the last gradient it
+    was handed and its result, and both operands get that same array, as
+    both parents of the + node got its gradient.
+    """
+    s = x.values + y.values
+    out, ds, affine = _layer_norm(s, gain, bias, out=s)
+    memo = [None, None]
+
+    def dsum(g):
+        if memo[0] is not g:
+            memo[:] = g, ds(g)
+        return memo[1]
+
+    return Tensor(out, _parents=((x, dsum), (y, dsum), *affine))
 
 
 def gelu(x):

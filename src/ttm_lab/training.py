@@ -375,9 +375,9 @@ def train(params, dataset, cfg):
 
 # Examples per forward pass in evaluate and dataset_loss: one pass's tape,
 # not the whole dataset's, is alive at a time. Each pass's Python per-node
-# cost is paid once for its examples, and its tape holds about 1.7 MB per
-# 16 examples; 64 would read faster but raise peak memory by about 12%.
-EVAL_PASS = 32
+# cost is paid once for its examples, and its tape holds about 1.45 MB per
+# 16 examples of the test_10 arithmetic config (5.8 MB for a pass of 64).
+EVAL_PASS = 64
 # Examples whose losses are summed together: a pass's logits are taken
 # EVAL_SLICE rows at a time, so each loss sums the same terms in the same
 # order as a forward of those examples alone, and every evaluate result

@@ -185,6 +185,14 @@ class TestConfigLoading:
         assert main(["--config", str(tmp_path / "nope.json"),
                      "check"]) == EXIT_USAGE
 
+    def test_empty_out_flag_exits_usage(self, tmp_path, monkeypatch, capsys):
+        # the flag is held to the rule of the file's output_dir, before
+        # anything is written
+        monkeypatch.chdir(tmp_path)
+        assert main(["--out", "", "stats"]) == EXIT_USAGE
+        assert "--out must be a non-empty string" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_seed_flag_overrides_block_seeds(self, tmp_path):
         path = write_config(tmp_path, {"seed": 3, "model": {"seed": 4}})
         resolved, model_cfg, train_cfg, task_spec, _ = load_config(path, seed=11)

@@ -10,8 +10,8 @@ backward runs with every stored interior gradient read-only, so a vjp that
 writes into the gradient it was handed raises, and a reference runs once
 more under `copying_accumulate`, the rule under which every node owned a
 copy of its gradient with -0.0 turned into 0.0. The allocation guards
-measure the peak of numpy's traced allocations during one forward call,
-which does not depend on the host.
+measure the peak of numpy's traced allocations during one forward call, or
+the bytes a forward leaves alive, which do not depend on the host.
 """
 
 import math
@@ -27,10 +27,10 @@ from ttm_lab.attention import (AttentionParams, _baseline_values, _project,
                                _scaled_scores, attention_baseline,
                                merge_heads)
 from ttm_lab.gsot import GsotConfig, build_universe, gsot_pipeline
-from ttm_lab.model import ModelConfig, ModelParams
-from ttm_lab.numerics import (NumericError, Rng, Tensor, _erf, _sigmoid,
-                              _unbroadcast, gelu, layer_norm, linear,
-                              softmax_rows)
+from ttm_lab.model import ModelConfig, ModelParams, model_forward
+from ttm_lab.numerics import (NumericError, Rng, Tensor, _add_layer_norm,
+                              _erf, _sigmoid, _unbroadcast, gelu, layer_norm,
+                              linear, softmax_rows)
 from ttm_lab.temperature import collapse_penalty, squash
 from ttm_lab.training import (ARITH_VOCAB, TaskSpec, TrainConfig,
                               cross_entropy, make_task, train)
@@ -317,6 +317,22 @@ class TestKernelParity:
         gain, bias = Rng(5).normal((2, d))
         assert_same(run_both(layer_norm, ref_layer_norm, [x, gain, bias], 6))
 
+    def test_add_layer_norm(self, shape):
+        # the residual sum's extremes are the largest whose variance stays
+        # finite; x + x runs the sum's gradient into one parent twice
+        edges = np.array([0.0, -0.0, 5e-324, -5e-324, 5e149, -5e149, 2.0])
+        x, y = inputs(shape, 30, edges=edges), inputs(shape, 31, edges=edges)
+        d = shape[-1]
+        gain, bias = Rng(32).normal((2, d))
+        for upstream in (None, tiny_upstream):
+            assert_same(run_both(
+                _add_layer_norm, lambda a, b, g, c: layer_norm(a + b, g, c),
+                [x, y, gain, bias], 33, upstream))
+            assert_same(run_both(
+                lambda a, g, c: _add_layer_norm(a, a, g, c),
+                lambda a, g, c: layer_norm(a + a, g, c), [x, gain, bias], 34,
+                upstream))
+
     def test_gelu(self, shape):
         with np.errstate(over="ignore"):
             assert_same(run_both(gelu, ref_gelu, [inputs(shape, 7)], 8))
@@ -410,15 +426,24 @@ class TestKernelParity:
                           attention_baseline(x, params).values.values)
 
 
+def arith_params():
+    """A model of test_10's arithmetic config."""
+    return ModelParams(ModelConfig(
+        d_model=32, heads=2, layers=2, d_ff=64, vocab_size=ARITH_VOCAB, d_c=4,
+        seed=10, max_seq_len=8, attention_variant="broadcast"))
+
+
+def arith_data():
+    return make_task(TaskSpec(kind="arithmetic_chain", length=8, count=64,
+                              seed=10))
+
+
 def arith_step():
     """One training step of test_10's arithmetic config: its logged row, and
     each parameter's values and gradient after the step."""
-    params = ModelParams(ModelConfig(
-        d_model=32, heads=2, layers=2, d_ff=64, vocab_size=ARITH_VOCAB, d_c=4,
-        seed=10, max_seq_len=8, attention_variant="broadcast"))
-    data = make_task(TaskSpec(kind="arithmetic_chain", length=8, count=64,
-                              seed=10))
-    history = train(params, data, TrainConfig(steps=1, batch=8, seed=10))
+    params = arith_params()
+    history = train(params, arith_data(),
+                    TrainConfig(steps=1, batch=8, seed=10))
     return history.rows, [(t.values, t.grad)
                           for _, t in params.named_tensors()]
 
@@ -442,6 +467,22 @@ class TestGradientSharing:
             if grad is not None:
                 assert_bits_equal(grad, want_grad)
             assert_bits_equal(values, want_values)
+
+    def test_add_layer_norm_hands_both_operands_one_array(self):
+        # the sum's gradient is computed once per backward: both interior
+        # operands hold that one array, as both parents of a + node did
+        rng = Rng(35)
+        a, b = (Tensor(rng.normal((3, 4, 6)), requires_grad=True)
+                for _ in range(2))
+        gain, bias = (Tensor(rng.normal((6,)), requires_grad=True)
+                      for _ in range(2))
+        x, y = a * 2.0, b * 0.5
+        out = _add_layer_norm(x, y, gain, bias)
+        under(read_only_accumulate,
+              (out * Tensor(rng.normal(out.shape))).sum().backward)
+        assert x.grad is y.grad
+        assert_bits_equal(a.grad, x.grad * 2.0)
+        assert_bits_equal(b.grad, y.grad * 0.5)
 
     def test_gsot_pipeline_under_read_only_gradients(self):
         probs, trace = under(read_only_accumulate, toy_pipeline)
@@ -498,6 +539,22 @@ class TestAllocation:
         x = Tensor(rng.normal((n, d)))
         peak, _ = peak_bytes(_baseline_values, x, params)
         assert peak <= 1.5 * n * n * 8
+
+    def test_evaluation_pass_tape_under_6_mb(self):
+        # live bytes after one 64-example forward at m = 0.7, its tape held
+        # by the logits: 5.80 MB, and 6.85 MB while each residual sum and
+        # each merge_heads' merged heads were kept on the tape
+        params = arith_params()
+        ids = np.stack([ex.inputs for ex in arith_data()])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            logits, _ = model_forward(ids, params, temp_multiplier=0.7)
+            live = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert logits.shape == (64, 8, ARITH_VOCAB)
+        assert live <= 6.0e6
 
 
 def record_scans(monkeypatch):
@@ -646,6 +703,9 @@ class TestFusedNodeChecks:
             Tensor(np.full((2, 3, 4, 2), 1e200)), 0.5)),
         ("merge_heads", lambda: merge_heads(Tensor(np.full((2, 4, 3), 1e200)),
                                             Tensor(np.full((6, 5), 1e200)))),
+        ("_add_layer_norm", lambda: _add_layer_norm(
+            Tensor(np.full((2, 3), 1e308)), Tensor(np.full((2, 3), 1e308)),
+            Tensor(np.ones(3)), Tensor(np.zeros(3)))),
         ("collapse_penalty", lambda: collapse_penalty(
             Tensor(np.full((2, 4), 1e200)), 1.0)),
         ("cross_entropy", lambda: cross_entropy(

@@ -256,9 +256,10 @@ class TestTrainLoop:
         for name, t in params.named_tensors():
             assert t.values is before[name], name
 
-    def test_step_records_at_most_56_tape_nodes(self, monkeypatch):
+    def test_step_records_at_most_52_tape_nodes(self, monkeypatch):
         # one step of test_10's arithmetic config recorded 92 tape nodes
-        # before the model's composite ops became single nodes; per-node
+        # before the model's composite ops became single nodes, and 56
+        # before each residual add joined its LayerNorm's node; per-node
         # overhead, not arithmetic, is a step's cost at these sizes
         nodes = []
         init = Tensor.__init__
@@ -272,7 +273,7 @@ class TestTrainLoop:
         data = make_task(TaskSpec(kind="arithmetic_chain", length=8, count=64))
         history = train(arith_params(), data, TrainConfig(steps=1, batch=8))
         assert len(history.rows) == 1
-        assert len(nodes) <= 56
+        assert len(nodes) <= 52
 
     def test_logged_total_is_optimized_loss(self):
         # lambda_S > 0 and an event at step 4: the logged total must still be
@@ -546,9 +547,9 @@ class TestBatchedCalls:
         assert counted == {"model_forward": 3, "cross_entropy": 3,
                            "collapse_penalty": 3, "detect_collapse": 3}
 
-    @pytest.mark.parametrize("size", [1, 16, 17, 31, 32, 33, 64])
+    @pytest.mark.parametrize("size", [1, 16, 17, 31, 32, 33, 63, 64, 65, 128])
     def test_one_forward_per_slice(self, counted, size):
-        assert (EVAL_PASS, EVAL_SLICE) == (32, 16)
+        assert (EVAL_PASS, EVAL_SLICE) == (64, 16)
         data = make_task(TaskSpec(kind="copy", length=4, count=size, seed=2))
         params = toy_params(seed=2)
         evaluate(params, data)
