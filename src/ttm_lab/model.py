@@ -16,6 +16,7 @@ import json
 import math
 import os
 import struct
+import sys
 import zlib
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -27,8 +28,9 @@ from . import attention as attn_mod
 # layer_norm has no caller here, as block_forward fuses each residual add
 # into its LayerNorm; it stays imported because perfbench wraps
 # model.layer_norm and its tests require every wrap target to exist
-from .numerics import (DimensionError, Rng, Tensor, _add_layer_norm, concat,
-                       gelu, layer_norm, linear, softmax_rows)
+from .numerics import (DimensionError, Rng, Tensor, _add_layer_norm,
+                       _linear_rows, concat, gelu, layer_norm, linear,
+                       softmax_rows)
 from .temperature import (DEFAULT_EPS_MIN, TemperatureHeadParams,
                           compute_temperature)
 
@@ -67,6 +69,10 @@ class ModelConfig:
             raise ValueError(f"attention_variant must be one of {VARIANTS}")
         if not 0.0 < self.eps_min < 0.5:
             raise ValueError(f"eps_min {self.eps_min} outside (0, 0.5)")
+        # compared, not converted, so an int beyond the float range fails too
+        if not 0.0 <= self.temp_init_std <= sys.float_info.max:
+            raise ValueError(f"temp_init_std {self.temp_init_std} must be "
+                             f"finite and >= 0")
 
     @property
     def d_k(self):
@@ -229,12 +235,16 @@ def _scaled_field(field, multiplier, eps_min):
     return (field * float(multiplier)).clip(eps_min, 1.0 - eps_min)
 
 
-def block_forward(x, block, cfg, temp_multiplier=1.0):
+def block_forward(x, block, cfg, temp_multiplier=1.0, positions=None):
     """One transformer block; returns the output and the field it used.
 
     Pipeline: plain attention -> field from its output -> modulated attention
     per cfg.attention_variant on the plain logits and values -> LN1(x + attn)
     -> LN2(. + FFN(.)), each residual add fused into its LayerNorm's node.
+
+    With `positions`, a slice of the sequence axis, attention and the field
+    still cover every position, but LN1, the FFN and LN2 run at those
+    positions alone, and the output holds only them.
     """
     base = attn_mod.attention_baseline(x, block.attn)
     field = _scaled_field(compute_temperature(base.values, block.temp),
@@ -245,9 +255,15 @@ def block_forward(x, block, cfg, temp_multiplier=1.0):
         att = attn_mod.attention_temp_broadcast(base, block.attn, field)
     else:
         att = attn_mod.attention_temp_outer(base, block.attn, field)
-    h1 = _add_layer_norm(x, att.values, block.ln1_gain, block.ln1_bias)
-    ff = linear(gelu(linear(h1, block.W_ff1, block.b_ff1)), block.W_ff2,
-                block.b_ff2)
+    h1 = _add_layer_norm(x, att.values, block.ln1_gain, block.ln1_bias,
+                         positions)
+    if positions is None:
+        ff = linear(gelu(linear(h1, block.W_ff1, block.b_ff1)), block.W_ff2,
+                    block.b_ff2)
+    else:
+        n = x.shape[-2]
+        hidden = gelu(_linear_rows(h1, block.W_ff1, block.b_ff1, positions, n))
+        ff = _linear_rows(hidden, block.W_ff2, block.b_ff2, positions, n)
     out = _add_layer_norm(h1, ff, block.ln2_gain, block.ln2_bias)
     return out, field
 
@@ -295,15 +311,42 @@ def _add_positions(x, params):
     return x + params.pos_emb[:n]
 
 
-def forward_embedded(x, params, temp_multiplier=1.0):
+def _kept_positions(positions, n):
+    """`positions` as slice(lo, hi) with 0 <= lo < hi <= n, or None when it
+    is None or covers all n positions."""
+    if positions is None:
+        return None
+    if isinstance(positions, slice):
+        lo, hi, step = positions.indices(n)
+        if step == 1 and lo < hi:
+            return None if (lo, hi) == (0, n) else slice(lo, hi)
+    raise DimensionError(f"positions must be a non-empty slice of step 1 in "
+                         f"{n} positions, got {positions}")
+
+
+def forward_embedded(x, params, temp_multiplier=1.0, positions=None):
     """Run the block stack on an embedded (n, d) sequence or (B, n, d) batch
-    (positions added here)."""
+    (positions added here).
+
+    With `positions`, a slice of the sequence axis, the logits and the
+    returned hidden states hold only those positions, each with the bits of
+    the full forward's: only the last block's LayerNorms and FFN and the
+    output logits are cut to them.
+    """
     x = _add_positions(x, params)
+    n = x.shape[-2]
+    positions = _kept_positions(positions, n)
     fields = []
-    for block in params.blocks:
+    for block in params.blocks[:-1]:
         x, field = block_forward(x, block, params.cfg, temp_multiplier)
         fields.append(field)
-    logits = x @ params.W_out
+    x, field = block_forward(x, params.blocks[-1], params.cfg,
+                             temp_multiplier, positions)
+    fields.append(field)
+    if positions is None:
+        logits = x @ params.W_out
+    else:
+        logits = _linear_rows(x, params.W_out, None, positions, n)
     last = fields[-1]
     mean_t = last.sum(axis=(-2, -1), keepdims=True) \
         / float(last.shape[-2] * last.shape[-1])
@@ -328,11 +371,16 @@ def final_field(x, params):
                                last.temp)
 
 
-def model_forward(tokens, params, temp_multiplier=1.0):
+def model_forward(tokens, params, temp_multiplier=1.0, positions=None):
     """Logits (n, vocab) scaled by the final field's mean, plus all fields;
-    a (B, n) batch gives (B, n, vocab), each example scaled by its own mean."""
+    a (B, n) batch gives (B, n, vocab), each example scaled by its own mean.
+
+    With `positions`, a slice of the n positions, the logits are the full
+    forward's [..., positions, :], bit for bit, computed at those positions
+    alone after the last block's attention."""
     x = embed_tokens(tokens, params)
-    logits, fields, _ = forward_embedded(x, params, temp_multiplier)
+    logits, fields, _ = forward_embedded(x, params, temp_multiplier,
+                                         positions)
     return logits, fields
 
 

@@ -522,6 +522,40 @@ def linear(x, W, b):
         (b, _same)))
 
 
+def _spread(v, rows, n):
+    """The array v placed at the rows `rows` (a slice of the second-to-last
+    axis) of an n-row array of zeros."""
+    full = np.zeros(v.shape[:-2] + (n, v.shape[-1]))
+    full[..., rows, :] = v
+    return full
+
+
+def _linear_rows(x, W, b, rows, n):
+    """linear(x, W, b), or x @ W when b is None, at the rows `rows` (a
+    slice) of an n-row operand that holds x's rows there and zeros
+    elsewhere: one node, whose output and x's gradient cover only those rows.
+
+    Each product is taken at the full (..., n, k) shape, so BLAS sums each
+    kept row as the full product does: a product of the kept rows alone can
+    go to another kernel (gemv, for one row) and round differently. Values
+    and gradients are those of the chain spread x -> linear -> take the
+    rows, bit for bit.
+    """
+    xv, wv = x.values, W.values
+    kept = (_spread(xv, rows, n) @ wv)[..., rows, :]
+
+    def dx(g):
+        return (_spread(g, rows, n) @ wv.swapaxes(-1, -2))[..., rows, :]
+
+    def dW(g):
+        return _spread(xv, rows, n).swapaxes(-1, -2) @ _spread(g, rows, n)
+
+    parents = ((x, dx), (W, dW))
+    if b is None:
+        return Tensor(kept.copy(), _parents=parents)
+    return Tensor(np.add(kept, b.values), _parents=(*parents, (b, _same)))
+
+
 def _softmax(v, out=None):
     """Softmax over the last axis of the array v, written into out (v itself
     may be out) or a new array: subtract each row's max, exponentiate in
@@ -593,7 +627,7 @@ def layer_norm(x, gain, bias):
     return Tensor(out, _parents=((x, dx), *affine))
 
 
-def _add_layer_norm(x, y, gain, bias):
+def _add_layer_norm(x, y, gain, bias, rows=None):
     """layer_norm(x + y, gain, bias) as one node: a residual add and the
     LayerNorm after it.
 
@@ -603,9 +637,22 @@ def _add_layer_norm(x, y, gain, bias):
     gradient, computed once per backward: the vjp keeps the last gradient it
     was handed and its result, and both operands get that same array, as
     both parents of the + node got its gradient.
+
+    With `rows`, a slice of the second-to-last axis, the node is the chain's
+    at those rows alone: its output holds only them, and the operands'
+    gradient is zero in every other row. Each row is normalized on its own,
+    so the kept rows keep their bits.
     """
-    s = x.values + y.values
+    xv, yv = x.values, y.values
+    if rows is not None:
+        xv, yv = xv[..., rows, :], yv[..., rows, :]
+    s = xv + yv
     out, ds, affine = _layer_norm(s, gain, bias, out=s)
+    if rows is not None:
+        ds_rows, n = ds, x.shape[-2]
+
+        def ds(g):
+            return _spread(ds_rows(g), rows, n)
     memo = [None, None]
 
     def dsum(g):

@@ -375,8 +375,9 @@ def train(params, dataset, cfg):
 
 # Examples per forward pass in evaluate and dataset_loss: one pass's tape,
 # not the whole dataset's, is alive at a time. Each pass's Python per-node
-# cost is paid once for its examples, and its tape holds about 1.45 MB per
-# 16 examples of the test_10 arithmetic config (5.8 MB for a pass of 64).
+# cost is paid once for its examples, and its tape holds about 1.1 MB per
+# 16 examples of the test_10 arithmetic config (4.4 MB for a pass of 64,
+# whose loss reads one of 8 positions; 5.8 MB for a forward of all 8).
 EVAL_PASS = 64
 # Examples whose losses are summed together: a pass's logits are taken
 # EVAL_SLICE rows at a time, so each loss sums the same terms in the same
@@ -388,6 +389,8 @@ EVAL_SLICE = 16
 def _forward_slices(params, dataset, temp_multiplier=1.0):
     """(batch, sum of its examples' losses, predicted ids) per slice of at
     most EVAL_SLICE examples, from one forward per pass of at most EVAL_PASS.
+    The batch's targets and mask, like the predictions, cover only the
+    positions its pass computed: the first to the last any mask there reads.
 
     An example's logits do not depend on the examples stacked with it, so a
     slice's loss is the float a forward of that slice alone would give.
@@ -408,13 +411,16 @@ def _forward_slices(params, dataset, temp_multiplier=1.0):
 
 def _pass_forward(params, batch, temp_multiplier):
     # the pass's tape dies when this returns, before the next pass runs
+    read = np.flatnonzero(batch.mask.any(axis=0))
+    cols = slice(int(read[0]), int(read[-1]) + 1) if read.size else slice(None)
     logits, _ = model_forward(batch.inputs, params,
-                              temp_multiplier=temp_multiplier)
+                              temp_multiplier=temp_multiplier, positions=cols)
+    targets, mask = batch.targets[:, cols], batch.mask[:, cols]
     out = []
     for lo in range(0, len(batch.inputs), EVAL_SLICE):
         rows = slice(lo, lo + EVAL_SLICE)
-        part = Example(inputs=batch.inputs[rows], targets=batch.targets[rows],
-                       mask=batch.mask[rows])
+        part = Example(inputs=batch.inputs[rows], targets=targets[rows],
+                       mask=mask[rows])
         values = logits.values[rows]   # checked when the logits were built
         loss = cross_entropy(Tensor(values, check=False), part.targets,
                              part.mask)

@@ -145,6 +145,19 @@ class TestConfigLoading:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "gsot"])
+    @pytest.mark.parametrize("value", ["-0.5", "NaN", "Infinity", "1e400"])
+    def test_bad_temp_init_std_exits_usage(self, tmp_path, capsys, command,
+                                           value):
+        # each passed config loading and died drawing the init (exit 1)
+        path = tmp_path / "cfg.json"
+        path.write_text('{"model": {"temp_init_std": %s}}' % value)
+        out = tmp_path / "run"
+        code = main(["--out", str(out), "--config", str(path), command])
+        assert code == EXIT_USAGE
+        assert "temp_init_std" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", [None, "1.0\nabc\n", "1.0\n",
                                       "1.0\nnan\n2.0\n", "1.0\ninf\n",
                                       "1e308\n-1e308\n"],

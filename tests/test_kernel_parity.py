@@ -22,18 +22,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ttm_lab import model as model_mod
 from ttm_lab import numerics
 from ttm_lab.attention import (AttentionParams, _baseline_values, _project,
                                _scaled_scores, attention_baseline,
                                merge_heads)
 from ttm_lab.gsot import GsotConfig, build_universe, gsot_pipeline
-from ttm_lab.model import ModelConfig, ModelParams, model_forward
+from ttm_lab.model import VARIANTS, ModelConfig, ModelParams, model_forward
 from ttm_lab.numerics import (NumericError, Rng, Tensor, _add_layer_norm,
-                              _erf, _sigmoid, _unbroadcast, gelu, layer_norm,
-                              linear, softmax_rows)
+                              _erf, _linear_rows, _sigmoid, _unbroadcast,
+                              gelu, layer_norm, linear, softmax_rows)
 from ttm_lab.temperature import collapse_penalty, squash
-from ttm_lab.training import (ARITH_VOCAB, TaskSpec, TrainConfig,
-                              cross_entropy, make_task, train)
+from ttm_lab.training import (ARITH_VOCAB, EVAL_SLICE, Example, TaskSpec,
+                              TrainConfig, cross_entropy, dataset_loss,
+                              evaluate, make_task, train)
 
 # -- references: the pre-change expressions -----------------------------------
 
@@ -138,6 +140,19 @@ def ref_attention_baseline(x, params):
 
 def ref_linear(x, W, b):
     return x @ W + b
+
+
+def ref_linear_rows(rows, n, bias=True):
+    """_linear_rows as the chain it stands in for: x's rows spread into an
+    n-row array of zeros, linear (or matmul) at that shape, then the kept
+    rows taken."""
+    def run(x, W, *b):
+        spread = np.zeros(x.shape[:-2] + (n, x.shape[-1]))
+        spread[..., rows, :] = x.values
+        full = Tensor(spread, _parents=((x, lambda g: g[..., rows, :]),))
+        out = linear(full, W, *b) if bias else full @ W
+        return out[..., rows, :]
+    return run
 
 
 def ref_sigmoid(x):
@@ -333,6 +348,34 @@ class TestKernelParity:
                 lambda a, g, c: layer_norm(a + a, g, c), [x, gain, bias], 34,
                 upstream))
 
+    @pytest.mark.parametrize("rows", [slice(0, 1), slice(4, 5), slice(1, 4)])
+    def test_add_layer_norm_rows(self, shape, rows):
+        # the fused node cut to some rows against the full node's rows
+        edges = np.array([0.0, -0.0, 5e-324, -5e-324, 5e149, -5e149, 2.0])
+        x, y = inputs(shape, 36, edges=edges), inputs(shape, 37, edges=edges)
+        gain, bias = Rng(38).normal((2, shape[-1]))
+        # one row of (8, 5) has room for five of tiny_upstream's six edges
+        five_edges = lambda s: inputs(s, 10, edges=EDGES[:5], scale=1.0)
+        for upstream in (None, five_edges):
+            assert_same(run_both(
+                lambda a, b, g, c: _add_layer_norm(a, b, g, c, rows),
+                lambda a, b, g, c: _add_layer_norm(a, b, g, c)[..., rows, :],
+                [x, y, gain, bias], 39, upstream))
+
+    @pytest.mark.parametrize("rows", [slice(0, 1), slice(4, 5), slice(1, 4)])
+    def test_linear_rows(self, shape, rows):
+        *lead, n, d = shape
+        kept = (*lead, len(range(n)[rows]), d)
+        rng = Rng(40)
+        x = inputs(kept, 41, edges=FINITE_PRODUCTS[:math.prod(kept)])
+        w, b = rng.normal((d, 7)), rng.normal((7,))
+        assert_same(run_both(lambda *t: _linear_rows(*t, rows, n),
+                             ref_linear_rows(rows, n), [x, w, b], 42,
+                             tiny_upstream))
+        assert_same(run_both(lambda t, W: _linear_rows(t, W, None, rows, n),
+                             ref_linear_rows(rows, n, bias=False), [x, w],
+                             43, tiny_upstream))
+
     def test_gelu(self, shape):
         with np.errstate(over="ignore"):
             assert_same(run_both(gelu, ref_gelu, [inputs(shape, 7)], 8))
@@ -426,11 +469,11 @@ class TestKernelParity:
                           attention_baseline(x, params).values.values)
 
 
-def arith_params():
+def arith_params(variant="broadcast"):
     """A model of test_10's arithmetic config."""
     return ModelParams(ModelConfig(
         d_model=32, heads=2, layers=2, d_ff=64, vocab_size=ARITH_VOCAB, d_c=4,
-        seed=10, max_seq_len=8, attention_variant="broadcast"))
+        seed=10, max_seq_len=8, attention_variant=variant))
 
 
 def arith_data():
@@ -489,6 +532,77 @@ class TestGradientSharing:
         want_probs, want_trace = under(copying_accumulate, toy_pipeline)
         assert_bits_equal(probs, want_probs)
         assert trace == want_trace
+
+
+# -- evaluation at the positions a mask reads ---------------------------------
+
+
+def full_forward_eval(params, data, m):
+    """evaluate's loss and accuracy at multiplier m, each EVAL_SLICE
+    examples' loss taken from a full forward of those examples alone."""
+    loss, hits = 0.0, 0
+    for lo in range(0, len(data), EVAL_SLICE):
+        part = data[lo:lo + EVAL_SLICE]
+        targets = np.stack([ex.targets for ex in part])
+        mask = np.stack([ex.mask for ex in part])
+        logits, _ = model_forward(np.stack([ex.inputs for ex in part]),
+                                  params, m)
+        loss += float(cross_entropy(logits, targets, mask).values) * len(part)
+        pred = logits.values.argmax(axis=-1)
+        hits += int(((pred == targets) | ~mask).all(axis=-1).sum())
+    return loss / len(data), hits / len(data)
+
+
+def middle_masked(columns):
+    """40 arithmetic inputs whose loss reads the given columns, each with a
+    column of its own: example i reads columns[i % len(columns)]."""
+    rng = Rng(44)
+    data = []
+    for i, ex in enumerate(arith_data()[:40]):
+        mask = np.zeros(8, dtype=bool)
+        mask[columns[i % len(columns)]] = True
+        data.append(Example(inputs=ex.inputs, mask=mask,
+                            targets=rng.integers(0, ARITH_VOCAB, size=8)))
+    return data
+
+
+class TestPositions:
+    @pytest.mark.parametrize("m", [1.0, 0.7])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_logits_are_the_full_forwards_rows(self, variant, m):
+        # at B = 1 a product of the kept rows alone would go to gemv
+        params = arith_params(variant)
+        ids = np.stack([ex.inputs for ex in arith_data()])
+        for B in (1, 2, 64):
+            full, fields = model_forward(ids[:B], params, m)
+            for s in (slice(0, 1), slice(3, 4), slice(7, 8), slice(2, 6)):
+                got, got_fields = model_forward(ids[:B], params, m,
+                                                positions=s)
+                assert_bits_equal(got.values, full.values[:, s])
+                for f, want in zip(got_fields, fields):
+                    assert_bits_equal(f.values, want.values)
+
+    @pytest.mark.parametrize("columns", [(4,), (4, 2, 4)])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_evaluation_matches_the_full_forward(self, variant, columns):
+        params = arith_params(variant)
+        data = middle_masked(columns)
+        assert evaluate(params, data) == full_forward_eval(params, data, 1.0)
+        for m in (1.0, 0.7, 0.3):
+            assert dataset_loss(params, data, m) \
+                == full_forward_eval(params, data, m)[0]
+
+    def test_last_block_gelu_runs_at_the_read_position(self, monkeypatch):
+        # the arithmetic loss reads the last of 8 positions
+        shapes = []
+
+        def recording(x):
+            shapes.append(x.shape)
+            return gelu(x)
+
+        monkeypatch.setattr(model_mod, "gelu", recording)
+        dataset_loss(arith_params(), arith_data())
+        assert shapes == [(64, 8, 64), (64, 1, 64)]
 
 
 # -- allocation guards -------------------------------------------------------
@@ -555,6 +669,26 @@ class TestAllocation:
             tracemalloc.stop()
         assert logits.shape == (64, 8, ARITH_VOCAB)
         assert live <= 6.0e6
+
+    def test_positions_pass_holds_less_than_the_full_pass(self):
+        # the pass above, full and cut to the position the arithmetic loss
+        # reads: 5.81 and 4.39 MB live
+        params = arith_params()
+        ids = np.stack([ex.inputs for ex in arith_data()])
+
+        def live_bytes(**kw):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                logits, _ = model_forward(ids, params, 0.7, **kw)
+                return tracemalloc.get_traced_memory()[0] - base, logits
+            finally:
+                tracemalloc.stop()
+
+        full, _ = live_bytes()
+        cut, logits = live_bytes(positions=slice(7, 8))
+        assert logits.shape == (64, 1, ARITH_VOCAB)
+        assert cut < full
 
 
 def record_scans(monkeypatch):
@@ -703,6 +837,9 @@ class TestFusedNodeChecks:
             Tensor(np.full((2, 3, 4, 2), 1e200)), 0.5)),
         ("merge_heads", lambda: merge_heads(Tensor(np.full((2, 4, 3), 1e200)),
                                             Tensor(np.full((6, 5), 1e200)))),
+        ("_linear_rows", lambda: _linear_rows(
+            Tensor(np.full((1, 3), 1e300)), Tensor(np.full((3, 2), 1e300)),
+            Tensor(np.zeros(2)), slice(1, 2), 2)),
         ("_add_layer_norm", lambda: _add_layer_norm(
             Tensor(np.full((2, 3), 1e308)), Tensor(np.full((2, 3), 1e308)),
             Tensor(np.ones(3)), Tensor(np.zeros(3)))),

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import struct
@@ -49,6 +50,18 @@ class TestConfig:
     def test_variant_names(self):
         with pytest.raises(ValueError):
             ModelConfig(attention_variant="magic")
+
+    @pytest.mark.parametrize("std", [-0.5, math.nan, math.inf, 10 ** 400],
+                             ids=["negative", "nan", "inf", "int-past-float"])
+    def test_temp_init_std_must_be_finite_and_nonnegative(self, std):
+        # each of these failed only later, when the init drew from it
+        with pytest.raises(ValueError, match="temp_init_std"):
+            ModelConfig(temp_init_std=std)
+
+    def test_zero_temp_init_std_gives_neutral_fields(self):
+        params = ModelParams(toy_cfg(temp_init_std=0))
+        for name in ("block0.temp.wt", "block0.temp.bt"):
+            assert not params.tensors[name].values.any()
 
     def test_checkpoint_json_round_trip(self):
         cfg = toy_cfg(temp_init_std=0.25, attention_variant="outer")
@@ -207,6 +220,55 @@ class TestModelForward:
 
         emb0 = Tensor(Rng(8).normal((5, 8), 0.0, 0.1))
         assert grad_check(loss, emb0) < 1e-4
+
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["one", "batch"])
+    @pytest.mark.parametrize("positions", [slice(4, 5), slice(1, 4)])
+    def test_positions_gradient(self, positions, lead):
+        # through the cut last block: the input, a product's weight and a
+        # LayerNorm's gain
+        params = ModelParams(toy_cfg())
+        last = params.blocks[-1]
+        emb0 = Tensor(Rng(8).normal((*lead, 5, 8), 0.0, 0.1))
+
+        def loss(emb=emb0):
+            logits, _, _ = forward_embedded(emb, params, positions=positions)
+            return (logits ** 2).mean()
+
+        def through(name):
+            def run(t):
+                setattr(last, name, t)
+                return loss()
+            return run
+
+        assert grad_check(loss, emb0) < 1e-4
+        for name in ("W_ff1", "ln1_gain", "ln2_bias"):
+            assert grad_check(through(name), getattr(last, name)) < 1e-4
+
+    @pytest.mark.parametrize("positions", [slice(None), slice(0, 5),
+                                           slice(-5, 9)])
+    def test_positions_covering_all_take_the_full_path(self, monkeypatch,
+                                                       positions):
+        from ttm_lab import model
+        shapes = []
+
+        def recording(x):
+            shapes.append(x.shape)
+            return gelu(x)
+
+        monkeypatch.setattr(model, "gelu", recording)
+        params = ModelParams(toy_cfg())
+        got = model_forward([1, 2, 3, 4, 5], params, positions=positions)[0]
+        assert shapes == [(5, 16), (5, 16)]
+        assert np.array_equal(got.values,
+                              model_forward([1, 2, 3, 4, 5], params)[0].values)
+
+    @pytest.mark.parametrize("positions", [slice(3, 3), slice(6, 8),
+                                           slice(0, 5, 2), slice(4, 1, -1), 2,
+                                           [1, 2]])
+    def test_positions_must_be_a_non_empty_unit_slice(self, positions):
+        with pytest.raises(DimensionError, match="positions"):
+            model_forward([1, 2, 3, 4, 5], ModelParams(toy_cfg()),
+                          positions=positions)
 
 
 class TestFinalField:
@@ -478,6 +540,8 @@ class TestCheckpointCorruption:
         pytest.param('{"heads": 0}', id="heads-0"),
         pytest.param('{"eps_min": 0.6}', id="eps_min-0.6"),
         pytest.param('{"heads": "2"}', id="heads-str"),
+        pytest.param('{"temp_init_std": -0.5}', id="temp_init_std-negative"),
+        pytest.param('{"temp_init_std": NaN}', id="temp_init_std-nan"),
         pytest.param("null", id="null"),
     ])
     def test_corrupt_sidecar_raises_format_error(self, tmp_path, sidecar):

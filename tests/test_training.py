@@ -566,9 +566,9 @@ class TestBatchedCalls:
         seen = []
         original = training.model_forward
 
-        def spy(tokens, p, temp_multiplier=1.0):
+        def spy(tokens, p, temp_multiplier=1.0, positions=None):
             seen.append(p is params)
-            return original(tokens, p, temp_multiplier)
+            return original(tokens, p, temp_multiplier, positions=positions)
 
         monkeypatch.setattr(training, "model_forward", spy)
         evaluate(params, data)
