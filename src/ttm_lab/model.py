@@ -70,9 +70,11 @@ class ModelConfig:
         if not 0.0 < self.eps_min < 0.5:
             raise ValueError(f"eps_min {self.eps_min} outside (0, 0.5)")
         # compared, not converted, so an int beyond the float range fails too
-        if not 0.0 <= self.temp_init_std <= sys.float_info.max:
-            raise ValueError(f"temp_init_std {self.temp_init_std} must be "
-                             f"finite and >= 0")
+        limit = _max_temp_init_std(self.eps_min)
+        if not 0.0 <= self.temp_init_std <= limit:
+            raise ValueError(f"temp_init_std {self.temp_init_std} must be in "
+                             f"[0, {limit:.6g}], where every init draw of "
+                             f"the temperature logits stays finite")
 
     @property
     def d_k(self):
@@ -125,10 +127,29 @@ class BlockParams:
     temp: TemperatureHeadParams
 
 
+def _squash_slope(eps_min):
+    # the field's slope in its logit at logit 0
+    return 0.25 * (1.0 - 2.0 * eps_min)
+
+
 def _temp_logit_std(cfg):
     # spread of the pre-squash logit that yields a field std of temp_init_std
-    slope = 0.25 * (1.0 - 2.0 * cfg.eps_min)
-    return cfg.temp_init_std / slope
+    return cfg.temp_init_std / _squash_slope(cfg.eps_min)
+
+
+# A bound on |z| for numpy's standard normal draw, which Rng.normal scales by
+# its std. The draw is numpy's 256-layer ziggurat: a layer's draw is at most
+# its edge, r = 3.6541528853610088 at most, and the tail's is
+# r - ln(1 - U) / r with U <= 1 - 2**-53, so |z| <= r + 53 ln 2 / r < 13.71.
+_NORMAL_DRAW_BOUND = 14.0
+
+
+def _max_temp_init_std(eps_min):
+    """The largest temp_init_std whose temperature-logit draws are finite
+    at any seed: temp.bt is drawn at std _temp_logit_std (temp.wt at less),
+    so every draw is finite when that std times _NORMAL_DRAW_BOUND is at
+    most the largest float. About 3.1e306 at the default eps_min."""
+    return _squash_slope(eps_min) * sys.float_info.max / _NORMAL_DRAW_BOUND
 
 
 def param_specs(cfg):
@@ -164,16 +185,40 @@ def param_specs(cfg):
     return specs
 
 
+def _is_temp_param(name):
+    return ".temp." in name
+
+
 class ModelParams:
-    """All learnable tensors, flat-named for checkpointing and updates."""
+    """All learnable tensors, flat-named for checkpointing and updates.
+
+    Tensors that require gradients are laid out in two flat float64 buffers:
+    every tensor's values are a view of one, and the gradient backward gives
+    it is written into its view of the other. The layout holds every tensor
+    but the temperature head's, then the `.temp.` tensors, each group in the
+    model's tensor order (which `named_tensors` keeps), so an update takes
+    each group as one stretch. An update writes a fresh value buffer and
+    rebinds the views (`_rebind`), so an array handed out earlier keeps its
+    values. A model whose tensors require no gradient (a detached view) has
+    no buffers.
+    """
+
+    # (tensor, shape, gradient view, lo, hi) per tensor in buffer order, and
+    # each tensor's view of the value buffer
+    _spans = _value_views = ()
+    _values = _grads = None
+    _temp_lo = 0    # where the `.temp.` tensors start in the buffers
 
     def __init__(self, cfg, rng=None, tensors=None):
         self.cfg = cfg
-        if tensors is not None:
-            self.tensors = tensors
-        else:
-            rng = rng if rng is not None else Rng(cfg.seed)
-            self.tensors = self._init_tensors(cfg, rng)
+        if tensors is None:
+            tensors = self._init_tensors(
+                cfg, rng if rng is not None else Rng(cfg.seed))
+        self.tensors = tensors
+        self._temp_tensors = [t for name, t in tensors.items()
+                              if _is_temp_param(name)]
+        if any(t.requires_grad for t in tensors.values()):
+            self._lay_out()
         self._build_views()
 
     @staticmethod
@@ -188,6 +233,31 @@ class ModelParams:
                 values = rng.normal(shape, 0.0, init)
             t[name] = Tensor(values, requires_grad=True)
         return t
+
+    def _lay_out(self):
+        # a stable sort, so each group keeps the model's tensor order
+        order = [self.tensors[name]
+                 for name in sorted(self.tensors, key=_is_temp_param)]
+        total = sum(t.size for t in order)
+        self._temp_lo = total - sum(t.size for t in self._temp_tensors)
+        values, self._grads = np.empty(total), np.zeros(total)
+        spans, hi = [], 0
+        for t in order:
+            lo, hi = hi, hi + t.size
+            values[lo:hi] = t.values.reshape(-1)
+            t._grad_view = self._grads[lo:hi].reshape(t.shape)
+            spans.append((t, t.shape, t._grad_view, lo, hi))
+        self._spans = tuple(spans)
+        self._rebind(values)
+
+    def _rebind(self, values):
+        """Make `values`, a flat buffer in this model's layout, the one every
+        tensor's values are a view of."""
+        self._values = values
+        self._value_views = []
+        for t, shape, _, lo, hi in self._spans:
+            t.values = view = values[lo:hi].reshape(shape)
+            self._value_views.append(view)
 
     def _build_views(self):
         cfg, t = self.cfg, self.tensors
@@ -496,7 +566,8 @@ def checkpoint_load(path, cfg=None):
                 f"tensor {name} holds a non-finite value")
         if name in tensors:
             raise CheckpointFormatError(f"duplicate tensor {name}")
-        tensors[name] = Tensor(values.copy(), requires_grad=True)
+        # ModelParams copies the values into its buffer
+        tensors[name] = Tensor(values, requires_grad=True)
     if buf.read(1):
         raise CheckpointFormatError("trailing bytes after the last tensor")
     if cfg is None:

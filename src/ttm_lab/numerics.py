@@ -78,8 +78,18 @@ class DimensionError(ValueError):
 
 
 def _all_finite(v):
-    """Whether every entry of v is finite; the ufunc reduction itself, not
-    ndarray.all's Python wrapper around it."""
+    """Whether every entry of the array v is finite.
+
+    A C-ordered v is read first by one BLAS dot of v with itself. A NaN or an
+    infinity makes that sum of squares NaN or infinite, so a finite sum
+    proves every entry finite. A sum that is not finite holds such an entry
+    or overflowed (an entry beyond about 1.3e154 in magnitude), and the ufunc
+    reduction decides; the answer is exact either way. Any other layout goes
+    to the ufunc reduction alone, since np.vdot would copy it first (a
+    transposed (512, 512) array: 3.8 ms against 90 us for the reduction).
+    """
+    if v.flags.c_contiguous and math.isfinite(np.vdot(v, v)):
+        return True
     return np.logical_and.reduce(np.isfinite(v), axis=None)
 
 
@@ -219,8 +229,9 @@ def _unbroadcast(grad, shape):
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = np.add.reduce(grad, axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
+    if grad.shape != shape:
+        axes = tuple(i for i, s in enumerate(shape)
+                     if s == 1 and grad.shape[i] != 1)
         grad = np.add.reduce(grad, axis=axes, keepdims=True)
     return grad
 
@@ -241,9 +252,15 @@ class Tensor:
     child's gradient or with a view a vjp returned, so no vjp writes into the
     gradient it is handed, and a node adds a later contribution into a fresh
     array. A leaf owns its gradient and adds into it in place.
+
+    A model's parameter is a leaf whose values are a view of its model's
+    value buffer and whose gradient is written into `_grad_view`, its view
+    of the model's gradient buffer (see model.ModelParams). That gradient
+    is valid until the next backward after zero_grad, which writes the next
+    one into the same view; a leaf without a `_grad_view` gets a fresh array.
     """
 
-    __slots__ = ("values", "grad", "requires_grad", "_parents")
+    __slots__ = ("values", "grad", "requires_grad", "_parents", "_grad_view")
     # an ndarray on the left of + - * leaves the operation to the Tensor's
     # reflected method instead of building an object array of Tensors
     __array_ufunc__ = None
@@ -258,7 +275,7 @@ class Tensor:
                 caller = caller.f_back
             raise NumericError(f"{caller.f_code.co_name} produced non-finite "
                                f"values of shape {v.shape}")
-        self.grad = None
+        self.grad = self._grad_view = None
         if not requires_grad:
             for p, _ in _parents:
                 if p.requires_grad:
@@ -293,8 +310,8 @@ class Tensor:
         the values, because the gradient feeds the matmuls of the node's
         vjps, whose BLAS summation order follows the layout. A later
         contribution goes into a fresh array of that layout, since the
-        stored one may be shared. A leaf copies its first g as g + 0.0 and
-        adds the rest in place.
+        stored one may be shared. A leaf copies its first g as g + 0.0, into
+        its `_grad_view` when it has one, and adds the rest in place.
 
         Adding 0.0 turns -0.0 into 0.0, as summing into zeros did. An
         interior gradient may keep a -0.0, but that changes no leaf bit: a
@@ -309,7 +326,9 @@ class Tensor:
                     and self.values.flags.c_contiguous:
                 self.grad = g
             else:
-                self.grad = np.add(g, 0.0, out=np.empty_like(self.values))
+                out = self._grad_view
+                self.grad = np.add(g, 0.0, out=np.empty_like(self.values)
+                                   if out is None else out)
         elif self._parents:
             self.grad = np.add(self.grad, g, out=np.empty_like(self.values))
         else:
@@ -319,33 +338,47 @@ class Tensor:
         """Reverse-mode sweep from this (scalar) tensor.
 
         Raises NumericError if any leaf (a node without parents, such as a
-        parameter) ends the sweep with a non-finite gradient.
+        parameter) ends the sweep with a non-finite gradient. The gradients
+        held in a model's gradient buffer are scanned as that one buffer.
+        When a buffer scan fails, every leaf is scanned on its own, so the
+        error names the shape of the first leaf that failed, and a region
+        that got no gradient in this sweep (stale values from an aborted
+        step) raises nothing.
         """
         if self.values.size != 1:
             raise DimensionError("backward() requires a scalar tensor")
+        # post-order of a depth-first walk that takes each node's parents
+        # last first; each stack entry holds the node's parents left to walk
         order = []
-        seen = set()
-        stack = [(self, False)]
+        seen = {self}
+        stack = [(self, reversed(self._parents))]
         while stack:
-            n, expanded = stack.pop()
-            if expanded:
+            n, parents = stack[-1]
+            for p, _ in parents:
+                if p not in seen:
+                    seen.add(p)
+                    stack.append((p, reversed(p._parents)))
+                    break
+            else:
+                stack.pop()
                 order.append(n)
-                continue
-            if id(n) in seen:
-                continue
-            seen.add(id(n))
-            stack.append((n, True))
-            for p, _ in n._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
         self.grad = np.ones_like(self.values)
         for node in reversed(order):
             for parent, vjp in node._parents:
                 if parent.requires_grad:
                     parent._accumulate(vjp(node.grad))
+        leaves, loose, buffers = [], [], {}
         for node in order:
-            if not node._parents and node.grad is not None \
-                    and not _all_finite(node.grad):
+            if not node._parents and node.grad is not None:
+                leaves.append(node)
+                if node.grad is node._grad_view:
+                    buffers[id(node.grad.base)] = node.grad.base
+                else:
+                    loose.append(node)
+        if not all(_all_finite(b) for b in buffers.values()):
+            loose = leaves
+        for node in loose:
+            if not _all_finite(node.grad):
                 raise NumericError(
                     f"non-finite gradient at a leaf tensor of shape {node.shape}")
 

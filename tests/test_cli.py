@@ -146,10 +146,12 @@ class TestConfigLoading:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "gsot"])
-    @pytest.mark.parametrize("value", ["-0.5", "NaN", "Infinity", "1e400"])
+    @pytest.mark.parametrize("value", ["-0.5", "NaN", "Infinity", "1e400",
+                                       "1e308", "4.5e307"])
     def test_bad_temp_init_std_exits_usage(self, tmp_path, capsys, command,
                                            value):
-        # each passed config loading and died drawing the init (exit 1)
+        # each passed config loading and died drawing the init (exit 1); a
+        # finite value whose logit draws overflow did so too
         path = tmp_path / "cfg.json"
         path.write_text('{"model": {"temp_init_std": %s}}' % value)
         out = tmp_path / "run"

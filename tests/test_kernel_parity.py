@@ -1,6 +1,6 @@
 """The in-place kernels and the fused nodes against the expressions they
-replaced, gradient sharing against the copying tape it replaced, and the
-kernels' allocation bounds.
+replaced, gradient sharing against the copying tape it replaced, backward's
+walk against the stack walk it replaced, and the kernels' allocation bounds.
 
 Each reference below is a kernel as it was written before it computed its
 temporaries in place, or the chain of tape nodes a fused node stands in for.
@@ -497,6 +497,52 @@ def toy_pipeline():
     universe = build_universe(params, 4, Rng(0))
     probs, trace = gsot_pipeline([1, 2, 3, 4], universe, params, GsotConfig())
     return probs.values, trace.to_jsonl()
+
+
+def stack_walk_order(root):
+    """Tensor.backward's walk before it kept an iterator per stack entry: a
+    stack of (node, expanded) pairs, each node's unseen parents pushed in
+    order and popped last first; a node is appended once all its parents
+    are. The order fixes which contribution a node sums first."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        n, expanded = stack.pop()
+        if expanded:
+            order.append(n)
+            continue
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        stack.append((n, True))
+        for p, _ in n._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    return order
+
+
+class TestBackwardOrder:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_step_accumulates_in_the_stack_walk_order(self, variant,
+                                                      monkeypatch):
+        params = arith_params(variant)
+        batch = arith_data()[:8]
+        logits, fields = model_forward(np.array([ex.inputs for ex in batch]),
+                                       params)
+        loss = cross_entropy(logits, np.array([ex.targets for ex in batch]),
+                             np.array([ex.mask for ex in batch])) \
+            + collapse_penalty(fields[-1], 1.0) * 0.0125
+        want = [id(p) for node in reversed(stack_walk_order(loss))
+                for p, _ in node._parents if p.requires_grad]
+        calls = []
+        accumulate = Tensor._accumulate
+
+        def recording(self, g):
+            calls.append(id(self))
+            accumulate(self, g)
+
+        monkeypatch.setattr(Tensor, "_accumulate", recording)
+        loss.backward()
+        assert want and calls == want
 
 
 class TestGradientSharing:

@@ -3,6 +3,7 @@ import math
 import os
 import shutil
 import struct
+import sys
 import zlib
 
 import numpy as np
@@ -11,9 +12,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ttm_lab.model import (CheckpointFormatError, ModelConfig, ModelParams,
-                           block_forward, checkpoint_load, checkpoint_save,
-                           final_field, forward_embedded, model_forward,
-                           reasoning_head)
+                           _max_temp_init_std, block_forward, checkpoint_load,
+                           checkpoint_save, final_field, forward_embedded,
+                           model_forward, reasoning_head)
 from ttm_lab.numerics import (DimensionError, Rng, Tensor, gelu, grad_check,
                               layer_norm)
 
@@ -51,12 +52,29 @@ class TestConfig:
         with pytest.raises(ValueError):
             ModelConfig(attention_variant="magic")
 
-    @pytest.mark.parametrize("std", [-0.5, math.nan, math.inf, 10 ** 400],
-                             ids=["negative", "nan", "inf", "int-past-float"])
+    @pytest.mark.parametrize("std", [-0.5, math.nan, math.inf, 10 ** 400,
+                                     1e308, 4.5e307],
+                             ids=["negative", "nan", "inf", "int-past-float",
+                                  "past-limit-1e308", "past-limit-4.5e307"])
     def test_temp_init_std_must_be_finite_and_nonnegative(self, std):
-        # each of these failed only later, when the init drew from it
+        # each of these failed only later, when the init drew from it; the
+        # last two are finite, but temp.bt's std (temp_init_std / 0.245 at
+        # the default eps_min) is not
         with pytest.raises(ValueError, match="temp_init_std"):
             ModelConfig(temp_init_std=std)
+
+    @pytest.mark.parametrize("eps_min", [0.01, 1e-9, 0.49])
+    def test_largest_temp_init_std_builds_a_finite_model(self, eps_min):
+        limit = _max_temp_init_std(eps_min)
+        with pytest.raises(ValueError, match="temp_init_std"):
+            ModelConfig(eps_min=eps_min,
+                        temp_init_std=math.nextafter(limit, math.inf))
+        for seed in range(8):
+            params = ModelParams(toy_cfg(eps_min=eps_min, temp_init_std=limit,
+                                         seed=seed))
+            bt = params.tensors["block0.temp.bt"].values
+            assert np.isfinite(params._values).all()
+            assert np.abs(bt).max() > sys.float_info.max / 1e3
 
     def test_zero_temp_init_std_gives_neutral_fields(self):
         params = ModelParams(toy_cfg(temp_init_std=0))
@@ -542,6 +560,7 @@ class TestCheckpointCorruption:
         pytest.param('{"heads": "2"}', id="heads-str"),
         pytest.param('{"temp_init_std": -0.5}', id="temp_init_std-negative"),
         pytest.param('{"temp_init_std": NaN}', id="temp_init_std-nan"),
+        pytest.param('{"temp_init_std": 1e308}', id="temp_init_std-1e308"),
         pytest.param("null", id="null"),
     ])
     def test_corrupt_sidecar_raises_format_error(self, tmp_path, sidecar):

@@ -402,6 +402,79 @@ class TestTensorBasics:
             assert (t.grad is None) == (t in consts)
 
 
+def _layouts(flat):
+    """The entries of `flat` as a C-ordered array, a strided view and a
+    transposed (2, n) view, each holding them in that order."""
+    n = flat.size
+    strided = np.zeros(2 * n)
+    strided[::2] = flat
+    transposed = np.zeros((n, 2))
+    transposed[:, 0] = flat
+    transposed[:, 1] = flat
+    return {"contiguous": flat.copy(), "strided": strided[::2],
+            "transposed": transposed.T}
+
+
+class TestAllFinite:
+    """`numerics._all_finite` reads a C-ordered array by a dot with itself
+    first; its answer must be the elementwise scan's in every case."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_one_non_finite_entry_anywhere(self, bad):
+        rng = Rng(41)
+        for n in range(1, 71):
+            flat = rng.normal((n,))
+            for layout, v in _layouts(flat).items():
+                assert numerics._all_finite(v), (n, layout)
+            for i in range(n):
+                hit = flat.copy()
+                hit[i] = bad
+                for layout, v in _layouts(hit).items():
+                    # a one-entry view is contiguous whatever its stride
+                    assert v.flags.c_contiguous == (
+                        n == 1 or layout == "contiguous")
+                    assert not numerics._all_finite(v), (n, i, layout)
+
+    @pytest.mark.parametrize("big", [1e200, 1.3e154, -1e308])
+    def test_sum_of_squares_overflow_is_still_finite(self, big):
+        # 1.3e154 squared is finite, so it needs a second entry to overflow
+        for n in (2, 7, 64):
+            flat = np.full(n, big)
+            flat[::2] *= -1.0
+            with np.errstate(over="ignore"):
+                assert not math.isfinite(np.vdot(flat, flat))
+            for layout, v in _layouts(flat).items():
+                assert numerics._all_finite(v), (n, layout)
+                v = v.copy()
+                v.reshape(-1)[-1] = math.nan
+                assert not numerics._all_finite(v), (n, layout)
+
+    def test_empty_and_zero_dimensional_arrays(self):
+        for v in (np.empty(0), np.empty((3, 0)), np.empty((0, 4)).T):
+            assert numerics._all_finite(v)
+        assert numerics._all_finite(np.array(2.5))
+        for bad in (math.nan, math.inf, -math.inf):
+            assert not numerics._all_finite(np.array(bad))
+
+    def test_error_messages_are_unchanged(self):
+        with pytest.raises(NumericError) as info:
+            numerics.check_finite(np.array([[1.0, math.inf]]),
+                                  "attention scores")
+        assert str(info.value) == ("attention scores produced non-finite "
+                                   "values of shape (1, 2)")
+        with pytest.raises(NumericError) as info:
+            Tensor(np.full((2, 3), math.nan))
+        assert str(info.value) == ("test_error_messages_are_unchanged "
+                                   "produced non-finite values of shape "
+                                   "(2, 3)")
+        x = Tensor(np.full((4, 2), 1e-300), requires_grad=True)
+        with np.errstate(all="ignore"), pytest.raises(NumericError) as info:
+            (1.0 / x).sum().backward()
+        assert str(info.value) == ("non-finite gradient at a leaf tensor of "
+                                   "shape (4, 2)")
+
+
 class TestRng:
     def test_reproducible(self):
         assert np.array_equal(Rng(42).normal((5,)), Rng(42).normal((5,)))

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttm_lab import training
-from ttm_lab.model import ModelConfig, ModelParams, model_forward
+from ttm_lab.model import (ModelConfig, ModelParams, checkpoint_load,
+                           checkpoint_save, model_forward)
 from ttm_lab.numerics import NumericError, Rng, Tensor
-from ttm_lab.temperature import collapse_penalty
+from ttm_lab.temperature import clip_temperature_grad, collapse_penalty
 from ttm_lab.training import (ARITH_VOCAB, EVAL_PASS, EVAL_SLICE,
                               METRIC_COLUMNS,
                               TOK_ADD, TOK_HALVE, TOK_INIT,
@@ -342,7 +343,216 @@ class TestTrainLoop:
         assert dataset_loss(params, data, 1.0) != dataset_loss(params, data, 0.3)
 
 
-BATCH_VARIANTS = [pytest.param("baseline", 0.0, id="baseline"),
+def per_tensor_update(params, lr_main, lr_temp, weight_decay, tau):
+    """The update as a loop over tensors, each rebound to a fresh array: the
+    reference for `training._update`."""
+    for name, tensor in params.named_tensors():
+        if tensor.grad is None:
+            continue
+        if ".temp." in name:
+            g = clip_temperature_grad(tensor.grad, tau)
+            tensor.values = tensor.values - lr_temp * g
+        else:
+            g = tensor.grad + weight_decay * tensor.values
+            tensor.values = tensor.values - lr_main * g
+
+
+def buffer_of(params):
+    """The one array every tensor's values are a view of; fails otherwise."""
+    bases = {id(t.values.base): t.values.base
+             for _, t in params.named_tensors()}
+    assert len(bases) == 1
+    (base,) = bases.values()
+    assert base is not None and base.ndim == 1
+    assert base.size == sum(t.size for _, t in params.named_tensors())
+    return base
+
+
+def assert_same_params(got, want):
+    for (name, t), (want_name, w) in zip(got.named_tensors(),
+                                         want.named_tensors()):
+        assert name == want_name
+        assert t.values.tobytes() == w.values.tobytes(), name
+
+
+class TestFlatBuffers:
+    def test_every_tensor_is_a_view_of_one_buffer(self, tmp_path):
+        params = arith_params()
+        buffer_of(params)
+        data = make_task(TaskSpec(kind="arithmetic_chain", length=8, count=64))
+        for step in range(3):
+            before = buffer_of(params)
+            history = train(params, data, TrainConfig(steps=1, batch=8,
+                                                      seed=step))
+            assert len(history.rows) == 1
+            assert buffer_of(params) is not before
+        path = str(tmp_path / "c.ckpt")
+        checkpoint_save(params, path)
+        loaded = checkpoint_load(path)
+        buffer_of(loaded)
+        assert_same_params(loaded, params)
+        assert buffer_of(loaded) is not buffer_of(params)
+
+    def test_gradients_are_views_of_a_second_buffer(self):
+        params = arith_params()
+        data = make_task(TaskSpec(kind="arithmetic_chain", length=8, count=64))
+        train(params, data, TrainConfig(steps=1, batch=8))
+        grads = {id(t.grad.base) for _, t in params.named_tensors()
+                 if t.grad is not None}
+        assert len(grads) == 1 and grads != {id(buffer_of(params))}
+
+    def test_detached_view_builds_no_buffer(self):
+        params = arith_params()
+        view = params.detached()
+        for (_, t), (_, v) in zip(params.named_tensors(),
+                                  view.named_tensors()):
+            assert v.values is t.values and v._grad_view is None
+        assert view._values is None and view._spans == ()
+
+    def test_a_step_leaves_earlier_arrays_alone(self):
+        # a detached view taken before a step keeps its values
+        params = arith_params()
+        view = params.detached()
+        kept = {name: t.values.copy() for name, t in view.named_tensors()}
+        data = make_task(TaskSpec(kind="arithmetic_chain", length=8, count=64))
+        train(params, data, TrainConfig(steps=2, batch=8))
+        for name, t in view.named_tensors():
+            assert np.array_equal(t.values, kept[name]), name
+        assert not np.array_equal(params.W_out.values, view.W_out.values)
+
+    def test_reasoning_head_gets_no_gradient_and_keeps_its_values(self):
+        params = arith_params()
+        w_reason = params.W_reason.values.copy()
+        data = make_task(TaskSpec(kind="arithmetic_chain", length=8, count=64))
+        train(params, data, TrainConfig(steps=3, batch=8))
+        assert params.W_reason.grad is None
+        assert params.W_reason.values.tobytes() == w_reason.tobytes()
+        assert sum(t.grad is not None for _, t in params.named_tensors()) \
+            == len(params.tensors) - 1
+
+    @pytest.mark.parametrize("variant", ["baseline", "broadcast", "outer"])
+    def test_150_steps_match_the_per_tensor_update(self, variant,
+                                                   monkeypatch):
+        def run():
+            params = ModelParams(ModelConfig(
+                d_model=32, heads=2, layers=2, d_ff=64, vocab_size=20,
+                d_c=4, max_seq_len=8, seed=5, attention_variant=variant))
+            data = make_task(TaskSpec(kind="arithmetic_chain", length=8,
+                                      count=64, seed=5))
+            history = train(params, data, TrainConfig(
+                steps=150, batch=8, seed=5, weight_decay=0.01))
+            return history, params
+
+        history, params = run()
+        monkeypatch.setattr(training, "_update", per_tensor_update)
+        want_history, want = run()
+        assert not history.aborted and len(history.rows) == 150
+        assert history.rows == want_history.rows
+        assert_same_params(params, want)
+
+    @pytest.mark.parametrize("graded", ["all", "every-other", "temp-only",
+                                        "none-temp", "none"])
+    def test_update_of_any_graded_subset_matches_per_tensor(self, graded):
+        # train never grades head.w_reason, which sits between the two
+        # groups; here every pattern of graded neighbours is taken
+        names = list(arith_params().tensors)
+        pick = {"all": names, "every-other": names[::2],
+                "temp-only": [n for n in names if ".temp." in n],
+                "none-temp": [n for n in names if ".temp." not in n],
+                "none": []}[graded]
+        got, want = arith_params(), arith_params()
+        for params in (got, want):
+            loss = sum(((params.tensors[n] * 0.5) ** 2.0).sum() for n in pick)
+            if pick:
+                loss.backward()
+        training._update(got, 0.1, 0.02, 0.01, 0.25)
+        per_tensor_update(want, 0.1, 0.02, 0.01, 0.25)
+        assert_same_params(got, want)
+        for name, t in got.named_tensors():
+            assert (t.grad is None) == (name not in pick), name
+        buffer_of(got)
+
+    def test_rebound_values_are_read_by_the_update(self):
+        # a tensor whose values were replaced, not written, trains from them
+        params, want = arith_params(), arith_params()
+        for p in (params, want):
+            p.W_out.values = p.W_out.values * 2.0
+        data = make_task(TaskSpec(kind="arithmetic_chain", length=8, count=64))
+        cfg = TrainConfig(steps=2, batch=8)
+        history = train(params, data, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(training, "_update", per_tensor_update)
+            want_history = train(want, data, cfg)
+        assert history.rows == want_history.rows
+        assert_same_params(params, want)
+        buffer_of(params)
+
+
+def poison_gradient_at(step):
+    """A cross_entropy whose node hands NaN to its logits' gradient on the
+    given call (one call per training step)."""
+    calls = []
+
+    def poisoned(logits, targets, mask):
+        loss = cross_entropy(logits, targets, mask)
+        calls.append(None)
+        if len(calls) != step:
+            return loss
+        return Tensor(loss.values, _parents=((loss, lambda g: g * math.nan),))
+    return poisoned
+
+
+class TestLeafCheck:
+    """backward scans a model's gradient buffer once, and every leaf on its
+    own only when that scan fails."""
+
+    @staticmethod
+    def poison_reasoning_head(params):
+        # 1 / 1e-300 is finite, but its gradient 1 / 1e-600 is not, and
+        # times 0.0 it is NaN: W_reason alone gets a non-finite gradient
+        loss = (1.0 / (params.W_reason * 0.0 + 1e-300)).sum() \
+            + params.W_out.sum()
+        with np.errstate(all="ignore"), pytest.raises(NumericError) as info:
+            loss.backward()
+        return str(info.value)
+
+    def test_non_finite_gradient_names_its_leaf(self):
+        params = arith_params()
+        message = self.poison_reasoning_head(params)
+        assert message == ("non-finite gradient at a leaf tensor of shape "
+                           f"{params.W_reason.shape}")
+        assert np.isfinite(params.W_out.grad).all()
+
+    def test_train_aborts_with_every_parameter_unchanged(self, monkeypatch):
+        data = make_task(TaskSpec(kind="arithmetic_chain", length=8, count=64))
+        want = arith_params()
+        train(want, data, TrainConfig(steps=1, batch=8))
+        params = arith_params()
+        monkeypatch.setattr(training, "cross_entropy", poison_gradient_at(2))
+        with np.errstate(invalid="ignore"):
+            history = train(params, data, TrainConfig(steps=3, batch=8))
+        assert history.aborted and len(history.rows) == 1
+        assert not np.isfinite(params.W_out.grad).all()
+        assert_same_params(params, want)
+        buffer_of(params)
+
+    def test_stale_non_finite_region_does_not_raise(self):
+        params = arith_params()
+        self.poison_reasoning_head(params)
+        # the reasoning head's region of the gradient buffer keeps its NaNs:
+        # no training step writes it
+        data = make_task(TaskSpec(kind="arithmetic_chain", length=8, count=64))
+        history = train(params, data, TrainConfig(steps=2, batch=8))
+        assert not history.aborted and len(history.rows) == 2
+        assert not np.isfinite(params._grads).all()
+        assert params.W_reason.grad is None
+        want = arith_params()
+        want_history = train(want, data, TrainConfig(steps=2, batch=8))
+        assert history.rows == want_history.rows
+        assert_same_params(params, want)
+
+
+BATCH_VARIANTS =[pytest.param("baseline", 0.0, id="baseline"),
                   pytest.param("broadcast", 0.0, id="broadcast"),
                   pytest.param("outer", 0.0, id="outer"),
                   pytest.param("outer", 0.3, id="outer-spread0.3")]
