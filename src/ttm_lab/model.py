@@ -201,10 +201,16 @@ class ModelParams:
     rebinds the views (`_rebind`), so an array handed out earlier keeps its
     values. A model whose tensors require no gradient (a detached view) has
     no buffers.
+
+    The gradient buffer is allocated the first time a training step needs
+    it (`_grad_buffer`: at zero_grad, or at an update), so a model that is
+    only ever forwarded never holds it. Until then a backward gives each
+    tensor a fresh gradient array, which the buffer takes over when it is
+    allocated.
     """
 
-    # (tensor, shape, gradient view, lo, hi) per tensor in buffer order, and
-    # each tensor's view of the value buffer
+    # (tensor, shape, lo, hi) per tensor in buffer order, and each tensor's
+    # view of the value buffer
     _spans = _value_views = ()
     _values = _grads = None
     _temp_lo = 0    # where the `.temp.` tensors start in the buffers
@@ -240,22 +246,36 @@ class ModelParams:
                  for name in sorted(self.tensors, key=_is_temp_param)]
         total = sum(t.size for t in order)
         self._temp_lo = total - sum(t.size for t in self._temp_tensors)
-        values, self._grads = np.empty(total), np.zeros(total)
+        values = np.empty(total)
         spans, hi = [], 0
         for t in order:
             lo, hi = hi, hi + t.size
             values[lo:hi] = t.values.reshape(-1)
-            t._grad_view = self._grads[lo:hi].reshape(t.shape)
-            spans.append((t, t.shape, t._grad_view, lo, hi))
+            spans.append((t, t.shape, lo, hi))
         self._spans = tuple(spans)
         self._rebind(values)
+
+    def _grad_buffer(self):
+        """The flat gradient buffer, allocated and each tensor's
+        `_grad_view` set on the first call. A gradient a tensor already holds
+        is copied into its view and the view becomes its gradient, so the
+        buffer holds what it would have held had it been there from the
+        start. A model without buffers has none."""
+        if self._grads is None and self._spans:
+            self._grads = grads = np.zeros(self._values.size)
+            for t, shape, lo, hi in self._spans:
+                t._grad_view = view = grads[lo:hi].reshape(shape)
+                if t.grad is not None:
+                    view[...] = t.grad
+                    t.grad = view
+        return self._grads
 
     def _rebind(self, values):
         """Make `values`, a flat buffer in this model's layout, the one every
         tensor's values are a view of."""
         self._values = values
         self._value_views = []
-        for t, shape, _, lo, hi in self._spans:
+        for t, shape, lo, hi in self._spans:
             t.values = view = values[lo:hi].reshape(shape)
             self._value_views.append(view)
 
@@ -292,6 +312,7 @@ class ModelParams:
             for name, t in self.tensors.items()))
 
     def zero_grad(self):
+        self._grad_buffer()
         for tensor in self.tensors.values():
             tensor.zero_grad()
 

@@ -295,14 +295,14 @@ def _update(params, lr_main, lr_temp, weight_decay, tau):
     universe's embeddings) keeps its values. A tensor whose values or
     gradient were rebound away from its buffer views is copied in first.
     """
-    old, grads, temp_lo = params._values, params._grads, params._temp_lo
+    grads, old, temp_lo = params._grad_buffer(), params._values, \
+        params._temp_lo
     runs, rebound = [], []   # runs: [lo, hi, has a gradient]
-    for (t, _, gview, lo, hi), view in zip(params._spans,
-                                           params._value_views):
+    for (t, _, lo, hi), view in zip(params._spans, params._value_views):
         if t.values is not view:
             rebound.append((lo, hi, t.values))
         has = t.grad is not None
-        if has and t.grad is not gview:
+        if has and t.grad is not t._grad_view:
             grads[lo:hi] = t.grad.reshape(-1)
         if runs and runs[-1][2] is has and not (has and lo == temp_lo):
             runs[-1][1] = hi

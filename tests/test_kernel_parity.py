@@ -580,6 +580,160 @@ class TestGradientSharing:
         assert trace == want_trace
 
 
+# -- softmax over short rows in the column layout ----------------------------
+
+
+def ref_softmax(v, out=None):
+    """numerics._softmax before the column layout: every reduction and
+    broadcast along the last axis, written into out or a new array."""
+    out = np.subtract(v, v.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+@pytest.fixture
+def column_calls(monkeypatch):
+    """The (k, rows) shape of every softmax that takes the column layout
+    from now on."""
+    calls = []
+    column_sums = numerics._column_sums
+
+    def recording(cols):
+        calls.append(cols.shape)
+        return column_sums(cols)
+
+    monkeypatch.setattr(numerics, "_column_sums", recording)
+    return calls
+
+
+def takes_columns(k, rows):
+    lo, hi = numerics._COLUMN_KEYS
+    return (lo <= k <= hi and rows >= numerics._COLUMN_MIN_ROWS
+            and rows * k <= numerics._COLUMN_MAX_SIZE)
+
+
+# signed zeros, subnormals, the extremes a score can reach, and -inf: a
+# weight of 0, or NaN in a row of -infs alone
+SOFTMAX_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310,
+                          1e300, -1e300, -np.inf, 1.0, -3.5])
+
+
+class TestSoftmaxColumns:
+    """_softmax's column layout gives every entry the bits of the row
+    layout, and is taken exactly where its rule says."""
+
+    @pytest.mark.parametrize("k", range(1, 18))
+    def test_every_row_length_on_both_sides_of_the_rule(self, k,
+                                                        column_calls):
+        most = numerics._COLUMN_MAX_SIZE // k
+        lo = numerics._COLUMN_MIN_ROWS
+        for rows in (1, 7, lo - 1, lo, lo + 1, 1025, most, most + 1):
+            for scale in (3.0, 700.0):
+                v = inputs((rows, k), k, edges=SOFTMAX_EDGES[:rows * k],
+                           scale=scale)
+                if rows > 3:
+                    v[3] = -np.inf
+                before = len(column_calls)
+                with np.errstate(invalid="ignore"):
+                    got, want = numerics._softmax(v), ref_softmax(v)
+                assert_bits_equal(got, want)
+                assert got.flags.c_contiguous
+                assert (len(column_calls) > before) == takes_columns(k, rows)
+
+    @pytest.mark.parametrize("shape", [(64, 2, 8, 8), (48, 2, 6, 6),
+                                       (257, 3), (5, 7, 9, 9)])
+    def test_column_shapes(self, shape, column_calls):
+        # (64, 2, 8, 8) is a 64-example evaluation pass's attention
+        v = inputs(shape, 5, edges=SOFTMAX_EDGES)
+        with np.errstate(invalid="ignore"):
+            assert_bits_equal(numerics._softmax(v), ref_softmax(v))
+        assert column_calls == [(shape[-1], math.prod(shape[:-1]))]
+
+    @pytest.mark.parametrize("shape", [(8, 2, 8, 8), (1, 2, 512, 512),
+                                       (64, 32), (512, 1)])
+    def test_row_shapes(self, shape, column_calls):
+        # a train step's attention, gsot's n x n, and rows too few or too
+        # short to gain
+        v = inputs(shape, 6)
+        assert_bits_equal(numerics._softmax(v), ref_softmax(v))
+        assert column_calls == []
+
+    def test_out_is_the_input(self, column_calls):
+        v = inputs((64, 2, 8, 8), 7, edges=SOFTMAX_EDGES[:-3])
+        want = ref_softmax(v)
+        assert numerics._softmax(v, out=v) is v
+        assert_bits_equal(v, want)
+        assert column_calls == [(8, 1024)]
+
+    def test_a_given_out(self, column_calls):
+        v = inputs((64, 2, 8, 8), 8)
+        out = np.full(v.shape, np.nan)
+        assert numerics._softmax(v, out=out) is out
+        assert_bits_equal(out, ref_softmax(v))
+        assert_bits_equal(numerics._softmax(v), out)
+        assert column_calls == [(8, 1024)] * 2
+
+    def test_strided_input_takes_the_row_path(self, column_calls):
+        wide = inputs((64, 2, 8, 16), 9)
+        for v in (wide[..., ::2], wide[..., :8],
+                  inputs((64, 2, 8, 8), 9).swapaxes(-1, -2)):
+            assert not v.flags.c_contiguous
+            assert_bits_equal(numerics._softmax(v), ref_softmax(v))
+        assert column_calls == []
+
+    def test_strided_out_takes_the_row_path(self, column_calls):
+        # numpy sums a strided row in another order than a contiguous one,
+        # so the reference writes into the same layout
+        v = inputs((1024, 8), 10)
+        out = np.empty((8, 1024)).T
+        assert numerics._softmax(v, out=out) is out
+        assert_bits_equal(out, ref_softmax(v, out=np.empty((8, 1024)).T))
+        assert column_calls == []
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_row_raises_as_on_the_row_path(self, bad,
+                                                       column_calls):
+        x = inputs((64, 2, 8, 8), 11)
+        x[40, 1, 3, 5] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NumericError) as info:
+            softmax_rows(Tensor(x, check=False))
+        assert str(info.value) == ("softmax_rows produced non-finite values "
+                                   "of shape (64, 2, 8, 8)")
+        assert column_calls == [(8, 1024)]
+
+    @pytest.mark.parametrize("k", range(1, 129))
+    def test_column_sums_replay_numpys_row_order(self, k):
+        # _column_sums assumes numpy's pairwise summation order for a
+        # contiguous row; a numpy whose order differs fails here, before
+        # the two layouts can round a sum differently
+        # entries spread over 17 decades, so the order shows in the rounding
+        rows = 37
+        x = inputs((rows, k), 100 + k, edges=SOFTMAX_EDGES[:-3])
+        x[1:] *= 10.0 ** Rng(k).integers(-8, 9, size=(rows - 1, k))
+        x[Rng(200 + k).uniform((rows, k)) < 0.1] = -0.0
+        x[5] = -0.0
+        x[6] = 0.0
+        got = numerics._column_sums(np.ascontiguousarray(x.T))
+        assert_bits_equal(got, np.add.reduce(x, axis=-1))
+
+    def test_column_sums_round_unlike_a_plain_column_sum(self):
+        # the replayed order matters: summing down the columns in order
+        # rounds some 8-entry rows differently
+        x = Rng(12).normal((4096, 8))
+        cols = np.ascontiguousarray(x.T)
+        assert_bits_equal(numerics._column_sums(cols),
+                          np.add.reduce(x, axis=-1))
+        assert not np.array_equal(np.add.reduce(cols, axis=0),
+                                  np.add.reduce(x, axis=-1))
+
+    def test_softmax_rows_values_and_vjp(self, column_calls):
+        assert_same(run_both(softmax_rows, ref_softmax_rows,
+                             [inputs((64, 2, 8, 8), 2)], 3))
+        assert (8, 1024) in column_calls
+
+
 # -- evaluation at the positions a mask reads ---------------------------------
 
 
@@ -671,6 +825,14 @@ class TestAllocation:
         x = Tensor(Rng(0).normal((256, 256)), requires_grad=True)
         peak, out = peak_bytes(softmax_rows, x)
         assert peak <= 1.25 * out.values.nbytes
+
+    def test_softmax_columns_hold_one_buffer_beside_the_output(
+            self, column_calls):
+        # the (k, rows) buffer, then the output it is copied back into
+        x = Tensor(Rng(0).normal((64, 2, 8, 8)), requires_grad=True)
+        peak, out = peak_bytes(softmax_rows, x)
+        assert column_calls == [(8, 1024)]
+        assert peak <= 2.25 * out.values.nbytes
 
     def test_layer_norm_builds_two_arrays(self):
         rng = Rng(1)

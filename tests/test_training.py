@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttm_lab import training
+from ttm_lab import numerics, training
+from ttm_lab.gsot import GsotConfig, build_universe, gsot_pipeline
 from ttm_lab.model import (ModelConfig, ModelParams, checkpoint_load,
                            checkpoint_save, model_forward)
 from ttm_lab.numerics import NumericError, Rng, Tensor
@@ -552,6 +553,48 @@ class TestLeafCheck:
         assert_same_params(params, want)
 
 
+class TestLazyGradientBuffer:
+    """A model allocates its gradient buffer at the first training step
+    that needs it, so one that is only forwarded never holds it."""
+
+    @staticmethod
+    def assert_no_gradient_buffer(params):
+        assert params._grads is None
+        assert all(t._grad_view is None and t.grad is None
+                   for _, t in params.named_tensors())
+
+    def test_forward_only_use_leaves_no_gradient_buffer(self):
+        params = arith_params()
+        data = make_task(TaskSpec(kind="arithmetic_chain", length=8, count=64))
+        self.assert_no_gradient_buffer(params)
+        dataset_loss(params, data, 0.7)
+        evaluate(params, data)
+        universe = build_universe(params, 4, Rng(0))
+        gsot_pipeline([1, 2, 3, 4, 5], universe, params, GsotConfig())
+        self.assert_no_gradient_buffer(params)
+        history = train(params, data, TrainConfig(steps=2, batch=8))
+        want = arith_params()
+        want_history = train(want, data, TrainConfig(steps=2, batch=8))
+        assert history.rows == want_history.rows
+        assert_same_params(params, want)
+        grads = {id(t.grad.base) for _, t in params.named_tensors()
+                 if t.grad is not None}
+        assert grads == {id(params._grads)}
+
+    def test_an_update_takes_over_earlier_fresh_gradients(self):
+        # a backward before any zero_grad gives each leaf a fresh array;
+        # the update allocates the buffer and reads them from it
+        got, want = arith_params(), arith_params()
+        for params in (got, want):
+            (params.W_out * 0.5).sum().backward()
+        assert got._grads is None and got.W_out.grad.base is None
+        training._update(got, 0.1, 0.02, 0.01, 0.25)
+        per_tensor_update(want, 0.1, 0.02, 0.01, 0.25)
+        assert_same_params(got, want)
+        assert got.W_out.grad.base is got._grads
+        assert np.count_nonzero(got._grads) == got.W_out.size
+
+
 BATCH_VARIANTS =[pytest.param("baseline", 0.0, id="baseline"),
                   pytest.param("broadcast", 0.0, id="broadcast"),
                   pytest.param("outer", 0.0, id="outer"),
@@ -643,6 +686,52 @@ class TestBatchedParity:
             assert evaluate(params, part) == per_16(part, 1.0)
             for m in (1.0, 0.7):
                 assert dataset_loss(params, part, m) == per_16(part, m)[0]
+
+    @pytest.mark.parametrize("task", sorted(BATCH_TASKS))
+    @pytest.mark.parametrize("variant", ["baseline", "broadcast", "outer"])
+    def test_column_softmax_pass_equals_one_forward_per_example(
+            self, variant, task, monkeypatch):
+        # a 64-example pass takes each attention softmax over 768 or 1,024
+        # rows, in numerics._softmax's column layout; one example's forward
+        # takes 12 or 16 rows, in the row layout. The losses and hits must
+        # be the same floats.
+        spec, vocab = BATCH_TASKS[task]
+        params = ModelParams(ModelConfig(
+            d_model=16, heads=2, layers=2, d_ff=32, vocab_size=vocab, d_c=4,
+            seed=3, max_seq_len=spec.length, attention_variant=variant))
+        data = make_task(spec)
+        assert len(data) == EVAL_PASS
+        batch = training._stack(data)
+        columns = []
+        column_sums = numerics._column_sums
+        monkeypatch.setattr(numerics, "_column_sums",
+                            lambda cols: columns.append(cols.shape)
+                            or column_sums(cols))
+
+        def one_at_a_time(m):
+            logits = np.concatenate([
+                model_forward(ex.inputs[None], params, temp_multiplier=m)[0]
+                .values for ex in data])
+            total, hits = 0.0, 0
+            for lo in range(0, len(data), EVAL_SLICE):
+                rows = slice(lo, lo + EVAL_SLICE)
+                loss = cross_entropy(Tensor(logits[rows]),
+                                     batch.targets[rows], batch.mask[rows])
+                total += float(loss.values) * EVAL_SLICE
+                pred = logits[rows].argmax(axis=-1)
+                hits += int(((pred == batch.targets[rows])
+                             | ~batch.mask[rows]).all(axis=-1).sum())
+            return total / len(data), hits / len(data)
+
+        for m in (0.1, 0.55, 1.0):
+            want = one_at_a_time(m)
+            assert columns == []
+            assert dataset_loss(params, data, m) == want[0]
+            if m == 1.0:
+                assert evaluate(params, data) == want
+            keys = spec.length
+            assert columns and set(columns) == {(keys, EVAL_PASS * 2 * keys)}
+            columns.clear()
 
     def test_each_example_scaled_by_its_own_field_mean(self):
         params = toy_params(seed=11)
