@@ -20,6 +20,7 @@ variable, or with glibc.malloc tunables in GLIBC_TUNABLES, keeps the
 allocator as its user set it.
 """
 
+import contextlib
 import ctypes
 import math
 import os
@@ -596,6 +597,11 @@ def _linear_rows(x, W, b, rows, n):
 _COLUMN_KEYS = (2, 16)
 _COLUMN_MIN_ROWS = 256
 _COLUMN_MAX_SIZE = 1 << 17
+# Rows of at least _SMALL_BUFFER_MIN_KEYS entries run the row path's two
+# broadcasts with numpy's ufunc buffer at _SMALL_BUFFER elements; see
+# _softmax.
+_SMALL_BUFFER_MIN_KEYS = 192
+_SMALL_BUFFER = 64
 
 
 def _column_sums(cols):
@@ -634,6 +640,16 @@ def _column_sums(cols):
     return s
 
 
+@contextlib.contextmanager
+def _small_buffer():
+    """numpy's ufunc buffer at _SMALL_BUFFER elements inside the block.
+    np.errstate restores the buffer size and the error state on exit, also
+    when the block raises."""
+    with np.errstate():
+        np.setbufsize(_SMALL_BUFFER)
+        yield
+
+
 def _softmax(v, out=None):
     """Softmax over the last axis of the array v, written into out (v itself
     may be out) or a new array: subtract each row's max, exponentiate in
@@ -641,41 +657,75 @@ def _softmax(v, out=None):
     exp is of a value <= 0, and the row max adds exp(0) = 1 to the sum.
 
     numpy pays about 100 ns per row for a reduction or a broadcast against
-    a (..., 1) operand, whatever the row's length, so short rows cost far
-    more than their arithmetic. A C-ordered v of rows of 2 to 16 entries,
-    at least 256 rows and at most 2**17 entries (and a C-ordered out, when
-    given) is copied into one C-ordered (k, rows) array instead, where each
-    pass is one ufunc over long contiguous rows: the max is np.maximum
-    down axis 0, the sum `_column_sums`, and the result is copied back.
-    On a 2-core host with one BLAS thread that path is 1.2-3.6x faster
-    than the row layout at 256-1,024 rows for every such k (a (64, 2, 8,
-    8) array: 192 -> 81 us). It loses at one entry per row, below about
-    128 rows, from about 32 entries per row, and from about 2**19 entries,
-    where the two transposed copies no longer fit in the cache.
+    a (..., 1) operand, so short rows cost far more than their arithmetic.
+    A C-ordered v of rows of 2 to 16 entries, at least 256 rows and at most
+    2**17 entries (and a C-ordered out, when given) is copied into one
+    C-ordered (k, rows) array instead, where each pass is one ufunc over
+    long contiguous rows: the max is np.maximum down axis 0, the sum
+    `_column_sums`, and the result is copied back. On a 2-core host with
+    one BLAS thread that path is 1.2-3.6x faster than the row layout at
+    256-1,024 rows for every such k (a (64, 2, 8, 8) array: 192 -> 81 us).
+    It loses at one entry per row, below about 128 rows, from about 32
+    entries per row, and from about 2**19 entries, where the two transposed
+    copies no longer fit in the cache.
 
-    Both paths give every entry the same bits: the max, subtract, exp and
+    Every other input takes the row layout, computed in C order: a strided
+    v is copied, and a strided out is written from a C-ordered result,
+    since numpy sums a strided row in another order than a contiguous one.
+    Long rows pay there for numpy's ufunc buffer (8,192 elements) instead:
+    a broadcast against a (..., 1) operand over rows shorter than the
+    buffer fills it across rows, copying the operand into it: at (512,
+    512) the subtract took 1.9-2.3x as long as the subtract of a scalar.
+    With a 64-element buffer (`_small_buffer`) it took 1.1-1.3x, and the
+    divide gains alike, with the same bits. One (n, n) softmax with out=v
+    on the 2-core host, default -> small buffer: n = 192 139 -> 132 us,
+    224 183 -> 167, 256 232 -> 206, 341 403 -> 346, 512 953 -> 805, 1,024
+    4,315 -> 3,718 (runs spread by about 5% up to n = 256); below 192,
+    160 126 -> 141 and 128 83 -> 105. So rows of 192 entries or more take
+    the small buffer: gsot's n x n scores from n = 192 on. The two blocks
+    cost a fixed 5-9 us, more than they save in an array of 2**15 entries
+    or fewer (64 rows of 256: +5%), and rows of 6,144 entries or more, two
+    of which no longer fit in the buffer, save nothing (+1%); every library
+    softmax is n x n per head, so it meets the first case never and the
+    second only from n = 6,144 on. The max, the exp and the sum run with
+    numpy's buffer as the caller set it.
+
+    Both layouts give every entry the same bits: the max, subtract, exp and
     divide are exact or elementwise, and `_column_sums` adds each row in
     np.add.reduce's order. So a slice's loss does not depend on how many
     examples share its forward pass.
     """
     k = v.shape[-1]
-    if not (_COLUMN_KEYS[0] <= k <= _COLUMN_KEYS[1]
+    if (_COLUMN_KEYS[0] <= k <= _COLUMN_KEYS[1]
             and _COLUMN_MIN_ROWS * k <= v.size <= _COLUMN_MAX_SIZE
             and v.flags.c_contiguous
             and (out is None or out.flags.c_contiguous)):
-        out = np.subtract(v, np.maximum.reduce(v, axis=-1, keepdims=True),
-                          out=out)
-        np.exp(out, out=out)
-        out /= np.add.reduce(out, axis=-1, keepdims=True)
+        cols = v.reshape(-1, k).T.copy()
+        cols -= np.maximum.reduce(cols, axis=0)
+        np.exp(cols, out=cols)
+        cols /= _column_sums(cols)
+        if out is None:
+            out = np.empty(v.shape)
+        out.reshape(-1, k)[...] = cols.T
         return out
-    cols = v.reshape(-1, k).T.copy()
-    cols -= np.maximum.reduce(cols, axis=0)
-    np.exp(cols, out=cols)
-    cols /= _column_sums(cols)
-    if out is None:
-        out = np.empty(v.shape)
-    out.reshape(-1, k)[...] = cols.T
-    return out
+    dest = out
+    if not v.flags.c_contiguous:
+        v = out = np.ascontiguousarray(v)
+    elif out is not None and not out.flags.c_contiguous:
+        out = None
+    block = (_small_buffer if k >= _SMALL_BUFFER_MIN_KEYS
+             else contextlib.nullcontext)
+    m = np.maximum.reduce(v, axis=-1, keepdims=True)
+    with block():
+        out = np.subtract(v, m, out=out)
+    np.exp(out, out=out)
+    s = np.add.reduce(out, axis=-1, keepdims=True)
+    with block():
+        out /= s
+    if dest is None or dest is out:
+        return out
+    dest[...] = out
+    return dest
 
 
 def softmax_rows(x):
@@ -683,7 +733,9 @@ def softmax_rows(x):
 
     The values are `_softmax`'s: many short rows (2 to 16 entries, at least
     256 rows, at most 2**17 entries) go through a column layout that skips
-    numpy's per-row reduction cost, with the bits the row layout gives."""
+    numpy's per-row reduction cost, and rows of 192 entries or more take
+    their broadcasts with a small ufunc buffer, each with the bits the row
+    layout gives in C order."""
     x = Tensor._coerce(x)
     if x.values.ndim < 1 or x.shape[-1] < 1:
         raise DimensionError(f"softmax_rows needs a non-empty last axis, got {x.shape}")

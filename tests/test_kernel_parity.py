@@ -14,6 +14,7 @@ measure the peak of numpy's traced allocations during one forward call, or
 the bytes a forward leaves alive, which do not depend on the host.
 """
 
+import contextlib
 import math
 import tracemalloc
 
@@ -675,20 +676,24 @@ class TestSoftmaxColumns:
         assert column_calls == [(8, 1024)] * 2
 
     def test_strided_input_takes_the_row_path(self, column_calls):
+        # the row path computes in C order, so a strided input gives the
+        # bits of the same values in C order
         wide = inputs((64, 2, 8, 16), 9)
         for v in (wide[..., ::2], wide[..., :8],
                   inputs((64, 2, 8, 8), 9).swapaxes(-1, -2)):
             assert not v.flags.c_contiguous
-            assert_bits_equal(numerics._softmax(v), ref_softmax(v))
+            got = numerics._softmax(v)
+            assert got.flags.c_contiguous
+            assert_bits_equal(got, ref_softmax(np.ascontiguousarray(v)))
         assert column_calls == []
 
     def test_strided_out_takes_the_row_path(self, column_calls):
-        # numpy sums a strided row in another order than a contiguous one,
-        # so the reference writes into the same layout
+        # numpy sums a strided row in another order than a contiguous one;
+        # the row path computes in C order and copies into out
         v = inputs((1024, 8), 10)
         out = np.empty((8, 1024)).T
         assert numerics._softmax(v, out=out) is out
-        assert_bits_equal(out, ref_softmax(v, out=np.empty((8, 1024)).T))
+        assert_bits_equal(out, ref_softmax(v))
         assert column_calls == []
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -732,6 +737,148 @@ class TestSoftmaxColumns:
         assert_same(run_both(softmax_rows, ref_softmax_rows,
                              [inputs((64, 2, 8, 8), 2)], 3))
         assert (8, 1024) in column_calls
+
+
+# -- long rows with a small ufunc buffer -------------------------------------
+
+
+@pytest.fixture
+def small_buffer_calls(monkeypatch):
+    """numpy's buffer size inside each small-buffer block _softmax enters
+    from now on: two blocks, the subtract's and the divide's, per softmax
+    that takes it."""
+    calls = []
+    small_buffer = numerics._small_buffer
+
+    @contextlib.contextmanager
+    def recording():
+        with small_buffer():
+            calls.append(np.getbufsize())
+            yield
+
+    monkeypatch.setattr(numerics, "_small_buffer", recording)
+    return calls
+
+
+def long_rows(rows, k, seed):
+    """A (rows, k) softmax input holding +-0.0, subnormals, +-1e300 and
+    -inf, a row of -0.0, a row of 0.0, a row of -inf (a NaN row) and a row
+    with -inf in every third entry."""
+    v = inputs((rows, k), seed, edges=SOFTMAX_EDGES[:rows * k], scale=30.0)
+    for i, row in enumerate((-0.0, 0.0, -np.inf)):
+        if rows > i + 1:
+            v[i + 1] = row
+    if rows > 4:
+        v[4, ::3] = -np.inf
+    return v
+
+
+class TestSoftmaxSmallBuffer:
+    """_softmax's row path gives every entry the bits of ref_softmax, the
+    row path as it was with numpy's default buffer, and enters the
+    small-buffer block exactly where its rule says."""
+
+    @pytest.mark.parametrize("k", [191, 192, 193, 256, 512, 1024, 4097])
+    def test_long_rows_on_both_sides_of_the_rule(self, k,
+                                                 small_buffer_calls):
+        for rows in (1, 2, 7, 128, 1024):
+            if rows * k > 1 << 20:
+                continue
+            v = long_rows(rows, k, k + rows)
+            before = len(small_buffer_calls)
+            with np.errstate(invalid="ignore"):
+                want = ref_softmax(v)
+                got = numerics._softmax(v)
+                assert numerics._softmax(v, out=v) is v
+            assert_bits_equal(got, want)
+            assert_bits_equal(v, want)
+            taken = len(small_buffer_calls) - before
+            assert taken == (4 if k >= numerics._SMALL_BUFFER_MIN_KEYS
+                             else 0)
+        assert set(small_buffer_calls) <= {numerics._SMALL_BUFFER}
+
+    @pytest.mark.parametrize("n", [512, 455, 398, 341, 284, 227, 192, 191,
+                                   170, 113, 64])
+    def test_gsot_schedule_sizes(self, n, small_buffer_calls):
+        # gsot_long's extraction schedule: (1, h, n, n) scores, in place
+        for h in (1, 2):
+            v = inputs((1, h, n, n), n + h, edges=SOFTMAX_EDGES[:-3])
+            want = ref_softmax(v)
+            before = len(small_buffer_calls)
+            assert numerics._softmax(v, out=v) is v
+            assert_bits_equal(v, want)
+            assert (len(small_buffer_calls) > before) == (n >= 192)
+
+    def test_strided_long_rows_give_the_c_order_bits(self,
+                                                     small_buffer_calls):
+        v = inputs((512, 512), 14, edges=SOFTMAX_EDGES[:-3])
+        want = ref_softmax(np.ascontiguousarray(v.T))
+        assert_bits_equal(numerics._softmax(v.T), want)
+        out = np.empty((512, 512)).T
+        assert numerics._softmax(np.ascontiguousarray(v.T), out=out) is out
+        assert_bits_equal(out, want)
+        w = v.copy().T
+        assert numerics._softmax(w, out=w) is w
+        assert_bits_equal(w, want)
+        assert_bits_equal(softmax_rows(Tensor(v).T).values, want)
+        assert small_buffer_calls == [numerics._SMALL_BUFFER] * 8
+
+    def test_baseline_values_take_the_block(self, small_buffer_calls):
+        n, d = 256, 16
+        rng = Rng(15)
+        x = Tensor(rng.normal((n, d)))
+        params = AttentionParams(W_qkv=Tensor(rng.normal((1, 3, d, d))),
+                                 W_o=Tensor(rng.normal((d, d))))
+        assert_bits_equal(_baseline_values(x, params),
+                          attention_baseline(x, params).values.values)
+        assert small_buffer_calls == [numerics._SMALL_BUFFER] * 4
+
+
+def long_pipeline():
+    """gsot_pipeline over 256 tokens with one head: its extraction passes
+    take softmaxes of 256 x 256 and 128 x 128 scores."""
+    params = ModelParams(ModelConfig(d_model=8, heads=1, layers=1, d_ff=16,
+                                     vocab_size=12, d_c=4, max_seq_len=256))
+    universe = build_universe(params, 4, Rng(0))
+    X = Rng(1).integers(0, 12, size=256)
+    return gsot_pipeline(X, universe, params, GsotConfig(K=2))
+
+
+def numpy_state():
+    return np.getbufsize(), np.geterr()
+
+
+class TestNumpyState:
+    """numpy's buffer size and error state after a library call are what
+    they were before it, also when the call raises inside the small-buffer
+    block. The calls run under a state of their own, not numpy's default."""
+
+    @pytest.mark.parametrize("call, long", [
+        (long_pipeline, True), (arith_step, False),
+        (lambda: evaluate(arith_params(), arith_data()), False),
+        (lambda: numerics._softmax(inputs((512, 512), 16)), True),
+        (lambda: softmax_rows(Tensor(inputs((1, 2, 256, 256), 17))), True)],
+        ids=["gsot_pipeline", "train", "evaluate", "_softmax",
+             "softmax_rows"])
+    def test_calls_leave_numpys_state(self, call, long, small_buffer_calls):
+        # train and evaluate softmax rows of 8 keys, below the block
+        with np.errstate(divide="ignore", over="ignore"):
+            np.setbufsize(2048)
+            before = numpy_state()
+            call()
+            assert numpy_state() == before
+        assert bool(small_buffer_calls) == long
+
+    def test_a_raise_inside_the_block_leaves_numpys_state(
+            self, small_buffer_calls):
+        v = inputs((512, 512), 18)
+        with np.errstate(over="ignore"):
+            np.setbufsize(4096)
+            before = numpy_state()
+            with pytest.raises(ValueError, match="broadcast"):
+                numerics._softmax(v, out=np.empty((512, 511)))
+            assert numpy_state() == before
+        assert small_buffer_calls == [numerics._SMALL_BUFFER]
 
 
 # -- evaluation at the positions a mask reads ---------------------------------

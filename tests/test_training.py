@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -876,6 +877,57 @@ class TestBatchedCalls:
         assert all(t.grad is None for _, t in params.named_tensors())
 
 
+# -- a 60-digit reference for Student's t tail ------------------------------
+
+DEC_PI = decimal.Decimal(
+    "3.14159265358979323846264338327950288419716939937510582097494459")
+# B_2k / (2k (2k - 1)) for k = 1 .. 8: the terms of Stirling's series
+STIRLING_TERMS = [(1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188),
+                  (-691, 360360), (1, 156), (-3617, 122400)]
+
+
+def dec_lgamma(z):
+    """log Gamma(z) of a Decimal z > 0: Stirling's series at z + j >= 40,
+    which then leaves out less than 1e-70, less log z (z + 1) ... ."""
+    shift = decimal.Decimal(0)
+    while z < 40:
+        shift += z.ln()
+        z += 1
+    s = (z - decimal.Decimal("0.5")) * z.ln() - z + (2 * DEC_PI).ln() / 2
+    for i, (p, q) in enumerate(STIRLING_TERMS):
+        s += decimal.Decimal(p) / (q * z ** (2 * i + 1))
+    return s - shift
+
+
+def dec_incomplete_beta(x, y, a, b):
+    """I_x(a, b) of Decimals, by the continued fraction the library uses,
+    run to 1e-45."""
+    if x > (a + 1) / (a + b + 2):
+        return 1 - dec_incomplete_beta(y, x, b, a)
+    tiny = decimal.Decimal("1e-300")
+    f, c, d = decimal.Decimal(1), decimal.Decimal("1e400"), decimal.Decimal(1)
+    for j in range(1, 100000):
+        m = j // 2
+        num = (m * (b - m) if j % 2 == 0 else -(a + m) * (a + b + m)) \
+            * x / ((a + j - 1) * (a + j))
+        d = 1 / ((1 + num * d) or tiny)
+        c = (1 + num / c) or tiny
+        f *= c * d
+        if abs(c * d - 1) < decimal.Decimal("1e-45"):
+            return f / a * (dec_lgamma(a + b) - dec_lgamma(a) - dec_lgamma(b)
+                            + a * x.ln() + b * y.ln()).exp()
+    raise AssertionError("the reference did not converge")
+
+
+def dec_t_tail(t, df):
+    """P(|T| >= |t|) for Student's t, in 60 digits of the float t."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        t2, df = decimal.Decimal(t) ** 2, decimal.Decimal(df)
+        return float(dec_incomplete_beta(df / (df + t2), t2 / (df + t2),
+                                         df / 2, decimal.Decimal("0.5")))
+
+
 class TestStatistics:
     def test_zero_width_for_equal_samples(self):
         lo, hi = confidence_interval([2.0, 2.0, 2.0], 0.95)
@@ -924,6 +976,23 @@ class TestStatistics:
                 want = scipy_stats.t.ppf(0.5 + level / 2.0, df)
                 assert abs(t_quantile(level, df) - want) < 1e-8
         assert abs(t_quantile(0.95, 121) - 1.97976) < 1e-5
+
+    def test_decimal_reference_gives_the_closed_forms(self):
+        # df 1 is Cauchy's tail, df 2 has one in radicals
+        for t in (1e-3, 0.5, 1.0, 3.0, 10.0):
+            assert dec_t_tail(t, 1) == pytest.approx(
+                1.0 - 2.0 / math.pi * math.atan(t), rel=1e-14)
+            assert dec_t_tail(t, 2) == pytest.approx(
+                1.0 - t / math.sqrt(2.0 + t * t), rel=1e-14)
+
+    @pytest.mark.parametrize("df", [10 ** 6, 10 ** 9])
+    def test_large_df_tail_matches_the_decimal_reference(self, df):
+        # lgamma(a + b) - lgamma(a) and a log(x), x near 1, used to put an
+        # error of about 7e-15 df into the tail (7e-6 at df 1e9); what is
+        # left comes from the continued fraction and stays below df eps
+        for t in np.geomspace(1e-3, 10.0, 41):
+            assert training._t_tail(float(t), df) == pytest.approx(
+                dec_t_tail(float(t), df), rel=df * 2.0 ** -52)
 
     def test_unlisted_level_rejected(self):
         for level in (0.5, 0.975, 1.0):
