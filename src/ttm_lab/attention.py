@@ -22,10 +22,6 @@ from .numerics import (DimensionError, Tensor, _softmax, _unbroadcast,
                        check_finite, softmax_rows)
 
 
-class AttentionConfigError(ValueError):
-    pass
-
-
 @dataclass
 class AttentionParams:
     """Stacked per-head projections plus the output projection back to d_model.
@@ -41,12 +37,12 @@ class AttentionParams:
     def __post_init__(self):
         shape = self.W_qkv.shape
         if len(shape) != 4 or shape[1] != 3 or 0 in (shape[0], shape[3]):
-            raise AttentionConfigError(
+            raise ValueError(
                 f"W_qkv must have shape (h, 3, d_model, d_k) with h and d_k "
                 f"positive, got {shape}")
         h, _, d_model, d_k = shape
         if h * d_k > d_model:
-            raise AttentionConfigError(
+            raise ValueError(
                 f"h * d_k = {h * d_k} exceeds d_model = {d_model}")
 
     @property

@@ -190,7 +190,10 @@ def load_config(path, seed=None, out=None):
 
 def _write_resolved(resolved):
     out_dir = resolved["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:  # a file at the path or above it
+        raise ConfigError(f"cannot make output directory {out_dir}: {exc}")
     with open(os.path.join(out_dir, "config.resolved.json"), "w") as fh:
         json.dump(resolved, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -32,7 +32,7 @@ from .numerics import (DimensionError, Rng, Tensor, _add_layer_norm,
                        _linear_rows, concat, gelu, layer_norm, linear,
                        softmax_rows)
 from .temperature import (DEFAULT_EPS_MIN, TemperatureHeadParams,
-                          compute_temperature)
+                          clip_temperature_grad, compute_temperature)
 
 VARIANTS = ("baseline", "broadcast", "outer")
 
@@ -65,6 +65,8 @@ class ModelConfig:
             raise ValueError(f"d_model {self.d_model} not divisible by heads {self.heads}")
         if self.layers < 1 or self.vocab_size < 2:
             raise ValueError("need layers >= 1 and vocab_size >= 2")
+        if self.max_seq_len < 1 or self.d_c < 0:
+            raise ValueError("need max_seq_len >= 1 and d_c >= 0")
         if self.attention_variant not in VARIANTS:
             raise ValueError(f"attention_variant must be one of {VARIANTS}")
         if not 0.0 < self.eps_min < 0.5:
@@ -196,24 +198,21 @@ class ModelParams:
     every tensor's values are a view of one, and the gradient backward gives
     it is written into its view of the other. The layout holds every tensor
     but the temperature head's, then the `.temp.` tensors, each group in the
-    model's tensor order (which `named_tensors` keeps), so an update takes
-    each group as one stretch. An update writes a fresh value buffer and
-    rebinds the views (`_rebind`), so an array handed out earlier keeps its
-    values. A model whose tensors require no gradient (a detached view) has
-    no buffers.
+    model's tensor order (which `named_tensors` keeps), so `update`, the
+    descent step, takes each group as one stretch. It writes a fresh value
+    buffer and rebinds the views (`_rebind`), so an array handed out earlier
+    keeps its values. A model whose tensors require no gradient (a detached
+    view) has no buffers.
 
     The gradient buffer is allocated the first time a training step needs
     it (`_grad_buffer`: at zero_grad, or at an update), so a model that is
     only ever forwarded never holds it. Until then a backward gives each
-    tensor a fresh gradient array, which the buffer takes over when it is
-    allocated.
+    tensor a fresh gradient array, which the update copies in.
     """
 
-    # (tensor, shape, lo, hi) per tensor in buffer order, and each tensor's
-    # view of the value buffer
-    _spans = _value_views = ()
+    _spans = ()     # (tensor, lo, hi) per tensor in buffer order
     _values = _grads = None
-    _temp_lo = 0    # where the `.temp.` tensors start in the buffers
+    _temp_lo = 0    # index in `_spans` of the first `.temp.` tensor
 
     def __init__(self, cfg, rng=None, tensors=None):
         self.cfg = cfg
@@ -221,8 +220,6 @@ class ModelParams:
             tensors = self._init_tensors(
                 cfg, rng if rng is not None else Rng(cfg.seed))
         self.tensors = tensors
-        self._temp_tensors = [t for name, t in tensors.items()
-                              if _is_temp_param(name)]
         if any(t.requires_grad for t in tensors.values()):
             self._lay_out()
         self._build_views()
@@ -242,42 +239,91 @@ class ModelParams:
 
     def _lay_out(self):
         # a stable sort, so each group keeps the model's tensor order
-        order = [self.tensors[name]
-                 for name in sorted(self.tensors, key=_is_temp_param)]
-        total = sum(t.size for t in order)
-        self._temp_lo = total - sum(t.size for t in self._temp_tensors)
-        values = np.empty(total)
+        names = sorted(self.tensors, key=_is_temp_param)
+        self._temp_lo = sum(not _is_temp_param(name) for name in names)
+        order = [self.tensors[name] for name in names]
+        values = np.empty(sum(t.size for t in order))
         spans, hi = [], 0
         for t in order:
             lo, hi = hi, hi + t.size
             values[lo:hi] = t.values.reshape(-1)
-            spans.append((t, t.shape, lo, hi))
+            spans.append((t, lo, hi))
         self._spans = tuple(spans)
         self._rebind(values)
 
     def _grad_buffer(self):
         """The flat gradient buffer, allocated and each tensor's
-        `_grad_view` set on the first call. A gradient a tensor already holds
-        is copied into its view and the view becomes its gradient, so the
-        buffer holds what it would have held had it been there from the
-        start. A model without buffers has none."""
+        `_grad_view` set on the first call; None for a model without
+        buffers."""
         if self._grads is None and self._spans:
             self._grads = grads = np.zeros(self._values.size)
-            for t, shape, lo, hi in self._spans:
-                t._grad_view = view = grads[lo:hi].reshape(shape)
-                if t.grad is not None:
-                    view[...] = t.grad
-                    t.grad = view
+            for t, lo, hi in self._spans:
+                t._grad_view = grads[lo:hi].reshape(t.shape)
         return self._grads
 
     def _rebind(self, values):
         """Make `values`, a flat buffer in this model's layout, the one every
         tensor's values are a view of."""
         self._values = values
-        self._value_views = []
-        for t, shape, lo, hi in self._spans:
-            t.values = view = values[lo:hi].reshape(shape)
-            self._value_views.append(view)
+        for t, lo, hi in self._spans:
+            t.values = values[lo:hi].reshape(t.shape)
+
+    def update(self, lr_main, lr_temp, weight_decay, tau):
+        """One descent step on the flat buffers.
+
+        Each stretch of adjacent tensors that got a gradient is updated in a
+        few numpy calls: a temperature tensor by its clipped gradient at
+        lr_temp, any other by its gradient plus weight decay at lr_main; the
+        two groups never share a stretch. A tensor without a gradient keeps
+        its values. Every entry gets the float a per-tensor update gave it:
+        the arithmetic is elementwise and in the same order.
+
+        The result goes into a fresh buffer that every tensor is then
+        rebound to, so an array handed out before the step (a detached view,
+        a universe's embeddings) keeps its values. A tensor whose values or
+        gradient are not its buffer views (a caller replaced them, or the
+        gradient came before the buffer) is copied in first.
+        """
+        grads, old = self._grad_buffer(), self._values
+        runs, rebound = [], []   # runs: [lo, hi, has a gradient, temperature]
+        for i, (t, lo, hi) in enumerate(self._spans):
+            if t.values.base is not old:
+                rebound.append((lo, hi, t.values))
+            has = t.grad is not None
+            if has and t.grad is not t._grad_view:
+                grads[lo:hi] = t.grad.reshape(-1)
+            if runs and runs[-1][2] is has and not (has and i == self._temp_lo):
+                runs[-1][1] = hi
+            else:
+                runs.append([lo, hi, has, i >= self._temp_lo])
+        if not any(has for _, _, has, _ in runs):
+            return
+        if rebound:
+            old = old.copy()
+            for lo, hi, values in rebound:
+                old[lo:hi] = values.reshape(-1)
+        new = np.empty_like(old)
+        for lo, hi, has, temp in runs:
+            v, out = old[lo:hi], new[lo:hi]
+            if not has:
+                out[:] = v
+            elif temp:
+                g = clip_temperature_grad(grads[lo:hi], tau)
+                g *= lr_temp
+                np.subtract(v, g, out=out)
+            else:
+                np.multiply(v, weight_decay, out=out)
+                out += grads[lo:hi]
+                out *= lr_main
+                np.subtract(v, out, out=out)
+        self._rebind(new)
+
+    def temp_grad_norm(self):
+        """The L2 norm of the temperature tensors' gradients, their squares
+        summed per tensor in model order; 0.0 when none has a gradient."""
+        return math.sqrt(sum(
+            float(np.add.reduce(t.grad ** 2, axis=None))
+            for t, _, _ in self._spans[self._temp_lo:] if t.grad is not None))
 
     def _build_views(self):
         cfg, t = self.cfg, self.tensors

@@ -16,10 +16,6 @@ from .numerics import DimensionError, Tensor, _sigmoid, linear
 DEFAULT_EPS_MIN = 0.01
 
 
-class ConfigurationError(ValueError):
-    """Required parameters are missing or out of their documented range."""
-
-
 def squash(logits, eps_min=DEFAULT_EPS_MIN):
     """Affine sigmoid squash into [eps_min, 1 - eps_min], as one node.
 
@@ -28,7 +24,7 @@ def squash(logits, eps_min=DEFAULT_EPS_MIN):
     gradient is g * (1 - 2 eps_min), and the logits' that times s * (1 - s).
     """
     if not 0.0 <= eps_min < 0.5:
-        raise ConfigurationError(f"eps_min {eps_min} outside [0, 0.5)")
+        raise ValueError(f"eps_min {eps_min} outside [0, 0.5)")
     logits = Tensor._coerce(logits)
     span = 1.0 - 2.0 * eps_min
     s = _sigmoid(logits.values)
@@ -54,7 +50,7 @@ class TemperatureHeadParams:
 
     def __post_init__(self):
         if not 0.0 < self.eps_min < 0.5:
-            raise ConfigurationError(f"eps_min {self.eps_min} outside (0, 0.5)")
+            raise ValueError(f"eps_min {self.eps_min} outside (0, 0.5)")
         if self.W_t.values.ndim != 2 or self.b_t.shape != (self.W_t.shape[0],):
             raise DimensionError(
                 f"W_t {self.W_t.shape} and b_t {self.b_t.shape} inconsistent")
@@ -84,7 +80,7 @@ def collapse_penalty(field, lam):
     times field - 0.5.
     """
     if lam < 0:
-        raise ConfigurationError("lambda must be nonnegative")
+        raise ValueError("lambda must be nonnegative")
     d = field.values - 0.5
 
     def dfield(g):
@@ -108,7 +104,7 @@ def detect_collapse(field, eps):
     the largest fraction of any one example.
     """
     if not 0.0 < eps < 0.5:
-        raise ConfigurationError(f"eps {eps} outside (0, 0.5)")
+        raise ValueError(f"eps {eps} outside (0, 0.5)")
     v = field.values
     bad = (v < eps) | (v > 1.0 - eps)
     frac = float(bad.mean(axis=(-2, -1)).max()) if v.size else 0.0
@@ -119,7 +115,7 @@ def detect_collapse(field, eps):
 def clip_temperature_grad(grad, tau):
     """Elementwise clamp of a temperature gradient to [-tau, tau]."""
     if tau <= 0:
-        raise ConfigurationError("tau must be positive")
+        raise ValueError("tau must be positive")
     return np.clip(np.asarray(grad, dtype=np.float64), -tau, tau)
 
 

@@ -14,8 +14,8 @@ import numpy as np
 
 from .model import model_forward
 from .numerics import NumericError, Rng, Tensor, check_finite
-from .temperature import (clip_temperature_grad, collapse_penalty,
-                          default_grad_clip_tau, detect_collapse)
+from .temperature import (collapse_penalty, default_grad_clip_tau,
+                          detect_collapse)
 
 
 @dataclass
@@ -280,57 +280,6 @@ class TrainHistory:
                 fh.write(",".join(cells) + "\n")
 
 
-def _update(params, lr_main, lr_temp, weight_decay, tau):
-    """One descent step on params' flat buffers (model.ModelParams).
-
-    Each stretch of adjacent tensors that got a gradient is updated in a few
-    numpy calls: a temperature tensor by its clipped gradient at lr_temp,
-    any other by its gradient plus weight decay at lr_main; the two groups
-    never share a stretch. A tensor without a gradient keeps its values.
-    Every entry gets the float the per-tensor update gave it: the arithmetic
-    is elementwise and in the same order.
-
-    The result goes into a fresh buffer that every tensor is then rebound
-    to, so an array handed out before the step (a detached view, a
-    universe's embeddings) keeps its values. A tensor whose values or
-    gradient were rebound away from its buffer views is copied in first.
-    """
-    grads, old, temp_lo = params._grad_buffer(), params._values, \
-        params._temp_lo
-    runs, rebound = [], []   # runs: [lo, hi, has a gradient]
-    for (t, _, lo, hi), view in zip(params._spans, params._value_views):
-        if t.values is not view:
-            rebound.append((lo, hi, t.values))
-        has = t.grad is not None
-        if has and t.grad is not t._grad_view:
-            grads[lo:hi] = t.grad.reshape(-1)
-        if runs and runs[-1][2] is has and not (has and lo == temp_lo):
-            runs[-1][1] = hi
-        else:
-            runs.append([lo, hi, has])
-    if not any(has for _, _, has in runs):
-        return
-    if rebound:
-        old = old.copy()
-        for lo, hi, values in rebound:
-            old[lo:hi] = values.reshape(-1)
-    new = np.empty_like(old)
-    for lo, hi, has in runs:
-        v, out = old[lo:hi], new[lo:hi]
-        if not has:
-            out[:] = v
-        elif lo >= temp_lo:
-            g = clip_temperature_grad(grads[lo:hi], tau)
-            g *= lr_temp
-            np.subtract(v, g, out=out)
-        else:
-            np.multiply(v, weight_decay, out=out)
-            out += grads[lo:hi]
-            out *= lr_main
-            np.subtract(v, out, out=out)
-    params._rebind(new)
-
-
 def train(params, dataset, cfg):
     """Run the stability-monitored training protocol; returns the history.
 
@@ -363,9 +312,7 @@ def train(params, dataset, cfg):
             loss.backward()
 
             task_val = float(task_mean.values)
-            grad_norm_temp = math.sqrt(sum(
-                float(np.add.reduce(t.grad ** 2, axis=None))
-                for t in params._temp_tensors if t.grad is not None))
+            grad_norm_temp = params.temp_grad_norm()
             if not (math.isfinite(task_val) and math.isfinite(grad_norm_temp)):
                 raise NumericError(f"non-finite task loss or temperature "
                                    f"gradient norm at step {t}")
@@ -392,7 +339,7 @@ def train(params, dataset, cfg):
         lr_main = lr_schedule(t, grad_norm_temp, cfg, eta0=eta_main)
         lr_temp = lr_schedule(t, grad_norm_temp, cfg, eta0=eta_temp)
 
-        _update(params, lr_main, lr_temp, cfg.weight_decay, tau)
+        params.update(lr_main, lr_temp, cfg.weight_decay, tau)
 
         history.rows.append({
             "step": t,

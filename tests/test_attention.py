@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttm_lab.attention import (AttentionConfigError, AttentionParams,
-                               attention_baseline, attention_temp_broadcast,
-                               attention_temp_outer)
+from ttm_lab.attention import (AttentionParams, attention_baseline,
+                               attention_temp_broadcast, attention_temp_outer)
 from ttm_lab.numerics import DimensionError, Rng, Tensor, grad_check
 
 
@@ -52,7 +51,7 @@ class TestBaseline:
         assert np.abs(got - want).max() < 1e-12
 
     def test_zero_head_width_rejected(self):
-        with pytest.raises(AttentionConfigError):
+        with pytest.raises(ValueError, match="W_qkv must have shape"):
             make_params(1, 4, 0)
 
 

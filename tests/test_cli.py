@@ -70,6 +70,19 @@ class TestConfigLoading:
         code, _ = run(tmp_path, "stats", {"model": model})
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("under", [False, True],
+                             ids=["file", "under-file"])
+    def test_out_at_a_file_exits_usage(self, tmp_path, capsys, under):
+        # makedirs raised FileExistsError or NotADirectoryError uncaught
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"kept\n")
+        out = blocker / "run" if under else blocker
+        code = main(["--out", str(out), "check"])
+        assert code == EXIT_USAGE
+        assert "config error" in capsys.readouterr().err
+        assert blocker.read_bytes() == b"kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+
     def test_invalid_value_rejected_at_load(self, tmp_path):
         code, _ = run(tmp_path, "check", {"model": {"eps_min": 0.6}})
         assert code == EXIT_USAGE
@@ -78,6 +91,9 @@ class TestConfigLoading:
         {"model": {"heads": 0}},
         {"model": {"d_model": 0}},
         {"model": {"d_ff": 0}},
+        {"model": {"max_seq_len": -1}},
+        {"model": {"max_seq_len": 0}},
+        {"model": {"d_c": -1}},
         {"train": {"batch": 0}},
         {"train": {"steps": -1}},
         {"train": {"collapse_eps": 0.7}},
@@ -122,7 +138,8 @@ class TestConfigLoading:
         {"output_dir": 5},
         {"output_dir": ["a"]},
         {"output_dir": ""},
-    ], ids=["heads-0", "d_model-0", "d_ff-0", "batch-0", "steps-negative",
+    ], ids=["heads-0", "d_model-0", "d_ff-0", "max_seq_len-negative",
+            "max_seq_len-0", "d_c-negative", "batch-0", "steps-negative",
             "collapse_eps-0.7", "collapse_eps-0", "t0-negative", "t0-0",
             "count-0", "length-0", "arith-length-1", "arith-count-unfillable",
             "gsot-id-100", "gsot-id-negative", "gsot-id-float",

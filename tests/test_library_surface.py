@@ -14,6 +14,9 @@ A parameter with a default, of a top-level function or of a method other
 than `__init__`, must be set by some call in `src/ttm_lab`, by keyword or by
 position, or be listed in ALLOWED_DEFAULTS with the reason it stays. Calls
 are matched to definitions by name alone, as above.
+
+The names of ModelParams' flat-buffer layout appear only in the modules
+that own them (LAYOUT_NAMES).
 """
 
 import ast
@@ -166,3 +169,21 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
 
 def test_allowed_defaults_are_still_unset():
     assert set(ALLOWED_DEFAULTS) <= _unset_defaults()
+
+
+# the names of ModelParams' flat-buffer layout, and the modules that may use
+# them: the layout and the descent step that reads it live in model.py, and
+# a parameter's gradient view is also read by backward in numerics.py
+LAYOUT_NAMES = {name: {"model.py"} for name in (
+    "_spans", "_values", "_grads", "_temp_lo", "_rebind", "_grad_buffer",
+    "_lay_out")}
+LAYOUT_NAMES["_grad_view"] = {"model.py", "numerics.py"}
+
+
+def test_the_buffer_layout_stays_behind_model():
+    leaks = sorted(
+        f"{path.name}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _references(ast.parse(path.read_text()))
+        if name in LAYOUT_NAMES and path.name not in LAYOUT_NAMES[name])
+    assert not leaks, f"layout names used outside their owners: {leaks}"

@@ -553,6 +553,15 @@ class TestCheckpointCorruption:
         with pytest.raises(CheckpointFormatError, match="embed.pos"):
             checkpoint_load(path)
 
+    def test_empty_embed_pos_rejected_without_cfg(self, tmp_path):
+        # zero rows read as max_seq_len 0, which the config rejects
+        path = str(tmp_path / "c.ckpt")
+        params = ModelParams(toy_cfg(layers=1))
+        params.tensors["embed.pos"] = Tensor(np.zeros((0, 8)))
+        checkpoint_save(params, path)
+        with pytest.raises(CheckpointFormatError, match="max_seq_len >= 1"):
+            checkpoint_load(path)
+
     @pytest.mark.parametrize("sidecar", [
         pytest.param(None, id="cut"),
         pytest.param('{"heads": 0}', id="heads-0"),

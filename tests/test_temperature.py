@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttm_lab.numerics import Rng, Tensor
-from ttm_lab.temperature import (ConfigurationError, TemperatureHeadParams,
+from ttm_lab.temperature import (TemperatureHeadParams,
                                  clip_temperature_grad, collapse_penalty,
                                  compute_temperature, default_grad_clip_tau,
                                  detect_collapse, squash)
@@ -125,6 +125,6 @@ def test_field_bounds_under_random_draws(seed):
 
 
 def test_squash_rejects_bad_eps():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValueError, match="eps_min 0.6 outside"):
         squash(Tensor([0.0]), eps_min=0.6)
 

@@ -347,7 +347,7 @@ class TestTrainLoop:
 
 def per_tensor_update(params, lr_main, lr_temp, weight_decay, tau):
     """The update as a loop over tensors, each rebound to a fresh array: the
-    reference for `training._update`."""
+    reference for `ModelParams.update`, the step `train` takes."""
     for name, tensor in params.named_tensors():
         if tensor.grad is None:
             continue
@@ -392,6 +392,21 @@ class TestFlatBuffers:
         checkpoint_save(params, path)
         loaded = checkpoint_load(path)
         buffer_of(loaded)
+        assert_same_params(loaded, params)
+        assert buffer_of(loaded) is not buffer_of(params)
+
+    def test_a_loaded_checkpoint_trains_as_its_original(self, tmp_path):
+        params = arith_params()
+        data = make_task(TaskSpec(kind="arithmetic_chain", length=8, count=64))
+        train(params, data, TrainConfig(steps=3, batch=8, seed=1))
+        path = str(tmp_path / "c.ckpt")
+        checkpoint_save(params, path)
+        loaded = checkpoint_load(path)
+        cfg = TrainConfig(steps=5, batch=8, seed=2)
+        history = train(params, data, cfg)
+        loaded_history = train(loaded, data, cfg)
+        assert not history.aborted and len(history.rows) == 5
+        assert loaded_history.rows == history.rows
         assert_same_params(loaded, params)
         assert buffer_of(loaded) is not buffer_of(params)
 
@@ -446,7 +461,7 @@ class TestFlatBuffers:
             return history, params
 
         history, params = run()
-        monkeypatch.setattr(training, "_update", per_tensor_update)
+        monkeypatch.setattr(ModelParams, "update", per_tensor_update)
         want_history, want = run()
         assert not history.aborted and len(history.rows) == 150
         assert history.rows == want_history.rows
@@ -467,7 +482,7 @@ class TestFlatBuffers:
             loss = sum(((params.tensors[n] * 0.5) ** 2.0).sum() for n in pick)
             if pick:
                 loss.backward()
-        training._update(got, 0.1, 0.02, 0.01, 0.25)
+        got.update(0.1, 0.02, 0.01, 0.25)
         per_tensor_update(want, 0.1, 0.02, 0.01, 0.25)
         assert_same_params(got, want)
         for name, t in got.named_tensors():
@@ -483,7 +498,7 @@ class TestFlatBuffers:
         cfg = TrainConfig(steps=2, batch=8)
         history = train(params, data, cfg)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(training, "_update", per_tensor_update)
+            mp.setattr(ModelParams, "update", per_tensor_update)
             want_history = train(want, data, cfg)
         assert history.rows == want_history.rows
         assert_same_params(params, want)
@@ -540,6 +555,9 @@ class TestLeafCheck:
 
     def test_stale_non_finite_region_does_not_raise(self):
         params = arith_params()
+        # with the gradient buffer allocated, backward writes the NaNs into
+        # the reasoning head's region of it
+        params.zero_grad()
         self.poison_reasoning_head(params)
         # the reasoning head's region of the gradient buffer keeps its NaNs:
         # no training step writes it
@@ -584,15 +602,14 @@ class TestLazyGradientBuffer:
 
     def test_an_update_takes_over_earlier_fresh_gradients(self):
         # a backward before any zero_grad gives each leaf a fresh array;
-        # the update allocates the buffer and reads them from it
+        # the update allocates the buffer and copies them into it
         got, want = arith_params(), arith_params()
         for params in (got, want):
             (params.W_out * 0.5).sum().backward()
         assert got._grads is None and got.W_out.grad.base is None
-        training._update(got, 0.1, 0.02, 0.01, 0.25)
+        got.update(0.1, 0.02, 0.01, 0.25)
         per_tensor_update(want, 0.1, 0.02, 0.01, 0.25)
         assert_same_params(got, want)
-        assert got.W_out.grad.base is got._grads
         assert np.count_nonzero(got._grads) == got.W_out.size
 
 
