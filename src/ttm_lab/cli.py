@@ -9,6 +9,7 @@ config + seed; exit codes are 0 (success), 1 (runtime/assertion failure),
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -194,10 +195,22 @@ def _write_resolved(resolved):
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:  # a file at the path or above it
         raise ConfigError(f"cannot make output directory {out_dir}: {exc}")
-    with open(os.path.join(out_dir, "config.resolved.json"), "w") as fh:
+    with _artifact(out_dir, "config.resolved.json") as path, \
+            open(path, "w") as fh:
         json.dump(resolved, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return out_dir
+
+
+@contextlib.contextmanager
+def _artifact(out_dir, name):
+    """The path of the artifact `name` in out_dir; an OSError from writing it
+    (a directory at that path, say) becomes a ConfigError."""
+    path = os.path.join(out_dir, name)
+    try:
+        yield path
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}")
 
 
 # -- check: invariant suites --------------------------------------------------
@@ -247,11 +260,8 @@ def _check_identity_reduction(model_cfg):
 
 def _check_schedule_bound(model_cfg):
     cfg = training.TrainConfig()
-    for t in (1, 10, 100, 1000):
-        for g in (0.0, 0.5, 1.0, 7.0):
-            eta = training.lr_schedule(t, g, cfg)
-            assert 0.0 < eta <= cfg.eta0 * cfg.clip_hi, "lr outside bound"
-    etas = [training.lr_schedule(t, 1.0, cfg) for t in range(1, 400)]
+    etas = [training.lr_schedule(t, cfg) for t in range(1, 1001)]
+    assert all(0.0 < eta <= cfg.eta0 for eta in etas), "lr outside bound"
     assert all(a >= b for a, b in zip(etas, etas[1:])), "lr not nonincreasing"
 
 
@@ -305,7 +315,8 @@ def cmd_check(resolved, model_cfg, args):
                 report[key] = f"fail: {exc}"
                 failed = True
             print(f"{key}: {report[key]}")
-    with open(os.path.join(out_dir, "check.report.json"), "w") as fh:
+    with _artifact(out_dir, "check.report.json") as path, \
+            open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return EXIT_RUNTIME if failed else EXIT_OK
@@ -386,7 +397,8 @@ def _model_and_task(resolved, model_cfg, spec):
 def cmd_train(resolved, model_cfg, train_cfg, task_spec, args):
     out_dir, params, dataset = _model_and_task(resolved, model_cfg, task_spec)
     history = training.train(params, dataset, train_cfg)
-    history.to_csv(os.path.join(out_dir, "metrics.csv"))
+    with _artifact(out_dir, "metrics.csv") as path:
+        history.to_csv(path)
     if history.aborted:
         print("training aborted on a non-finite value; last good parameters kept",
               file=sys.stderr)
@@ -402,7 +414,7 @@ def cmd_sweep(resolved, model_cfg, train_cfg, task_spec, args):
     t_star, curve = dynamics.temperature_sweep(
         lambda m: training.dataset_loss(params, dataset, m),
         blk["t_min"], blk["t_max"], blk["steps"])
-    with open(os.path.join(out_dir, "sweep.csv"), "w") as fh:
+    with _artifact(out_dir, "sweep.csv") as path, open(path, "w") as fh:
         fh.write("step,value\n")
         for mult, loss in curve:
             fh.write(f"{mult!r},{loss!r}\n")
@@ -425,7 +437,7 @@ def cmd_gsot(resolved, model_cfg, gsot_cfg, args):
     except gsot.EmptyPathError as exc:
         print(f"gsot failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    with open(os.path.join(out_dir, "trace.jsonl"), "w") as fh:
+    with _artifact(out_dir, "trace.jsonl") as path, open(path, "w") as fh:
         fh.write(trace.to_jsonl())
     last = trace.steps[-1]
     print(f"steps={len(trace.steps)} active_primary={len(last.active_primary)} "
@@ -465,7 +477,7 @@ def cmd_bench(resolved, model_cfg, gsot_cfg, args):
     out_dir = _write_resolved(resolved)
     blk = resolved["bench"]
     counts = bench_op_counts(blk, gsot_cfg, resolved["seed"])
-    with open(os.path.join(out_dir, "complexity.csv"), "w") as fh:
+    with _artifact(out_dir, "complexity.csv") as path, open(path, "w") as fh:
         fh.write("n,ops\n")
         for n, ops in counts:
             fh.write(f"{n},{ops}\n")
@@ -491,7 +503,7 @@ def cmd_stats(resolved, args):
     doc = {"n": samples.size, "mean": training.sample_mean(samples),
            "level": blk["level"], "ci_low": lo, "ci_high": hi, "p": p,
            "significance": training.significance_label(p)}
-    with open(os.path.join(out_dir, "stats.json"), "w") as fh:
+    with _artifact(out_dir, "stats.json") as path, open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     print(f"ci=[{lo!r}, {hi!r}] p={p!r} significance={doc['significance']}")

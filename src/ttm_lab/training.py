@@ -1,10 +1,10 @@
 """Toy-scale training with the temperature-aware protocol, plus statistics.
 
-The optimizer is plain gradient descent under the gradient-norm-aware
-learning-rate schedule; temperature parameters get their own (clipped)
-learning rate. Instability (a task-loss spike or a collapsing field) halves
-both base learning rates and doubles the temperature penalty weight, once per
-detected event.
+The optimizer is plain gradient descent under a sqrt-decay learning-rate
+schedule; temperature parameters get their own (clipped) learning rate.
+Instability (a task-loss spike or a collapsing field) halves both base
+learning rates and doubles the temperature penalty weight, once per detected
+event.
 """
 
 import math
@@ -23,10 +23,7 @@ class TrainConfig:
     eta0: float = 0.1            # base LR, non-temperature parameters
     eta0_temp: float = 0.02      # base LR, temperature parameters
     t0: int = 100                # warm steps before the sqrt decay starts
-    clip_lo: float = 1.0         # epsilon in the schedule's norm clamp
-    clip_hi: float = 1.0         # M in the schedule's norm clamp
     lambda_T: float = 0.1
-    lambda_S: float = 0.0
     batch: int = 8
     steps: int = 500
     seed: int = 0
@@ -36,12 +33,16 @@ class TrainConfig:
     collapse_eps: float = 0.02
 
     def __post_init__(self):
+        # every comparison with NaN is false: the range checks below would
+        # pass it, and train's spike and collapse checks would never fire
+        for name in ("eta0", "eta0_temp", "lambda_T", "weight_decay",
+                     "spike_factor", "collapse_fraction"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} {getattr(self, name)} must be finite")
         if self.eta0 <= 0 or self.eta0_temp <= 0:
             raise ValueError("learning rates must be positive")
-        if not 0.0 < self.clip_lo <= self.clip_hi:
-            raise ValueError("need 0 < clip_lo <= clip_hi")
-        if self.lambda_T < 0 or self.lambda_S < 0:
-            raise ValueError("loss weights must be nonnegative")
+        if self.lambda_T < 0 or self.weight_decay < 0:
+            raise ValueError("lambda_T and weight_decay must be nonnegative")
         if self.batch < 1 or self.steps < 0:
             raise ValueError("need batch >= 1 and steps >= 0")
         if self.t0 < 1:
@@ -245,22 +246,16 @@ def cross_entropy(logits, targets, mask):
                   _parents=((logits, dlogits),))
 
 
-def stability_excess(grad_norm, tau):
-    """Squared excess of the temperature gradient norm above tau."""
-    return max(grad_norm - tau, 0.0) ** 2
-
-
-def lr_schedule(t, grad_norm, cfg, eta0=None):
-    """eta0 * min(1, sqrt(t0 / t)) * clip(grad_norm, clip_lo, clip_hi)."""
+def lr_schedule(t, cfg, eta0=None):
+    """eta0 * min(1, sqrt(t0 / t))."""
     if t < 1:
         raise ValueError("step index starts at 1")
     eta0 = cfg.eta0 if eta0 is None else eta0
-    warm = min(1.0, math.sqrt(cfg.t0 / t))
-    return eta0 * warm * min(max(grad_norm, cfg.clip_lo), cfg.clip_hi)
+    return eta0 * min(1.0, math.sqrt(cfg.t0 / t))
 
 
-METRIC_COLUMNS = ["step", "task_loss", "temp_penalty", "stability_penalty",
-                  "total_loss", "lr_main", "lr_temp", "temp_min", "temp_max",
+METRIC_COLUMNS = ["step", "task_loss", "temp_penalty", "total_loss",
+                  "lr_main", "lr_temp", "temp_min", "temp_max",
                   "collapse_fraction", "grad_norm_temp", "event"]
 
 
@@ -288,9 +283,7 @@ def train(params, dataset, cfg):
     parameter keeps the values of the last completed step.
 
     The logged `total_loss` is the loss backward() ran on, task + lambda_T *
-    collapse penalty. `stability_penalty` is logged beside it, never added:
-    the tape has no second-order gradients, so a gradient-norm penalty cannot
-    join the objective.
+    collapse penalty.
     """
     rng = Rng(cfg.seed)
     tau = default_grad_clip_tau(params.cfg.d_k)
@@ -322,7 +315,6 @@ def train(params, dataset, cfg):
         penalty_val = float(penalty_mean.values)
         # the loss backward() ran on; lam_T may double below for later steps
         loss_val = task_val + lam_T * penalty_val
-        stab = stability_excess(grad_norm_temp, tau)
 
         unstable = ((prev_task_loss is not None
                      and task_val >= cfg.spike_factor * prev_task_loss)
@@ -336,8 +328,8 @@ def train(params, dataset, cfg):
         prev_unstable = unstable
         prev_task_loss = task_val
 
-        lr_main = lr_schedule(t, grad_norm_temp, cfg, eta0=eta_main)
-        lr_temp = lr_schedule(t, grad_norm_temp, cfg, eta0=eta_temp)
+        lr_main = lr_schedule(t, cfg, eta0=eta_main)
+        lr_temp = lr_schedule(t, cfg, eta0=eta_temp)
 
         params.update(lr_main, lr_temp, cfg.weight_decay, tau)
 
@@ -345,7 +337,6 @@ def train(params, dataset, cfg):
             "step": t,
             "task_loss": task_val,
             "temp_penalty": penalty_val,
-            "stability_penalty": stab * cfg.lambda_S,
             "total_loss": loss_val,
             "lr_main": lr_main,
             "lr_temp": lr_temp,

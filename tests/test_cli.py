@@ -52,7 +52,10 @@ class TestConfigLoading:
                                            ("model", "blend_alpha"),
                                            ("gsot_cfg", "max_paths"),
                                            ("sweep", "log_spacing"),
-                                           ("stats", "p")])
+                                           ("stats", "p"),
+                                           ("train", "clip_lo"),
+                                           ("train", "clip_hi"),
+                                           ("train", "lambda_S")])
     def test_removed_keys_rejected(self, tmp_path, capsys, block, key):
         code, out = run(tmp_path, "check", {block: {key: 1}})
         assert code == EXIT_USAGE
@@ -82,6 +85,22 @@ class TestConfigLoading:
         assert "config error" in capsys.readouterr().err
         assert blocker.read_bytes() == b"kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+
+    @pytest.mark.parametrize("command,artifact",
+                             [("check", "config.resolved.json"),
+                              ("train", "metrics.csv")])
+    def test_artifact_at_a_directory_exits_usage(self, tmp_path, capsys,
+                                                  command, artifact):
+        # open() raised IsADirectoryError uncaught
+        (tmp_path / "run" / artifact).mkdir(parents=True)
+        doc = {"model": SMALL_MODEL, "train": {"steps": 2, "batch": 2},
+               "task": {"length": 4, "alphabet": 8, "count": 4}}
+        code, _ = run(tmp_path, command, doc)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: cannot write ")
+        assert artifact in err[0]
 
     def test_invalid_value_rejected_at_load(self, tmp_path):
         code, _ = run(tmp_path, "check", {"model": {"eps_min": 0.6}})
@@ -133,6 +152,14 @@ class TestConfigLoading:
         {"seed": 1.5},
         {"train": {"eta0": True, "steps": 2}},
         {"train": {"lambda_T": False}},
+        {"train": {"eta0": float("nan")}},
+        {"train": {"eta0": float("inf")}},
+        {"train": {"eta0_temp": float("inf")}},
+        {"train": {"lambda_T": float("nan")}},
+        {"train": {"weight_decay": float("nan")}},
+        {"train": {"weight_decay": -5.0}},
+        {"train": {"spike_factor": float("nan")}},
+        {"train": {"collapse_fraction": float("nan")}},
         {"sweep": {"t_max": True}},
         {"output_dir": None},
         {"output_dir": 5},
@@ -153,7 +180,10 @@ class TestConfigLoading:
             "bench-heads-not-dividing-d_model", "block-not-an-object",
             "d_model-32.0", "steps-2.5", "steps-true", "count-4.5",
             "gsot-length-8.5", "gsot-hidden_count-2.5", "bench-length-64.5",
-            "seed-1.5", "eta0-true", "lambda_T-false", "t_max-true",
+            "seed-1.5", "eta0-true", "lambda_T-false", "eta0-nan",
+            "eta0-inf", "eta0_temp-inf", "lambda_T-nan", "weight_decay-nan",
+            "weight_decay-negative", "spike_factor-nan",
+            "collapse_fraction-nan", "t_max-true",
             "output_dir-null", "output_dir-5", "output_dir-list",
             "output_dir-empty"])
     def test_bad_value_exits_usage(self, tmp_path, capsys, doc):

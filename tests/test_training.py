@@ -89,30 +89,24 @@ class TestLosses:
 class TestLrSchedule:
     def test_warm_phase_is_flat(self):
         cfg = TrainConfig(eta0=0.1, t0=100)
-        assert lr_schedule(50, 1.0, cfg) == 0.1
+        assert lr_schedule(50, cfg) == 0.1
 
     def test_sqrt_decay(self):
         cfg = TrainConfig(eta0=0.1, t0=100)
-        assert abs(lr_schedule(400, 1.0, cfg) - 0.05) < 1e-15
-
-    def test_norm_clamp(self):
-        cfg = TrainConfig(eta0=0.1, t0=100, clip_lo=1.0, clip_hi=2.0)
-        warm = min(1.0, math.sqrt(100 / 300))
-        assert abs(lr_schedule(300, 10.0, cfg) - 0.1 * warm * 2.0) < 1e-15
+        assert abs(lr_schedule(400, cfg) - 0.05) < 1e-15
 
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
-            lr_schedule(0, 1.0, TrainConfig())
+            lr_schedule(0, TrainConfig())
 
-    @given(st.integers(1, 10_000), st.floats(0.0, 100.0))
+    @given(st.integers(1, 10_000))
     @settings(max_examples=100, deadline=None)
-    def test_nonincreasing_and_clamped(self, t, g):
-        cfg = TrainConfig(eta0=0.1, t0=50, clip_lo=0.5, clip_hi=3.0)
-        eta_t = lr_schedule(t, g, cfg)
-        eta_next = lr_schedule(t + 1, g, cfg)
+    def test_nonincreasing_and_clamped(self, t):
+        cfg = TrainConfig(eta0=0.1, t0=50)
+        eta_t = lr_schedule(t, cfg)
+        eta_next = lr_schedule(t + 1, cfg)
         assert eta_next <= eta_t + 1e-18
-        factor = eta_t / (0.1 * min(1.0, math.sqrt(50 / t)))
-        assert 0.5 - 1e-12 <= factor <= 3.0 + 1e-12
+        assert 0.0 < eta_t <= 0.1
 
 
 class TestTasks:
@@ -279,11 +273,11 @@ class TestTrainLoop:
         assert len(nodes) <= 52
 
     def test_logged_total_is_optimized_loss(self):
-        # lambda_S > 0 and an event at step 4: the logged total must still be
-        # task + lambda_T * penalty with the lambda_T that step optimized
+        # an event at step 4: the logged total must still be task +
+        # lambda_T * penalty with the lambda_T that step optimized
         params = arith_params()
         data = make_task(TaskSpec(kind="arithmetic_chain", length=8, count=64))
-        cfg = TrainConfig(steps=5, batch=4, lambda_S=1.0, spike_factor=1.4)
+        cfg = TrainConfig(steps=5, batch=4, spike_factor=1.4)
         idx = Rng(cfg.seed).integers(0, len(data), size=cfg.batch)
         task, pen = 0.0, 0.0
         for i in idx:
@@ -300,7 +294,6 @@ class TestTrainLoop:
         history = train(params, spiking, cfg)
         assert [r["event"] for r in history.rows] == ["", "", "", "lr_halved",
                                                       ""]
-        assert history.rows[0]["stability_penalty"] > 0.0
         assert abs(history.rows[0]["total_loss"] - step1) < 1e-12
         for row, lam in zip(history.rows, (0.1, 0.1, 0.1, 0.1, 0.2)):
             assert row["total_loss"] == row["task_loss"] + lam * row["temp_penalty"]
@@ -311,15 +304,13 @@ class TestTrainLoop:
         history = train(params, data, TrainConfig(steps=3, batch=2, seed=8))
         history.to_csv(tmp_path / "metrics.csv")
         lines = (tmp_path / "metrics.csv").read_text().strip().split("\n")
-        assert lines[0] == ("step,task_loss,temp_penalty,stability_penalty,"
-                            "total_loss,lr_main,lr_temp,temp_min,temp_max,"
-                            "collapse_fraction,grad_norm_temp,event")
+        assert lines[0] == ("step,task_loss,temp_penalty,total_loss,lr_main,"
+                            "lr_temp,temp_min,temp_max,collapse_fraction,"
+                            "grad_norm_temp,event")
         assert len(lines) == 4
         assert METRIC_COLUMNS[0] == "step" and METRIC_COLUMNS[-1] == "event"
 
     def test_metrics_csv_cells_are_plain_floats(self, tmp_path):
-        # grad_norm_temp exceeds tau = 1 / sqrt(d_k) here, which switches on
-        # the stability term; every logged number must still print as a float
         params = arith_params()
         data = make_task(TaskSpec(kind="arithmetic_chain", length=8, count=64))
         history = train(params, data, TrainConfig(steps=2, batch=8))
