@@ -8,7 +8,8 @@ temperature dynamics, and a stability-monitored training protocol.
 
 from .attention import (AttentionParams, attention_baseline,
                         attention_temp_broadcast, attention_temp_outer)
-from .dynamics import evolve_layer, iterate_to_fixed_point, temperature_sweep
+from .dynamics import (convergence_rate_fit, evolve_layer,
+                       iterate_to_fixed_point, temperature_sweep)
 from .gsot import GsotConfig, TokenUniverse, build_universe, gsot_pipeline
 from .model import (ModelConfig, ModelParams, checkpoint_load,
                     checkpoint_save, model_forward)
@@ -23,7 +24,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AttentionParams", "attention_baseline", "attention_temp_broadcast",
     "attention_temp_outer",
-    "evolve_layer", "iterate_to_fixed_point", "temperature_sweep",
+    "convergence_rate_fit", "evolve_layer", "iterate_to_fixed_point",
+    "temperature_sweep",
     "GsotConfig", "TokenUniverse", "build_universe", "gsot_pipeline",
     "ModelConfig", "ModelParams", "checkpoint_load", "checkpoint_save",
     "model_forward",

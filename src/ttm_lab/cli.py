@@ -78,13 +78,7 @@ def _check_numbers(defaults, given, prefix):
 
 
 def _dataclass_defaults(cls):
-    out = {}
-    for f in dataclasses.fields(cls):
-        if f.default is not dataclasses.MISSING:
-            out[f.name] = f.default
-        elif f.default_factory is not dataclasses.MISSING:
-            out[f.name] = f.default_factory()
-    return out
+    return {f.name: f.default for f in dataclasses.fields(cls)}
 
 
 _BLOCKS = {
@@ -561,10 +555,7 @@ def main(argv=None):
             return cmd_gsot(resolved, model_cfg, gsot_cfg, args)
         if args.command == "bench":
             return cmd_bench(resolved, model_cfg, gsot_cfg, args)
-        if args.command == "stats":
-            return cmd_stats(resolved, args)
-        print(f"unknown command {args.command!r}", file=sys.stderr)
-        return EXIT_USAGE
+        return cmd_stats(resolved, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

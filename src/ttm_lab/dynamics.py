@@ -26,19 +26,15 @@ def evolve_layer(field, gain):
 @dataclass
 class ConvergenceReport:
     iterations: int
-    final_residual: float
     residuals: list
     converged: bool
-    alpha_hat: float = None
-    gamma_hat: float = None
 
 
 def iterate_to_fixed_point(update, start, tol, max_iter):
     """Iterate a field map until ||T_{t+1} - T_t||_2 < tol.
 
-    Non-convergence within the budget is flagged on the report, never raised.
-    The fitted decay of the residual sequence is attached when enough
-    residuals exist.
+    Non-convergence within the budget is flagged on the report, never
+    raised; convergence_rate_fit fits the decay of its residuals.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -53,13 +49,8 @@ def iterate_to_fixed_point(update, start, tol, max_iter):
         if r < tol:
             converged = True
             break
-    report = ConvergenceReport(iterations=len(residuals),
-                               final_residual=residuals[-1] if residuals else 0.0,
-                               residuals=residuals, converged=converged)
-    positive = [r for r in residuals if r > 0]
-    if len(positive) >= 3:
-        report.alpha_hat, report.gamma_hat = convergence_rate_fit(residuals)
-    return report
+    return ConvergenceReport(iterations=len(residuals), residuals=residuals,
+                             converged=converged)
 
 
 def estimate_contraction(update, sample_count, seed):

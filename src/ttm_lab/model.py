@@ -29,10 +29,10 @@ from . import attention as attn_mod
 # into its LayerNorm; it stays imported because perfbench wraps
 # model.layer_norm and its tests require every wrap target to exist
 from .numerics import (DimensionError, Rng, Tensor, _add_layer_norm,
-                       _linear_rows, concat, gelu, layer_norm, linear,
-                       softmax_rows)
+                       _linear_rows, check_finite, concat, gelu, layer_norm,
+                       linear, softmax_rows)
 from .temperature import (DEFAULT_EPS_MIN, TemperatureHeadParams,
-                          clip_temperature_grad, compute_temperature)
+                          compute_temperature)
 
 VARIANTS = ("baseline", "broadcast", "outer")
 
@@ -268,21 +268,24 @@ class ModelParams:
         for t, lo, hi in self._spans:
             t.values = values[lo:hi].reshape(t.shape)
 
-    def update(self, lr_main, lr_temp, weight_decay, tau):
+    def update(self, lr_main, lr_temp, weight_decay):
         """One descent step on the flat buffers.
 
         Each stretch of adjacent tensors that got a gradient is updated in a
-        few numpy calls: a temperature tensor by its clipped gradient at
-        lr_temp, any other by its gradient plus weight decay at lr_main; the
-        two groups never share a stretch. A tensor without a gradient keeps
-        its values. Every entry gets the float a per-tensor update gave it:
-        the arithmetic is elementwise and in the same order.
+        few numpy calls: a temperature tensor by its gradient clipped to
+        [-1/sqrt(d_k), 1/sqrt(d_k)] at lr_temp, any other by its gradient
+        plus weight decay at lr_main; the two groups never share a stretch.
+        A tensor without a gradient keeps its values. Every entry gets the
+        float a per-tensor update gave it: the arithmetic is elementwise and
+        in the same order.
 
         The result goes into a fresh buffer that every tensor is then
         rebound to, so an array handed out before the step (a detached view,
-        a universe's embeddings) keeps its values. A tensor whose values or
-        gradient are not its buffer views (a caller replaced them, or the
-        gradient came before the buffer) is copied in first.
+        a universe's embeddings) keeps its values. A step with a non-finite
+        entry raises NumericError before the rebinding, so every tensor
+        keeps its values. A tensor whose values or gradient are not its
+        buffer views (a caller replaced them, or the gradient came before
+        the buffer) is copied in first.
         """
         grads, old = self._grad_buffer(), self._values
         runs, rebound = [], []   # runs: [lo, hi, has a gradient, temperature]
@@ -302,13 +305,14 @@ class ModelParams:
             old = old.copy()
             for lo, hi, values in rebound:
                 old[lo:hi] = values.reshape(-1)
+        tau = 1.0 / math.sqrt(self.cfg.d_k)
         new = np.empty_like(old)
         for lo, hi, has, temp in runs:
             v, out = old[lo:hi], new[lo:hi]
             if not has:
                 out[:] = v
             elif temp:
-                g = clip_temperature_grad(grads[lo:hi], tau)
+                g = np.clip(grads[lo:hi], -tau, tau)
                 g *= lr_temp
                 np.subtract(v, g, out=out)
             else:
@@ -316,7 +320,7 @@ class ModelParams:
                 out += grads[lo:hi]
                 out *= lr_main
                 np.subtract(v, out, out=out)
-        self._rebind(new)
+        self._rebind(check_finite(new, "ModelParams.update"))
 
     def temp_grad_norm(self):
         """The L2 norm of the temperature tensors' gradients, their squares

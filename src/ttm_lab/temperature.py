@@ -1,4 +1,4 @@
-"""Token temperature fields and every stability fix applied to them.
+"""Token temperature fields, their collapse penalty and collapse check.
 
 A temperature field is a Tensor of per-head, per-token scalars, shape (h, n)
 or (B, h, n) for a batch, kept strictly inside [eps_min, 1 - eps_min]. Range
@@ -6,7 +6,6 @@ enforcement is structural: the field is produced through the affine squash
 eps + (1 - 2 eps) * sigmoid(.), which is differentiable everywhere.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,21 +71,18 @@ def compute_temperature(activations, params):
     return squash(logits, params.eps_min).T
 
 
-def collapse_penalty(field, lam):
-    """Differentiable regularizer lam * sum((T - 0.5)^2), as one node.
+def collapse_penalty(field):
+    """Differentiable regularizer sum((T - 0.5)^2), as one node.
 
-    Values and gradients are those of ((field - 0.5) ** 2).sum() * lam, bit
-    for bit: the sum's gradient is g * lam, and the square's is twice that
-    times field - 0.5.
+    Values and gradients are those of ((field - 0.5) ** 2).sum(), bit for
+    bit: the square's gradient is g * 2 times field - 0.5.
     """
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
     d = field.values - 0.5
 
     def dfield(g):
-        return g * lam * 2.0 * d
+        return g * 2.0 * d
 
-    return Tensor(np.add.reduce(d ** 2.0, axis=None) * lam,
+    return Tensor(np.add.reduce(d ** 2.0, axis=None),
                   _parents=((field, dfield),))
 
 
@@ -111,14 +107,3 @@ def detect_collapse(field, eps):
     return CollapseReport(fraction=frac, min_value=float(v.min()),
                           max_value=float(v.max()))
 
-
-def clip_temperature_grad(grad, tau):
-    """Elementwise clamp of a temperature gradient to [-tau, tau]."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    return np.clip(np.asarray(grad, dtype=np.float64), -tau, tau)
-
-
-def default_grad_clip_tau(d_k):
-    """Explosion threshold 1 / sqrt(d_k)."""
-    return 1.0 / math.sqrt(d_k)

@@ -14,8 +14,7 @@ import numpy as np
 
 from .model import model_forward
 from .numerics import NumericError, Rng, Tensor, check_finite
-from .temperature import (collapse_penalty, default_grad_clip_tau,
-                          detect_collapse)
+from .temperature import collapse_penalty, detect_collapse
 
 
 @dataclass
@@ -28,15 +27,11 @@ class TrainConfig:
     steps: int = 500
     seed: int = 0
     weight_decay: float = 0.01   # non-temperature parameters only
-    spike_factor: float = 10.0   # task-loss jump that counts as instability
-    collapse_fraction: float = 0.5
-    collapse_eps: float = 0.02
 
     def __post_init__(self):
         # every comparison with NaN is false: the range checks below would
-        # pass it, and train's spike and collapse checks would never fire
-        for name in ("eta0", "eta0_temp", "lambda_T", "weight_decay",
-                     "spike_factor", "collapse_fraction"):
+        # pass it
+        for name in ("eta0", "eta0_temp", "lambda_T", "weight_decay"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} {getattr(self, name)} must be finite")
         if self.eta0 <= 0 or self.eta0_temp <= 0:
@@ -47,8 +42,6 @@ class TrainConfig:
             raise ValueError("need batch >= 1 and steps >= 0")
         if self.t0 < 1:
             raise ValueError(f"t0 {self.t0} must be >= 1")
-        if not 0.0 < self.collapse_eps < 0.5:
-            raise ValueError(f"collapse_eps {self.collapse_eps} outside (0, 0.5)")
 
 
 @dataclass
@@ -275,18 +268,27 @@ class TrainHistory:
                 fh.write(",".join(cells) + "\n")
 
 
+# `train`'s instability rules: a task loss at least SPIKE_FACTOR times the
+# previous step's is a spike, and a last-layer field has collapsed when at
+# least COLLAPSE_FRACTION of one example's entries lie within COLLAPSE_EPS
+# of 0 or 1.
+SPIKE_FACTOR = 10.0
+COLLAPSE_FRACTION = 0.5
+COLLAPSE_EPS = 0.02
+
+
 def train(params, dataset, cfg):
     """Run the stability-monitored training protocol; returns the history.
 
     A non-finite task loss or temperature gradient norm, or a NumericError
-    raised inside a step, aborts the run before that step's update, so every
-    parameter keeps the values of the last completed step.
+    raised inside a step (a non-finite update among them), aborts the run
+    before that step's row is logged, so every parameter keeps the values of
+    the last completed step.
 
     The logged `total_loss` is the loss backward() ran on, task + lambda_T *
     collapse penalty.
     """
     rng = Rng(cfg.seed)
-    tau = default_grad_clip_tau(params.cfg.d_k)
     eta_main, eta_temp = cfg.eta0, cfg.eta0_temp
     lam_T = cfg.lambda_T
     history = TrainHistory()
@@ -299,8 +301,8 @@ def train(params, dataset, cfg):
         try:
             logits, fields = model_forward(batch.inputs, params)
             task_mean = cross_entropy(logits, batch.targets, batch.mask)
-            penalty_mean = collapse_penalty(fields[-1], 1.0) / float(cfg.batch)
-            rep = detect_collapse(fields[-1], cfg.collapse_eps)
+            penalty_mean = collapse_penalty(fields[-1]) / float(cfg.batch)
+            rep = detect_collapse(fields[-1], COLLAPSE_EPS)
             loss = task_mean + penalty_mean * lam_T
             loss.backward()
 
@@ -309,35 +311,31 @@ def train(params, dataset, cfg):
             if not (math.isfinite(task_val) and math.isfinite(grad_norm_temp)):
                 raise NumericError(f"non-finite task loss or temperature "
                                    f"gradient norm at step {t}")
+
+            unstable = ((prev_task_loss is not None
+                         and task_val >= SPIKE_FACTOR * prev_task_loss)
+                        or rep.fraction >= COLLAPSE_FRACTION)
+            event = ""
+            if unstable and not prev_unstable:
+                eta_main *= 0.5
+                eta_temp *= 0.5
+                lam_T *= 2.0
+                event = "lr_halved"
+            prev_unstable = unstable
+            prev_task_loss = task_val
+
+            lr_main = lr_schedule(t, cfg, eta0=eta_main)
+            lr_temp = lr_schedule(t, cfg, eta0=eta_temp)
+            params.update(lr_main, lr_temp, cfg.weight_decay)
         except NumericError:
             history.aborted = True
             break
-        penalty_val = float(penalty_mean.values)
-        # the loss backward() ran on; lam_T may double below for later steps
-        loss_val = task_val + lam_T * penalty_val
-
-        unstable = ((prev_task_loss is not None
-                     and task_val >= cfg.spike_factor * prev_task_loss)
-                    or rep.fraction >= cfg.collapse_fraction)
-        event = ""
-        if unstable and not prev_unstable:
-            eta_main *= 0.5
-            eta_temp *= 0.5
-            lam_T *= 2.0
-            event = "lr_halved"
-        prev_unstable = unstable
-        prev_task_loss = task_val
-
-        lr_main = lr_schedule(t, cfg, eta0=eta_main)
-        lr_temp = lr_schedule(t, cfg, eta0=eta_temp)
-
-        params.update(lr_main, lr_temp, cfg.weight_decay, tau)
 
         history.rows.append({
             "step": t,
             "task_loss": task_val,
-            "temp_penalty": penalty_val,
-            "total_loss": loss_val,
+            "temp_penalty": float(penalty_mean.values),
+            "total_loss": float(loss.values),
             "lr_main": lr_main,
             "lr_temp": lr_temp,
             "temp_min": rep.min_value,

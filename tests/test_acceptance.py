@@ -235,11 +235,11 @@ def test_09_training_avoids_temperature_collapse():
                                                 count=16, seed=9))
     history = training.train(params, data,
                              training.TrainConfig(steps=500, batch=4, seed=9,
-                                                  lambda_T=0.1,
-                                                  collapse_eps=0.02))
+                                                  lambda_T=0.1))
     fractions = [row["collapse_fraction"] for row in history.rows]
     elapsed = time.time() - t0
-    ok = (not history.aborted and len(fractions) == 500
+    ok = (training.COLLAPSE_EPS == 0.02
+          and not history.aborted and len(fractions) == 500
           and max(fractions) == 0.0 and elapsed < 300.0)
     verdict(9, "no temperature collapse across 500 training steps",
             ok, f"max collapse fraction {max(fractions)}, "

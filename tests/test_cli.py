@@ -55,7 +55,10 @@ class TestConfigLoading:
                                            ("stats", "p"),
                                            ("train", "clip_lo"),
                                            ("train", "clip_hi"),
-                                           ("train", "lambda_S")])
+                                           ("train", "lambda_S"),
+                                           ("train", "spike_factor"),
+                                           ("train", "collapse_fraction"),
+                                           ("train", "collapse_eps")])
     def test_removed_keys_rejected(self, tmp_path, capsys, block, key):
         code, out = run(tmp_path, "check", {block: {key: 1}})
         assert code == EXIT_USAGE
@@ -115,8 +118,6 @@ class TestConfigLoading:
         {"model": {"d_c": -1}},
         {"train": {"batch": 0}},
         {"train": {"steps": -1}},
-        {"train": {"collapse_eps": 0.7}},
-        {"train": {"collapse_eps": 0.0}},
         {"train": {"t0": -5}},
         {"train": {"t0": 0}},
         {"task": {"count": 0}},
@@ -158,8 +159,6 @@ class TestConfigLoading:
         {"train": {"lambda_T": float("nan")}},
         {"train": {"weight_decay": float("nan")}},
         {"train": {"weight_decay": -5.0}},
-        {"train": {"spike_factor": float("nan")}},
-        {"train": {"collapse_fraction": float("nan")}},
         {"sweep": {"t_max": True}},
         {"output_dir": None},
         {"output_dir": 5},
@@ -167,7 +166,7 @@ class TestConfigLoading:
         {"output_dir": ""},
     ], ids=["heads-0", "d_model-0", "d_ff-0", "max_seq_len-negative",
             "max_seq_len-0", "d_c-negative", "batch-0", "steps-negative",
-            "collapse_eps-0.7", "collapse_eps-0", "t0-negative", "t0-0",
+            "t0-negative", "t0-0",
             "count-0", "length-0", "arith-length-1", "arith-count-unfillable",
             "gsot-id-100", "gsot-id-negative", "gsot-id-float",
             "gsot-sequence-nested", "gsot-id-bool-among-ints",
@@ -182,8 +181,7 @@ class TestConfigLoading:
             "gsot-length-8.5", "gsot-hidden_count-2.5", "bench-length-64.5",
             "seed-1.5", "eta0-true", "lambda_T-false", "eta0-nan",
             "eta0-inf", "eta0_temp-inf", "lambda_T-nan", "weight_decay-nan",
-            "weight_decay-negative", "spike_factor-nan",
-            "collapse_fraction-nan", "t_max-true",
+            "weight_decay-negative", "t_max-true",
             "output_dir-null", "output_dir-5", "output_dir-list",
             "output_dir-empty"])
     def test_bad_value_exits_usage(self, tmp_path, capsys, doc):

@@ -166,8 +166,8 @@ def ref_squash(eps_min):
     return lambda logits: ref_sigmoid(logits) * (1.0 - 2.0 * eps_min) + eps_min
 
 
-def ref_collapse_penalty(lam):
-    return lambda field: ((field - 0.5) ** 2).sum() * lam
+def ref_collapse_penalty(field):
+    return ((field - 0.5) ** 2).sum()
 
 
 def ref_cross_entropy(targets, mask):
@@ -418,13 +418,11 @@ class TestKernelParity:
         assert_same(run_both(lambda t: squash(t, eps_min), ref_squash(eps_min),
                              [inputs(shape, 23)], 24, tiny_upstream))
 
-    @pytest.mark.parametrize("lam", [1.0, 0.3])
-    def test_collapse_penalty(self, shape, lam):
+    def test_collapse_penalty(self, shape):
         field = inputs(shape, 25, edges=np.append(FINITE_PRODUCTS, 0.5))
         for upstream in (None, tiny_upstream):
-            assert_same(run_both(lambda t: collapse_penalty(t, lam),
-                                 ref_collapse_penalty(lam), [field], 26,
-                                 upstream))
+            assert_same(run_both(collapse_penalty, ref_collapse_penalty,
+                                 [field], 26, upstream))
 
     def test_cross_entropy(self, shape):
         *lead, vocab = shape
@@ -531,7 +529,7 @@ class TestBackwardOrder:
                                        params)
         loss = cross_entropy(logits, np.array([ex.targets for ex in batch]),
                              np.array([ex.mask for ex in batch])) \
-            + collapse_penalty(fields[-1], 1.0) * 0.0125
+            + collapse_penalty(fields[-1]) * 0.0125
         want = [id(p) for node in reversed(stack_walk_order(loss))
                 for p, _ in node._parents if p.requires_grad]
         calls = []
@@ -1199,7 +1197,7 @@ class TestFusedNodeChecks:
             Tensor(np.full((2, 3), 1e308)), Tensor(np.full((2, 3), 1e308)),
             Tensor(np.ones(3)), Tensor(np.zeros(3)))),
         ("collapse_penalty", lambda: collapse_penalty(
-            Tensor(np.full((2, 4), 1e200)), 1.0)),
+            Tensor(np.full((2, 4), 1e200)))),
         ("cross_entropy", lambda: cross_entropy(
             Tensor([[1e308, -1e308, 0.0]]), np.array([1]), np.array([True])))])
     def test_overflow_names_the_node(self, node, run):

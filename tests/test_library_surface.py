@@ -15,6 +15,9 @@ than `__init__`, must be set by some call in `src/ttm_lab`, by keyword or by
 position, or be listed in ALLOWED_DEFAULTS with the reason it stays. Calls
 are matched to definitions by name alone, as above.
 
+Every field of a `src/ttm_lab` dataclass is read somewhere in the library,
+its tests or the benchmark: an attribute of that name is loaded.
+
 The names of ModelParams' flat-buffer layout appear only in the modules
 that own them (LAYOUT_NAMES).
 """
@@ -169,6 +172,34 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
 
 def test_allowed_defaults_are_still_unset():
     assert set(ALLOWED_DEFAULTS) <= _unset_defaults()
+
+
+def _dataclass_fields(tree):
+    """`Class.field` and field name of each annotated field of a top-level
+    @dataclass class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(d, ast.Name) and d.id == "dataclass"
+                for d in node.decorator_list):
+            for sub in node.body:
+                if (isinstance(sub, ast.AnnAssign)
+                        and isinstance(sub.target, ast.Name)):
+                    yield f"{node.name}.{sub.target.id}", sub.target.id
+
+
+def test_every_dataclass_field_is_read():
+    root = SRC.parent.parent
+    loaded = {node.attr
+              for folder in (SRC, root / "tests", root / "perfbench")
+              for path in sorted(folder.rglob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)}
+    unread = sorted(key for path in sorted(SRC.glob("*.py"))
+                    for key, name in _dataclass_fields(
+                        ast.parse(path.read_text()))
+                    if name not in loaded)
+    assert not unread, f"dataclass fields nothing reads: {unread}"
 
 
 # the names of ModelParams' flat-buffer layout, and the modules that may use

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ttm_lab.model import ModelConfig, ModelParams
 from ttm_lab.numerics import Rng, Tensor
-from ttm_lab.temperature import (TemperatureHeadParams,
-                                 clip_temperature_grad, collapse_penalty,
-                                 compute_temperature, default_grad_clip_tau,
-                                 detect_collapse, squash)
+from ttm_lab.temperature import (TemperatureHeadParams, collapse_penalty,
+                                 compute_temperature, detect_collapse, squash)
 
 
 def head_params(h, d, seed=0, std=1.0):
@@ -44,21 +43,21 @@ class TestComputeTemperature:
 class TestCollapse:
     def test_penalty_zero_at_center(self):
         f = Tensor(np.full((2, 3), 0.5))
-        assert float(collapse_penalty(f, 1.0).values) == 0.0
+        assert float(collapse_penalty(f).values) == 0.0
 
     def test_penalty_single_offset(self):
         f = Tensor(np.array([[0.7]]))
-        assert abs(float(collapse_penalty(f, 1.0).values) - 0.04) < 1e-15
+        assert abs(float(collapse_penalty(f).values) - 0.04) < 1e-15
 
     def test_penalty_matches_sum_oracle(self):
         v = Rng(4).uniform((2, 3), 0.1, 0.9)
-        got = float(collapse_penalty(Tensor(v), 0.5).values)
-        assert abs(got - 0.5 * ((v - 0.5) ** 2).sum()) < 1e-12
+        got = float(collapse_penalty(Tensor(v)).values)
+        assert abs(got - ((v - 0.5) ** 2).sum()) < 1e-12
 
     def test_penalty_gradient_points_to_center(self):
         v = Rng(6).uniform((2, 4), 0.1, 0.9)
         t = Tensor(v, requires_grad=True)
-        collapse_penalty(t, 1.0).backward()
+        collapse_penalty(t).backward()
         # descending the gradient moves every entry toward 0.5
         assert np.all(np.sign(t.grad) == np.sign(v - 0.5))
 
@@ -103,17 +102,28 @@ class TestCollapse:
 
 
 class TestGradClip:
+    """ModelParams.update clips a temperature gradient to +-1/sqrt(d_k)."""
+
+    @staticmethod
+    def bias_after_update(grad, lr_temp=0.5):
+        # d_k = 64; the bias starts at 0 and is the one tensor given a
+        # gradient, so it ends at -lr_temp times the clipped gradient
+        params = ModelParams(ModelConfig(d_model=128, heads=2, layers=1,
+                                         d_ff=4, vocab_size=4, max_seq_len=4))
+        bias = params.tensors["block0.temp.bt"]
+        bias.values[...] = 0.0
+        bias.grad = np.array(grad)
+        params.update(0.1, lr_temp, 0.01)
+        return bias.values.tolist()
+
     def test_inside_range_untouched(self):
-        assert clip_temperature_grad(np.array([0.1]), 1.0).tolist() == [0.1]
+        assert self.bias_after_update([0.1, -0.03]) == [-0.5 * 0.1, 0.5 * 0.03]
 
     def test_clamps_to_head_dimension_threshold(self):
-        tau = default_grad_clip_tau(64)
-        assert tau == 0.125
-        out = clip_temperature_grad(np.array([5.0, -5.0]), tau)
-        assert out.tolist() == [0.125, -0.125]
+        assert self.bias_after_update([5.0, -5.0]) == [-0.5 / 8, 0.5 / 8]
 
     def test_zeros(self):
-        assert clip_temperature_grad(np.zeros(3), 0.5).tolist() == [0, 0, 0]
+        assert self.bias_after_update([0.0, 0.0]) == [0.0, 0.0]
 
 
 @given(st.integers(0, 10_000))

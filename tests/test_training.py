@@ -12,7 +12,7 @@ from ttm_lab.gsot import GsotConfig, build_universe, gsot_pipeline
 from ttm_lab.model import (ModelConfig, ModelParams, checkpoint_load,
                            checkpoint_save, model_forward)
 from ttm_lab.numerics import NumericError, Rng, Tensor
-from ttm_lab.temperature import clip_temperature_grad, collapse_penalty
+from ttm_lab.temperature import collapse_penalty
 from ttm_lab.training import (ARITH_VOCAB, EVAL_PASS, EVAL_SLICE,
                               METRIC_COLUMNS,
                               TOK_ADD, TOK_HALVE, TOK_INIT,
@@ -193,7 +193,8 @@ class TestTrainLoop:
             assert t.grad.shape == t.values.shape, name
             assert t.grad.flags.c_contiguous, name
 
-    def test_scripted_spike_triggers_one_event(self):
+    def test_scripted_spike_triggers_one_event(self, monkeypatch):
+        monkeypatch.setattr(training, "SPIKE_FACTOR", 5.0)
         # after 49 steps of copying, every target becomes the next symbol:
         # the task loss jumps 7.6x to 11.2x at step 50 (0.43 to 4.40 at seed 6)
         for seed in (6, 7, 8):
@@ -201,7 +202,7 @@ class TestTrainLoop:
                 make_task(TaskSpec(kind="copy", length=4, count=8, seed=seed)),
                 49 * 4, lambda t: (t + 1) % 16)
             history = train(toy_params(seed=seed), data, TrainConfig(
-                steps=60, batch=4, seed=seed, spike_factor=5.0))
+                steps=60, batch=4, seed=seed))
             events = [r["step"] for r in history.rows
                       if r["event"] == "lr_halved"]
             assert events == [50], seed
@@ -232,6 +233,20 @@ class TestTrainLoop:
         for (name, t), (_, w) in zip(params.named_tensors(), want.named_tensors()):
             assert np.all(np.isfinite(t.values)), name
             assert np.array_equal(t.values, w.values), name
+
+    def test_overflowing_update_aborts_and_restores(self):
+        # at eta0 1e308 step 1's descent step overflows embed.tok and
+        # embed.pos; the update raises before any tensor is rebound
+        params = ModelParams(ModelConfig(d_model=8, heads=2, layers=1, d_ff=16,
+                                         vocab_size=12, d_c=4, max_seq_len=8))
+        before = {name: t.values.tobytes() for name, t in params.named_tensors()}
+        data = make_task(TaskSpec(kind="copy", length=4, count=8, alphabet=10))
+        with np.errstate(over="ignore", invalid="ignore"):
+            history = train(params, data,
+                            TrainConfig(steps=5, batch=4, eta0=1e308))
+        assert history.aborted and not history.rows
+        for name, t in params.named_tensors():
+            assert t.values.tobytes() == before[name], name
 
     @pytest.mark.parametrize("huge, node", [
         ("block0.attn.wqkv", "_project"), ("block0.attn.wo", "merge_heads"),
@@ -272,19 +287,20 @@ class TestTrainLoop:
         assert len(history.rows) == 1
         assert len(nodes) <= 52
 
-    def test_logged_total_is_optimized_loss(self):
+    def test_logged_total_is_optimized_loss(self, monkeypatch):
         # an event at step 4: the logged total must still be task +
         # lambda_T * penalty with the lambda_T that step optimized
         params = arith_params()
         data = make_task(TaskSpec(kind="arithmetic_chain", length=8, count=64))
-        cfg = TrainConfig(steps=5, batch=4, spike_factor=1.4)
+        monkeypatch.setattr(training, "SPIKE_FACTOR", 1.4)
+        cfg = TrainConfig(steps=5, batch=4)
         idx = Rng(cfg.seed).integers(0, len(data), size=cfg.batch)
         task, pen = 0.0, 0.0
         for i in idx:
             ex = data[int(i)]
             logits, fields = model_forward(ex.inputs, params)
             task += float(cross_entropy(logits, ex.targets, ex.mask).values)
-            pen += float(collapse_penalty(fields[-1], 1.0).values)
+            pen += float(collapse_penalty(fields[-1]).values)
         step1 = (task + cfg.lambda_T * pen) / cfg.batch
 
         # from step 4 on every answer is the HALVE token: the task loss rises
@@ -336,14 +352,15 @@ class TestTrainLoop:
         assert dataset_loss(params, data, 1.0) != dataset_loss(params, data, 0.3)
 
 
-def per_tensor_update(params, lr_main, lr_temp, weight_decay, tau):
+def per_tensor_update(params, lr_main, lr_temp, weight_decay):
     """The update as a loop over tensors, each rebound to a fresh array: the
     reference for `ModelParams.update`, the step `train` takes."""
+    tau = 1.0 / math.sqrt(params.cfg.d_k)
     for name, tensor in params.named_tensors():
         if tensor.grad is None:
             continue
         if ".temp." in name:
-            g = clip_temperature_grad(tensor.grad, tau)
+            g = np.clip(tensor.grad, -tau, tau)
             tensor.values = tensor.values - lr_temp * g
         else:
             g = tensor.grad + weight_decay * tensor.values
@@ -473,8 +490,8 @@ class TestFlatBuffers:
             loss = sum(((params.tensors[n] * 0.5) ** 2.0).sum() for n in pick)
             if pick:
                 loss.backward()
-        got.update(0.1, 0.02, 0.01, 0.25)
-        per_tensor_update(want, 0.1, 0.02, 0.01, 0.25)
+        got.update(0.1, 0.02, 0.01)
+        per_tensor_update(want, 0.1, 0.02, 0.01)
         assert_same_params(got, want)
         for name, t in got.named_tensors():
             assert (t.grad is None) == (name not in pick), name
@@ -598,8 +615,8 @@ class TestLazyGradientBuffer:
         for params in (got, want):
             (params.W_out * 0.5).sum().backward()
         assert got._grads is None and got.W_out.grad.base is None
-        got.update(0.1, 0.02, 0.01, 0.25)
-        per_tensor_update(want, 0.1, 0.02, 0.01, 0.25)
+        got.update(0.1, 0.02, 0.01)
+        per_tensor_update(want, 0.1, 0.02, 0.01)
         assert_same_params(got, want)
         assert np.count_nonzero(got._grads) == got.W_out.size
 
