@@ -159,6 +159,8 @@ class TestConfigLoading:
         {"train": {"lambda_T": float("nan")}},
         {"train": {"weight_decay": float("nan")}},
         {"train": {"weight_decay": -5.0}},
+        {"train": {"collapse_eps": 0.7}},
+        {"train": {"collapse_eps": 0}},
         {"sweep": {"t_max": True}},
         {"output_dir": None},
         {"output_dir": 5},
@@ -181,7 +183,8 @@ class TestConfigLoading:
             "gsot-length-8.5", "gsot-hidden_count-2.5", "bench-length-64.5",
             "seed-1.5", "eta0-true", "lambda_T-false", "eta0-nan",
             "eta0-inf", "eta0_temp-inf", "lambda_T-nan", "weight_decay-nan",
-            "weight_decay-negative", "t_max-true",
+            "weight_decay-negative", "collapse_eps-0.7", "collapse_eps-0",
+            "t_max-true",
             "output_dir-null", "output_dir-5", "output_dir-list",
             "output_dir-empty"])
     def test_bad_value_exits_usage(self, tmp_path, capsys, doc):
