@@ -21,7 +21,7 @@ import numpy as np
 from . import dynamics, gsot, training
 from .attention import (attention_baseline, attention_temp_broadcast,
                         attention_temp_outer)
-from .model import ModelConfig, ModelParams, model_forward
+from .model import ModelConfig, ModelParams, check_json_number, model_forward
 from .numerics import NumericError, Rng, Tensor, grad_check, layer_norm, gelu, softmax_rows
 from .temperature import compute_temperature, squash
 
@@ -37,9 +37,6 @@ class ConfigError(ValueError):
 # defaults for the blocks that are plain dicts rather than dataclasses
 _SWEEP_DEFAULTS = {"t_min": 0.1, "t_max": 1.0, "steps": 10}
 _GSOT_DEFAULTS = {"sequence": None, "length": 8, "hidden_count": 8}
-_BENCH_DEFAULTS = {"lengths": [64, 128, 256, 512, 1024],
-                   "d_model": 16, "heads": 1, "layers": 1, "d_ff": 512,
-                   "vocab_size": 32, "hidden_count": 4}
 _STATS_DEFAULTS = {"samples": [1.0, 2.0, 3.0, 4.0, 5.0], "level": 0.95,
                    "samples_file": None}
 
@@ -50,31 +47,11 @@ def _merge(defaults, given, block):
     unknown = set(given) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown keys in block {block!r}: {sorted(unknown)}")
-    _check_numbers(defaults, given, f"{block}.")
+    for key, value in given.items():
+        check_json_number(f"{block}.{key}", value, defaults[key])
     out = dict(defaults)
     out.update(given)
     return out
-
-
-def _check_numbers(defaults, given, prefix):
-    """A key whose default is an int, or a list of ints, takes only JSON
-    integers: a float would be truncated or fail mid-run. A key whose default
-    is a float takes only JSON numbers. In both, true or false would pass as
-    1 or 0."""
-    for key, value in given.items():
-        default = defaults[key]
-        if type(default) is float:
-            values, kinds, what = [value], (int, float), "numbers"
-        elif type(default) is int:
-            values, kinds, what = [value], (int,), "integers"
-        elif isinstance(default, list) and isinstance(value, list) \
-                and all(type(d) is int for d in default):
-            values, kinds, what = value, (int,), "integers"
-        else:
-            continue
-        bad = [v for v in values if type(v) not in kinds]
-        if bad:
-            raise ConfigError(f"{prefix}{key} takes {what}, got {bad[0]!r}")
 
 
 def _dataclass_defaults(cls):
@@ -88,7 +65,6 @@ _BLOCKS = {
     "gsot_cfg": lambda: _dataclass_defaults(gsot.GsotConfig),
     "sweep": lambda: dict(_SWEEP_DEFAULTS),
     "gsot": lambda: dict(_GSOT_DEFAULTS),
-    "bench": lambda: dict(_BENCH_DEFAULTS),
     "stats": lambda: dict(_STATS_DEFAULTS),
 }
 
@@ -114,22 +90,15 @@ def _check_plain_blocks(resolved, model_cfg, gsot_given):
     if n > model_cfg.max_seq_len and {"sequence", "length"} & set(gsot_given):
         raise ValueError(f"gsot sequence length {n} exceeds max_seq_len "
                          f"{model_cfg.max_seq_len}")
-    for name in ("gsot", "bench"):
-        if resolved[name]["hidden_count"] < 1:
-            raise ValueError(f"{name}.hidden_count must be >= 1")
-    bench = resolved["bench"]
-    gsot.complexity_fit([(length, 1.0) for length in bench["lengths"]])
-    # a 1-token sequence has nothing to keep after the first scheduled step
-    if min(bench["lengths"]) < 2:
-        raise ValueError("bench.lengths must all be >= 2")
-    _bench_model_config(bench, resolved["seed"])
+    if blk["hidden_count"] < 1:
+        raise ValueError("gsot.hidden_count must be >= 1")
     stats = resolved["stats"]
     if stats["level"] not in training.LEVELS:
         raise ValueError(f"stats.level must be one of {list(training.LEVELS)}")
     path = stats["samples_file"]
     if path is None:
-        if any(type(v) not in (int, float) for v in stats["samples"]):
-            raise ValueError("stats.samples must all be JSON numbers")
+        for value in stats["samples"]:
+            check_json_number("stats.samples", value, 0.0)
         training.confidence_interval(stats["samples"], stats["level"])
     elif type(path) is not str or not path:
         # open() would take an integer as a file descriptor
@@ -161,18 +130,18 @@ def load_config(path, seed=None, out=None):
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
     resolved = {"output_dir": doc.get("output_dir", "out"),
                 "seed": doc.get("seed", 0)}
-    _check_numbers({"seed": 0}, {"seed": resolved["seed"]}, "")
-    _check_output_dir(resolved["output_dir"], "output_dir")
-    if out is not None:
-        resolved["output_dir"] = _check_output_dir(out, "--out")
-    for name, factory in _BLOCKS.items():
-        resolved[name] = _merge(factory(), doc.get(name, {}), name)
-    if seed is not None:
-        resolved["seed"] = seed
-        for block in ("model", "train", "task"):
-            resolved[block]["seed"] = seed
-    # construct the typed configs now so invalid values fail at load (exit 2)
+    # every value is checked now, so an invalid one fails at load (exit 2)
     try:
+        check_json_number("seed", resolved["seed"], 0)
+        _check_output_dir(resolved["output_dir"], "output_dir")
+        if out is not None:
+            resolved["output_dir"] = _check_output_dir(out, "--out")
+        for name, factory in _BLOCKS.items():
+            resolved[name] = _merge(factory(), doc.get(name, {}), name)
+        if seed is not None:
+            resolved["seed"] = seed
+            for block in ("model", "train", "task"):
+                resolved[block]["seed"] = seed
         model_cfg = ModelConfig(**resolved["model"])
         train_cfg = training.TrainConfig(**resolved["train"])
         task_spec = training.TaskSpec(**resolved["task"])
@@ -440,20 +409,24 @@ def cmd_gsot(resolved, model_cfg, gsot_cfg, args):
     return EXIT_OK
 
 
-def _bench_model_config(blk, seed):
-    return ModelConfig(d_model=blk["d_model"], heads=blk["heads"],
-                       layers=blk["layers"], d_ff=blk["d_ff"],
-                       vocab_size=blk["vocab_size"], d_c=4, seed=seed,
-                       max_seq_len=max(blk["lengths"]) + 1)
+# the model, hidden-token count and length grid `bench` runs; no run varies
+# them
+BENCH = {"lengths": [64, 128, 256, 512, 1024],
+         "d_model": 16, "heads": 1, "layers": 1, "d_ff": 512,
+         "vocab_size": 32, "hidden_count": 4}
 
 
-def bench_op_counts(blk, gsot_cfg, seed):
-    """Final pipeline op counts over the benchmark length grid.
+def bench_op_counts(gsot_cfg, seed):
+    """Final pipeline op counts over BENCH's length grid, on BENCH's model.
 
-    Each length runs with a step budget of ceil(log2 n); tau thresholds come
+    Each length runs with a step budget of ceil(log2 n); tau_backtrack comes
     from the gsot config block.
     """
-    cfg = _bench_model_config(blk, seed)
+    blk = BENCH
+    cfg = ModelConfig(d_model=blk["d_model"], heads=blk["heads"],
+                      layers=blk["layers"], d_ff=blk["d_ff"],
+                      vocab_size=blk["vocab_size"], d_c=4, seed=seed,
+                      max_seq_len=max(blk["lengths"]) + 1)
     params = ModelParams(cfg)
     counts = []
     for n in blk["lengths"]:
@@ -469,8 +442,7 @@ def bench_op_counts(blk, gsot_cfg, seed):
 
 def cmd_bench(resolved, model_cfg, gsot_cfg, args):
     out_dir = _write_resolved(resolved)
-    blk = resolved["bench"]
-    counts = bench_op_counts(blk, gsot_cfg, resolved["seed"])
+    counts = bench_op_counts(gsot_cfg, resolved["seed"])
     with _artifact(out_dir, "complexity.csv") as path, open(path, "w") as fh:
         fh.write("n,ops\n")
         for n, ops in counts:

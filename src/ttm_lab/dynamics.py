@@ -5,6 +5,7 @@ directly sets its Lipschitz constant; this makes contraction factors
 constructible exactly for the convergence checks.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,10 +100,14 @@ def temperature_sweep(eval_loss, t_min, t_max, steps):
 
     `eval_loss(multiplier)` returns the mean dataset loss with every field
     scaled by the multiplier. Returns the grid argmin (ties -> smallest
-    multiplier) and the full loss curve.
+    multiplier) and the full loss curve. The bounds and their difference
+    must be finite, or the grid would hold non-finite multipliers.
     """
     if not t_min < t_max:
         raise ValueError("t_min must be below t_max")
+    if not math.isfinite(t_max - t_min):
+        raise ValueError(f"the sweep bounds {t_min!r} and {t_max!r} and "
+                         f"their difference must be finite")
     if steps < 2:
         raise ValueError("need at least 2 grid points")
     grid = np.linspace(t_min, t_max, steps)

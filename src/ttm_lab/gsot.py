@@ -6,7 +6,11 @@ pass through the model plus the reasoning head. With a step budget K > 1 the
 extraction stage shrinks the active set over K - 1 steps using rank-based
 per-step thresholds, which keeps the active-set size within (1 - k/K) * n by
 construction; with K = 1 it is a single pass keeping every token whose mean
-temperature exceeds tau_p. Extraction reads only the last block's temperature
+temperature exceeds TAU_P. Hidden admission takes a candidate whose
+probability exceeds THETA and whose relevance-scaled temperature exceeds
+TAU_H. These three thresholds are module constants that no run varies;
+`GsotConfig` holds what a run sets, the step budget K and the recovery
+threshold tau_backtrack. Extraction reads only the last block's temperature
 field, so each extraction step runs the model only as far as that field
 (`final_field`), off the tape, through one frozen view of the parameters per
 call; the final pass is the one full forward. The active set is an array of
@@ -31,19 +35,20 @@ class EmptyPathError(RuntimeError):
     """Every token was filtered out during primary extraction."""
 
 
+THETA = 0.2   # hidden relevance threshold
+TAU_P = 0.5   # primary temperature threshold
+TAU_H = 0.3   # hidden temperature threshold
+
+
 @dataclass
 class GsotConfig:
-    theta: float = 0.2          # hidden relevance threshold
-    tau_p: float = 0.5          # primary temperature threshold
-    tau_h: float = 0.3          # hidden temperature threshold
     tau_backtrack: float = 0.1  # recovery threshold on mean temperature
     K: int = 1                  # step budget for scheduled extraction
 
     def __post_init__(self):
-        for name in ("theta", "tau_p", "tau_h", "tau_backtrack"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} = {v} outside (0, 1)")
+        if not 0.0 < self.tau_backtrack < 1.0:
+            raise ValueError(f"tau_backtrack = {self.tau_backtrack} outside "
+                             f"(0, 1)")
         if self.K < 1:
             raise ValueError("step budget K must be >= 1")
 
@@ -186,12 +191,12 @@ def schedule_target(n, K, k):
     return ((K - k) * n) // K
 
 
-def _admit_hidden(ids, context, universe, cfg):
+def _admit_hidden(ids, context, universe):
     """Hidden ids admitted for the primary tokens `ids`, token by token, and
     the MACs of scoring them.
 
-    A candidate enters iff its probability strictly exceeds theta and its
-    relevance-scaled temperature strictly exceeds tau_h. Admission depends
+    A candidate enters iff its probability strictly exceeds THETA and its
+    relevance-scaled temperature strictly exceeds TAU_H. Admission depends
     only on (id, context), so each distinct id is scored once, into a table
     that its repeats read, and each candidate's unscaled temperature is
     computed once; the MACs still charge one scoring per token.
@@ -203,7 +208,7 @@ def _admit_hidden(ids, context, universe, cfg):
         if x not in table:
             probs = hidden_token_probs(x, context, universe)
             table[x] = [base + j for j, (p, t) in enumerate(zip(probs, temps))
-                        if p > cfg.theta and t * p > cfg.tau_h]
+                        if p > THETA and t * p > TAU_H]
         admitted += table[x]
     macs = len(ids) * universe.hidden_count * (
         universe.W_h.shape[1] + universe.primary.shape[1])
@@ -239,7 +244,7 @@ def gsot_pipeline(X, universe, params, cfg, context=None):
     """Three-stage guided reasoning; returns output probabilities and trace.
 
     Stage 1 extracts primary tokens (scheduled shrinkage for K > 1, plain
-    tau_p thresholding for K = 1). Stage 2 appends active hidden-token
+    TAU_P thresholding for K = 1). Stage 2 appends active hidden-token
     embeddings to the surviving sequence. Stage 3 runs the model and the
     reasoning head over the integrated sequence. X must be a non-empty 1-D
     sequence of ids in the primary vocabulary, and the context a finite
@@ -263,7 +268,7 @@ def gsot_pipeline(X, universe, params, cfg, context=None):
         emb = Tensor(universe.primary[X], check=False)
         ops += forward_macs(n, params.cfg)
         temps = _token_temps(final_field(emb, frozen))
-        active = np.flatnonzero(temps > cfg.tau_p)
+        active = np.flatnonzero(temps > TAU_P)
         mean_t = _mean(temps)
         trace.add(step=1, active_primary=active.tolist(), active_hidden=[],
                   mean_temperature=mean_t, decision=CONTINUE, op_count=ops)
@@ -295,7 +300,7 @@ def gsot_pipeline(X, universe, params, cfg, context=None):
 
     # stage 2: hidden generation and integration
     ids = X[active]
-    h_active, macs = _admit_hidden(ids.tolist(), context, universe, cfg)
+    h_active, macs = _admit_hidden(ids.tolist(), context, universe)
     ops += macs
 
     # stage 3: integrated forward and reasoning head

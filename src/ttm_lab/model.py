@@ -16,7 +16,6 @@ import json
 import math
 import os
 import struct
-import sys
 import zlib
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -36,12 +35,38 @@ from .temperature import (DEFAULT_EPS_MIN, TemperatureHeadParams,
 
 VARIANTS = ("baseline", "broadcast", "outer")
 
+# the std of each temperature field at init, around the neutral 0.5
+TEMP_INIT_STD = 0.01
+
 MAGIC = b"QSR1"
 CHECKPOINT_VERSION = 3
 
 
 class CheckpointFormatError(ValueError):
     pass
+
+
+def check_json_number(name, value, default):
+    """Raise ValueError unless `value`, read from JSON for the setting
+    `name`, suits the type of its `default`. An int setting takes only
+    integers, since a float would be truncated or fail mid-run; a float
+    setting takes integers and floats; a setting of any other type is not
+    checked here. true and false would pass as 1 or 0, and an integer
+    beyond the float range would overflow the first float operation it
+    meets, so neither passes."""
+    if type(default) is float:
+        kinds, what = (int, float), "numbers"
+    elif type(default) is int:
+        kinds, what = (int,), "integers"
+    else:
+        return
+    if type(value) not in kinds:
+        raise ValueError(f"{name} takes {what}, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{name} takes {what} within the float range, "
+                         f"got an integer beyond it") from None
 
 
 @dataclass
@@ -54,7 +79,6 @@ class ModelConfig:
     d_c: int = 8
     eps_min: float = DEFAULT_EPS_MIN
     attention_variant: str = "broadcast"
-    temp_init_std: float = 0.01
     seed: int = 0
     max_seq_len: int = 64
 
@@ -71,12 +95,6 @@ class ModelConfig:
             raise ValueError(f"attention_variant must be one of {VARIANTS}")
         if not 0.0 < self.eps_min < 0.5:
             raise ValueError(f"eps_min {self.eps_min} outside (0, 0.5)")
-        # compared, not converted, so an int beyond the float range fails too
-        limit = _max_temp_init_std(self.eps_min)
-        if not 0.0 <= self.temp_init_std <= limit:
-            raise ValueError(f"temp_init_std {self.temp_init_std} must be in "
-                             f"[0, {limit:.6g}], where every init draw of "
-                             f"the temperature logits stays finite")
 
     @property
     def d_k(self):
@@ -101,8 +119,12 @@ class ModelConfig:
                 f"config sidecar holds a {type(doc).__name__}, not an object")
         unknown = set(doc) - set(CONFIG_KEYS)
         if unknown:
-            raise CheckpointFormatError(f"unknown config keys: {sorted(unknown)}")
+            raise CheckpointFormatError(
+                f"config sidecar has unknown config keys: {sorted(unknown)}")
+        defaults = {f.name: f.default for f in dc_fields(cls)}
         try:
+            for key, value in doc.items():
+                check_json_number(key, value, defaults[key])
             return cls(**doc, **extra)
         except (TypeError, ValueError) as exc:
             raise CheckpointFormatError(
@@ -135,23 +157,8 @@ def _squash_slope(eps_min):
 
 
 def _temp_logit_std(cfg):
-    # spread of the pre-squash logit that yields a field std of temp_init_std
-    return cfg.temp_init_std / _squash_slope(cfg.eps_min)
-
-
-# A bound on |z| for numpy's standard normal draw, which Rng.normal scales by
-# its std. The draw is numpy's 256-layer ziggurat: a layer's draw is at most
-# its edge, r = 3.6541528853610088 at most, and the tail's is
-# r - ln(1 - U) / r with U <= 1 - 2**-53, so |z| <= r + 53 ln 2 / r < 13.71.
-_NORMAL_DRAW_BOUND = 14.0
-
-
-def _max_temp_init_std(eps_min):
-    """The largest temp_init_std whose temperature-logit draws are finite
-    at any seed: temp.bt is drawn at std _temp_logit_std (temp.wt at less),
-    so every draw is finite when that std times _NORMAL_DRAW_BOUND is at
-    most the largest float. About 3.1e306 at the default eps_min."""
-    return _squash_slope(eps_min) * sys.float_info.max / _NORMAL_DRAW_BOUND
+    # spread of the pre-squash logit that yields a field std of TEMP_INIT_STD
+    return TEMP_INIT_STD / _squash_slope(cfg.eps_min)
 
 
 def param_specs(cfg):

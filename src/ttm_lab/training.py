@@ -283,7 +283,8 @@ def train(params, dataset, cfg):
     A non-finite task loss or temperature gradient norm, or a NumericError
     raised inside a step (a non-finite update among them), aborts the run
     before that step's row is logged, so every parameter keeps the values of
-    the last completed step.
+    the last completed step. numpy's floating-point warnings are off while
+    it runs.
 
     The logged `total_loss` is the loss backward() ran on, task + lambda_T *
     collapse penalty.
@@ -294,56 +295,60 @@ def train(params, dataset, cfg):
     history = TrainHistory()
     prev_task_loss = None
     prev_unstable = False
-    for t in range(1, cfg.steps + 1):
-        idx = rng.integers(0, len(dataset), size=cfg.batch)
-        batch = _stack([dataset[int(i)] for i in idx])
-        params.zero_grad()
-        try:
-            logits, fields = model_forward(batch.inputs, params)
-            task_mean = cross_entropy(logits, batch.targets, batch.mask)
-            penalty_mean = collapse_penalty(fields[-1]) / float(cfg.batch)
-            rep = detect_collapse(fields[-1], COLLAPSE_EPS)
-            loss = task_mean + penalty_mean * lam_T
-            loss.backward()
+    # numpy warns on the overflow of a diverging step; every non-finite
+    # value aborts the run below, so the warnings would only echo it
+    with np.errstate(all="ignore"):
+        for t in range(1, cfg.steps + 1):
+            idx = rng.integers(0, len(dataset), size=cfg.batch)
+            batch = _stack([dataset[int(i)] for i in idx])
+            params.zero_grad()
+            try:
+                logits, fields = model_forward(batch.inputs, params)
+                task_mean = cross_entropy(logits, batch.targets, batch.mask)
+                penalty_mean = collapse_penalty(fields[-1]) / float(cfg.batch)
+                rep = detect_collapse(fields[-1], COLLAPSE_EPS)
+                loss = task_mean + penalty_mean * lam_T
+                loss.backward()
 
-            task_val = float(task_mean.values)
-            grad_norm_temp = params.temp_grad_norm()
-            if not (math.isfinite(task_val) and math.isfinite(grad_norm_temp)):
-                raise NumericError(f"non-finite task loss or temperature "
-                                   f"gradient norm at step {t}")
+                task_val = float(task_mean.values)
+                grad_norm_temp = params.temp_grad_norm()
+                if not (math.isfinite(task_val)
+                        and math.isfinite(grad_norm_temp)):
+                    raise NumericError(f"non-finite task loss or temperature "
+                                       f"gradient norm at step {t}")
 
-            unstable = ((prev_task_loss is not None
-                         and task_val >= SPIKE_FACTOR * prev_task_loss)
-                        or rep.fraction >= COLLAPSE_FRACTION)
-            event = ""
-            if unstable and not prev_unstable:
-                eta_main *= 0.5
-                eta_temp *= 0.5
-                lam_T *= 2.0
-                event = "lr_halved"
-            prev_unstable = unstable
-            prev_task_loss = task_val
+                unstable = ((prev_task_loss is not None
+                             and task_val >= SPIKE_FACTOR * prev_task_loss)
+                            or rep.fraction >= COLLAPSE_FRACTION)
+                event = ""
+                if unstable and not prev_unstable:
+                    eta_main *= 0.5
+                    eta_temp *= 0.5
+                    lam_T *= 2.0
+                    event = "lr_halved"
+                prev_unstable = unstable
+                prev_task_loss = task_val
 
-            lr_main = lr_schedule(t, cfg, eta0=eta_main)
-            lr_temp = lr_schedule(t, cfg, eta0=eta_temp)
-            params.update(lr_main, lr_temp, cfg.weight_decay)
-        except NumericError:
-            history.aborted = True
-            break
+                lr_main = lr_schedule(t, cfg, eta0=eta_main)
+                lr_temp = lr_schedule(t, cfg, eta0=eta_temp)
+                params.update(lr_main, lr_temp, cfg.weight_decay)
+            except NumericError:
+                history.aborted = True
+                break
 
-        history.rows.append({
-            "step": t,
-            "task_loss": task_val,
-            "temp_penalty": float(penalty_mean.values),
-            "total_loss": float(loss.values),
-            "lr_main": lr_main,
-            "lr_temp": lr_temp,
-            "temp_min": rep.min_value,
-            "temp_max": rep.max_value,
-            "collapse_fraction": rep.fraction,
-            "grad_norm_temp": grad_norm_temp,
-            "event": event,
-        })
+            history.rows.append({
+                "step": t,
+                "task_loss": task_val,
+                "temp_penalty": float(penalty_mean.values),
+                "total_loss": float(loss.values),
+                "lr_main": lr_main,
+                "lr_temp": lr_temp,
+                "temp_min": rep.min_value,
+                "temp_max": rep.max_value,
+                "collapse_fraction": rep.fraction,
+                "grad_norm_temp": grad_norm_temp,
+                "event": event,
+            })
     return history
 
 

@@ -215,8 +215,7 @@ def test_08_op_counts_fit_quasilinear_scaling():
     # Measured op counts over n in {64..1024} must fit c * n * log2(n) with
     # r^2 >= 0.95; the fitted constant is printed beside the published
     # scaling-ratio reference 0.98 for context (not gated).
-    blk = dict(cli._BENCH_DEFAULTS)
-    counts = cli.bench_op_counts(blk, gsot.GsotConfig(), seed=0)
+    counts = cli.bench_op_counts(gsot.GsotConfig(), seed=0)
     c, r2 = gsot.complexity_fit(counts)
     ok = r2 >= 0.95
     verdict(8, "op counts scale as n log n",

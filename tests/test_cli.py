@@ -50,7 +50,11 @@ class TestConfigLoading:
     @pytest.mark.parametrize("block,key", [("model", "dropout"),
                                            ("model", "temp_init_mean"),
                                            ("model", "blend_alpha"),
+                                           ("model", "temp_init_std"),
                                            ("gsot_cfg", "max_paths"),
+                                           ("gsot_cfg", "theta"),
+                                           ("gsot_cfg", "tau_p"),
+                                           ("gsot_cfg", "tau_h"),
                                            ("sweep", "log_spacing"),
                                            ("stats", "p"),
                                            ("train", "clip_lo"),
@@ -69,6 +73,13 @@ class TestConfigLoading:
         code, _ = run(tmp_path, "check", {"dynamics": {"gain": 5.0}})
         assert code == EXIT_USAGE
         assert "dynamics" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "bench"])
+    def test_removed_bench_block_rejected(self, tmp_path, capsys, command):
+        code, out = run(tmp_path, command, {"bench": {}})
+        assert code == EXIT_USAGE
+        assert "bench" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_default_gsot_length_needs_no_long_context(self, tmp_path):
         # only a gsot length the file sets must fit max_seq_len
@@ -139,6 +150,8 @@ class TestConfigLoading:
         {"stats": {"samples": [1, 2, "nan"]}},
         {"stats": {"samples": [1, True, 2]}},
         {"stats": {"samples": [1, 2, 1.7e308, -1.7e308]}},
+        {"stats": {"samples": [1, 2, 10 ** 400]}},
+        # the bench block is gone, so these exit 2 as an unknown key
         {"bench": {"lengths": [64, 128]}},
         {"bench": {"lengths": [1, 2, 3, 4]}},
         {"bench": {"heads": 3}},
@@ -152,6 +165,8 @@ class TestConfigLoading:
         {"bench": {"lengths": [64.5, 128, 256, 512, 1024]}},
         {"seed": 1.5},
         {"train": {"eta0": True, "steps": 2}},
+        {"train": {"eta0": 10 ** 400}},
+        {"train": {"t0": 10 ** 400}},
         {"train": {"lambda_T": False}},
         {"train": {"eta0": float("nan")}},
         {"train": {"eta0": float("inf")}},
@@ -162,6 +177,9 @@ class TestConfigLoading:
         {"train": {"collapse_eps": 0.7}},
         {"train": {"collapse_eps": 0}},
         {"sweep": {"t_max": True}},
+        {"sweep": {"t_max": float("inf")}},
+        {"sweep": {"t_min": -float("inf")}},
+        {"sweep": {"t_min": -1e308, "t_max": 1e308}},
         {"output_dir": None},
         {"output_dir": 5},
         {"output_dir": ["a"]},
@@ -176,15 +194,17 @@ class TestConfigLoading:
             "gsot-length-over-max_seq_len", "gsot-hidden_count-0",
             "sweep-steps-1", "sweep-t_min-above-t_max", "stats-level-0.5",
             "stats-one-sample", "stats-sample-string", "stats-sample-bool",
-            "stats-std-overflow",
+            "stats-std-overflow", "stats-sample-int-past-float",
             "bench-two-lengths", "bench-length-1",
             "bench-heads-not-dividing-d_model", "block-not-an-object",
             "d_model-32.0", "steps-2.5", "steps-true", "count-4.5",
             "gsot-length-8.5", "gsot-hidden_count-2.5", "bench-length-64.5",
-            "seed-1.5", "eta0-true", "lambda_T-false", "eta0-nan",
+            "seed-1.5", "eta0-true", "eta0-int-past-float",
+            "t0-int-past-float", "lambda_T-false", "eta0-nan",
             "eta0-inf", "eta0_temp-inf", "lambda_T-nan", "weight_decay-nan",
             "weight_decay-negative", "collapse_eps-0.7", "collapse_eps-0",
-            "t_max-true",
+            "t_max-true", "t_max-inf", "t_min-minus-inf",
+            "sweep-span-overflow",
             "output_dir-null", "output_dir-5", "output_dir-list",
             "output_dir-empty"])
     def test_bad_value_exits_usage(self, tmp_path, capsys, doc):
@@ -198,8 +218,8 @@ class TestConfigLoading:
                                        "1e308", "4.5e307"])
     def test_bad_temp_init_std_exits_usage(self, tmp_path, capsys, command,
                                            value):
-        # each passed config loading and died drawing the init (exit 1); a
-        # finite value whose logit draws overflow did so too
+        # the init std is the constant model.TEMP_INIT_STD, so a config
+        # naming it exits 2 as an unknown key, whatever the value
         path = tmp_path / "cfg.json"
         path.write_text('{"model": {"temp_init_std": %s}}' % value)
         out = tmp_path / "run"
@@ -268,8 +288,9 @@ class TestConfigLoading:
         assert code == EXIT_OK
         resolved = json.loads((out / "config.resolved.json").read_text())
         assert resolved["model"]["d_model"] == 8
-        assert set(resolved) >= {"model", "train", "task", "sweep", "gsot",
-                                 "bench", "stats", "seed", "output_dir"}
+        assert set(resolved) == {"model", "train", "task", "gsot_cfg",
+                                 "sweep", "gsot", "stats", "seed",
+                                 "output_dir"}
 
 
 class TestCheck:
@@ -425,12 +446,11 @@ class TestStats:
 
 
 class TestBench:
-    def test_small_grid_fit(self, tmp_path, capsys):
-        doc = {"model": SMALL_MODEL,
-               "bench": {"lengths": [16, 32, 64, 128], "d_model": 8,
-                         "heads": 1, "layers": 1, "d_ff": 64,
-                         "vocab_size": 16, "hidden_count": 2}}
-        code, out = run(tmp_path, "bench", doc)
+    def test_small_grid_fit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "BENCH", {
+            "lengths": [16, 32, 64, 128], "d_model": 8, "heads": 1,
+            "layers": 1, "d_ff": 64, "vocab_size": 16, "hidden_count": 2})
+        code, out = run(tmp_path, "bench", {"model": SMALL_MODEL})
         assert code == EXIT_OK
         lines = (out / "complexity.csv").read_text().strip().split("\n")
         assert lines[0] == "n,ops" and len(lines) == 5
@@ -446,8 +466,7 @@ class TestBench:
 
         monkeypatch.setattr(cli, "ModelParams", CountingParams)
         resolved, _, _, _, gsot_cfg = load_config(None)
-        counts = cli.bench_op_counts(resolved["bench"], gsot_cfg,
-                                     resolved["seed"])
+        counts = cli.bench_op_counts(gsot_cfg, resolved["seed"])
         assert [n for n, _ in counts] == [64, 128, 256, 512, 1024]
         assert len(built) == 1
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ttm_lab import gsot
+from ttm_lab import gsot, model
 from ttm_lab.gsot import (BACKTRACK, CONTINUE, EmptyPathError, GsotConfig,
                           ReasoningTrace, TokenUniverse, _admit_hidden,
                           active_set_schedule_check, build_universe,
@@ -40,35 +40,45 @@ def spread_universe(params, seed):
                          rng.normal((d,), 0.0, 1.5), 0.0)
 
 
-def admitted(x, context, universe, **cfg):
-    return _admit_hidden([x], context, universe, GsotConfig(**cfg))[0]
+def set_constants(monkeypatch, **values):
+    """Set gsot's THETA, TAU_P and TAU_H and model's TEMP_INIT_STD, each
+    given by its lower-case name, for the rest of the test."""
+    for name, value in values.items():
+        owner = model if name == "temp_init_std" else gsot
+        monkeypatch.setattr(owner, name.upper(), value)
 
 
-def step1_active(X, universe, params, tau_p):
+def admitted(monkeypatch, x, context, universe, theta, tau_h):
+    set_constants(monkeypatch, theta=theta, tau_h=tau_h)
+    return _admit_hidden([x], context, universe)[0]
+
+
+def step1_active(monkeypatch, X, universe, params, tau_p):
     """Stage-1 survivors of a K = 1 pipeline run ([] when none survive)."""
+    set_constants(monkeypatch, tau_p=tau_p)
     try:
-        _, trace = gsot_pipeline(X, universe, params, GsotConfig(tau_p=tau_p))
+        _, trace = gsot_pipeline(X, universe, params, GsotConfig())
     except EmptyPathError:
         return []
     return trace.steps[0].active_primary
 
 
 class TestHiddenTokens:
-    def test_threshold_above_mass_empty(self):
+    def test_threshold_above_mass_empty(self, monkeypatch):
         params = toy_model()
         uni = toy_universe(params)
         probs = hidden_token_probs(1, np.zeros(4), uni)
         theta = float(probs.max())
-        assert admitted(1, np.zeros(4), uni, theta=theta + 1e-12,
-                        tau_h=1e-9) == []
+        assert admitted(monkeypatch, 1, np.zeros(4), uni,
+                        theta=theta + 1e-12, tau_h=1e-9) == []
 
-    def test_single_hidden_always_included(self):
+    def test_single_hidden_always_included(self, monkeypatch):
         params = toy_model()
         uni = toy_universe(params, hidden_count=1)
-        assert admitted(3, np.zeros(4), uni, theta=0.99,
+        assert admitted(monkeypatch, 3, np.zeros(4), uni, theta=0.99,
                         tau_h=1e-9) == [uni.vocab_size]
 
-    def test_matches_softmax_threshold_oracle(self):
+    def test_matches_softmax_threshold_oracle(self, monkeypatch):
         params = toy_model(seed=2)
         uni = toy_universe(params, hidden_count=4, seed=3)
         ctx = Rng(4).normal((4,))
@@ -78,24 +88,26 @@ class TestHiddenTokens:
         probs = e / e.sum()
         theta = 0.2
         want = [uni.vocab_size + i for i, p in enumerate(probs) if p > theta]
-        assert admitted(5, ctx, uni, theta=theta, tau_h=1e-9) == want
+        assert admitted(monkeypatch, 5, ctx, uni, theta=theta,
+                        tau_h=1e-9) == want
         assert np.abs(hidden_token_probs(5, ctx, uni) - probs).max() < 1e-12
 
-    def test_exact_threshold_excluded(self):
+    def test_exact_threshold_excluded(self, monkeypatch):
         params = toy_model()
         uni = toy_universe(params)
         probs = hidden_token_probs(0, np.zeros(4), uni)
         theta = float(probs[0])
-        assert uni.vocab_size + 0 not in admitted(0, np.zeros(4), uni,
-                                                  theta=theta, tau_h=1e-9)
+        assert uni.vocab_size + 0 not in admitted(monkeypatch, 0, np.zeros(4),
+                                                  uni, theta=theta, tau_h=1e-9)
 
-    def test_exact_tau_h_excluded(self):
+    def test_exact_tau_h_excluded(self, monkeypatch):
         params = toy_model()
         uni = toy_universe(params)
         probs = hidden_token_probs(0, np.zeros(4), uni)
         hid = uni.vocab_size + 0
         tau_h = hidden_temperature(hid, probs[0], uni)
-        got = admitted(0, np.zeros(4), uni, theta=1e-9, tau_h=tau_h)
+        got = admitted(monkeypatch, 0, np.zeros(4), uni, theta=1e-9,
+                       tau_h=tau_h)
         assert hid not in got
         assert got == [h for h in uni.hidden_ids()
                        if hidden_temperature(h, probs[h - uni.vocab_size], uni)
@@ -104,10 +116,10 @@ class TestHiddenTokens:
     def test_admission_macs_count_scored_candidates(self):
         params = toy_model()
         uni = toy_universe(params, hidden_count=5)
-        _, macs = _admit_hidden([1], np.zeros(4), uni, GsotConfig())
+        _, macs = _admit_hidden([1], np.zeros(4), uni)
         assert macs == 5 * ((8 + 4) + 8)
         # a repeated id is scored once but charged per token
-        _, macs = _admit_hidden([1, 3, 1], np.zeros(4), uni, GsotConfig())
+        _, macs = _admit_hidden([1, 3, 1], np.zeros(4), uni)
         assert macs == 3 * 5 * ((8 + 4) + 8)
 
     def test_unknown_primary_token(self):
@@ -121,44 +133,48 @@ class TestIntegratedProcessing:
     active iff its mean final-layer temperature exceeds tau_p, and only
     active tokens admit hidden candidates."""
 
-    def test_ceiling_threshold_empties_both_sets(self):
+    def test_ceiling_threshold_empties_both_sets(self, monkeypatch):
         # no temperature exceeds 1 - eps_min, so stage 1 keeps nothing and
         # stage 2 never runs
         params = toy_model(seed=5)
         uni = toy_universe(params)
-        assert step1_active([1, 2, 3], uni, params, tau_p=0.99) == []
+        assert step1_active(monkeypatch, [1, 2, 3], uni, params,
+                            tau_p=0.99) == []
         with pytest.raises(EmptyPathError):
-            gsot_pipeline([1, 2, 3], uni, params, GsotConfig(tau_p=0.99))
+            gsot_pipeline([1, 2, 3], uni, params, GsotConfig())
 
-    def test_floor_threshold_keeps_everything(self):
+    def test_floor_threshold_keeps_everything(self, monkeypatch):
+        set_constants(monkeypatch, tau_p=0.01, theta=0.999)
         params = toy_model(seed=6)
         _, trace = gsot_pipeline([1, 2, 3, 4], toy_universe(params), params,
-                                 GsotConfig(tau_p=0.01, theta=0.999))
+                                 GsotConfig())
         assert trace.steps[0].active_primary == [0, 1, 2, 3]
         assert trace.steps[-1].active_hidden == []
 
-    def test_matches_reference_walk(self):
+    def test_matches_reference_walk(self, monkeypatch):
         # independent straight-line walk: a primary token survives stage 1
         # iff its mean temperature exceeds tau_p; each survivor's candidate
         # enters iff p > theta and its relevance-scaled temperature > tau_h
-        params = toy_model(seed=7, temp_init_std=0.2)
+        theta, tau_p, tau_h = 0.2, 0.666, 0.1
+        set_constants(monkeypatch, temp_init_std=0.2, theta=theta,
+                      tau_p=tau_p, tau_h=tau_h)
+        params = toy_model(seed=7)
         uni = spread_universe(params, seed=8)
-        cfg = GsotConfig(theta=0.2, tau_p=0.666, tau_h=0.1)
         X = [2, 9, 4, 7, 1, 5]
         ctx = Rng(9).normal((4,))
-        _, trace = gsot_pipeline(X, uni, params, cfg, context=ctx)
+        _, trace = gsot_pipeline(X, uni, params, GsotConfig(), context=ctx)
         _, fields, _ = forward_embedded(Tensor(uni.primary[X]), params)
         temps = fields[-1].values.mean(axis=0)
-        want_v = [i for i in range(len(X)) if temps[i] > cfg.tau_p]
+        want_v = [i for i in range(len(X)) if temps[i] > tau_p]
         want_h, theta_only, tau_h_only = [], [], []
         for i in want_v:
             probs = hidden_token_probs(X[i], ctx, uni)
             for j, p in enumerate(probs):
                 hid = uni.vocab_size + j
-                hot = hidden_temperature(hid, p, uni) > cfg.tau_h
-                if p > cfg.theta and hot:
+                hot = hidden_temperature(hid, p, uni) > tau_h
+                if p > theta and hot:
                     want_h.append(hid)
-                elif p > cfg.theta:
+                elif p > theta:
                     theta_only.append(hid)
                 elif hot:
                     tau_h_only.append(hid)
@@ -169,14 +185,16 @@ class TestIntegratedProcessing:
         assert trace.steps[-1].active_primary == want_v
         assert trace.steps[-1].active_hidden == want_h
 
-    def test_raising_threshold_shrinks_active_set(self):
+    def test_raising_threshold_shrinks_active_set(self, monkeypatch):
         taus = np.linspace(0.3, 0.8, 21)
         shrank = False
+        set_constants(monkeypatch, temp_init_std=0.2)
         for seed in range(10):
-            params = toy_model(seed=seed, temp_init_std=0.2)
+            params = toy_model(seed=seed)
             uni = spread_universe(params, seed=seed)
             X = [int(t) for t in Rng(seed + 50).integers(0, 12, size=6)]
-            sets = [step1_active(X, uni, params, float(t)) for t in taus]
+            sets = [step1_active(monkeypatch, X, uni, params, float(t))
+                    for t in taus]
             for lo, hi in zip(sets, sets[1:]):
                 assert set(hi) <= set(lo)
             shrank = shrank or len(sets[0]) > len(sets[-1])
@@ -184,23 +202,23 @@ class TestIntegratedProcessing:
 
 
 class TestPipeline:
-    def test_pass_through_equals_plain_forward(self):
+    def test_pass_through_equals_plain_forward(self, monkeypatch):
         # floor threshold, no hidden candidates: stage 3 sees exactly X
+        set_constants(monkeypatch, tau_p=0.01, theta=0.999)
         params = toy_model(seed=11)
         uni = toy_universe(params, seed=12)
-        cfg = GsotConfig(tau_p=0.01, theta=0.999)
         X = [1, 2, 3, 4, 5]
-        probs, trace = gsot_pipeline(X, uni, params, cfg)
+        probs, trace = gsot_pipeline(X, uni, params, GsotConfig())
         _, fields, hidden = forward_embedded(Tensor(uni.primary[X]), params)
         want = reasoning_head(hidden, fields[-1], params.W_reason)
         assert np.abs(probs.values - want.values).max() < 1e-12
         assert trace.steps[0].active_primary == [0, 1, 2, 3, 4]
 
-    def test_all_filtered_raises_empty_path(self):
+    def test_all_filtered_raises_empty_path(self, monkeypatch):
+        set_constants(monkeypatch, tau_p=0.99)
         params = toy_model(seed=13)
         with pytest.raises(EmptyPathError):
-            gsot_pipeline([1, 2], toy_universe(params), params,
-                          GsotConfig(tau_p=0.99))
+            gsot_pipeline([1, 2], toy_universe(params), params, GsotConfig())
 
     @pytest.mark.parametrize("K", [1, 3])
     @pytest.mark.parametrize("bad", [12, -1], ids=["past-vocab", "negative"])
@@ -241,10 +259,11 @@ class TestPipeline:
             self, monkeypatch):
         # 9 tokens of 2 distinct ids, K = 3: two extraction passes leave 3
         # survivors, so at least one id repeats among them
-        params = toy_model(seed=7, temp_init_std=0.2)
+        set_constants(monkeypatch, temp_init_std=0.2, theta=0.05, tau_h=0.05)
+        params = toy_model(seed=7)
         uni = spread_universe(params, seed=8)
         X = [4, 9, 4, 4, 9, 4, 9, 9, 4]
-        cfg = GsotConfig(theta=0.05, tau_h=0.05, tau_backtrack=0.01, K=3)
+        cfg = GsotConfig(tau_backtrack=0.01, K=3)
         probs_calls, temp_calls, views = [], [], []
 
         def probs_spy(x, context, universe):
@@ -296,7 +315,7 @@ class TestPipeline:
             params = toy_model(seed=14)
             uni = toy_universe(params, seed=15)
             _, trace = gsot_pipeline([3, 1, 4, 1, 5, 9], uni, params,
-                                     GsotConfig(tau_p=0.4, K=3))
+                                     GsotConfig(K=3))
             return trace.to_jsonl()
         assert run() == run()
 
@@ -310,10 +329,11 @@ class TestPipeline:
         report = active_set_schedule_check(extraction, n, K)
         assert report.satisfied
 
-    def test_jsonl_fields(self):
+    def test_jsonl_fields(self, monkeypatch):
+        set_constants(monkeypatch, tau_p=0.1)
         params = toy_model(seed=19)
         uni = toy_universe(params, seed=20)
-        _, trace = gsot_pipeline([1, 2, 3], uni, params, GsotConfig(tau_p=0.1))
+        _, trace = gsot_pipeline([1, 2, 3], uni, params, GsotConfig())
         for line in trace.to_jsonl().strip().split("\n"):
             rec = json.loads(line)
             assert set(rec) == {"step", "active_primary", "active_hidden",
@@ -336,11 +356,13 @@ PIPELINE_PARITY_SHA256 = (
     "7ae43879cc778698876651a598075bc0a1e3058f78b3fad31f85e39237aa85d8")
 
 
-def random_pipelines_digest():
+def random_pipelines_digest(monkeypatch):
     """sha256 over 54 random pipelines (layers 1-3 x heads 1/2/4 x every
     variant, twice each; K 1-6, n 2-23 over 6 ids, random context)
     of each run's probabilities and trace, or its EmptyPathError message;
-    also a tally of the paths the runs took."""
+    also a tally of the paths the runs took. Each run draws its own
+    TEMP_INIT_STD, THETA, TAU_P and TAU_H and sets them through
+    `monkeypatch`."""
     digest = hashlib.sha256()
     rng = Rng(1414)
     tally = {"empty": 0, "backtrack": 0, "repeated_admitting": 0}
@@ -350,14 +372,16 @@ def random_pipelines_digest():
 
     for layers, heads, variant, _ in itertools.product(
             (1, 2, 3), (1, 2, 4), VARIANTS, range(2)):
+        set_constants(monkeypatch, temp_init_std=u(0.05, 1.0))
         params = ModelParams(ModelConfig(
             d_model=8, heads=heads, layers=layers, d_ff=16, vocab_size=6,
             d_c=4, attention_variant=variant,
-            temp_init_std=u(0.05, 1.0), seed=int(rng.integers(0, 1 << 30)),
-            max_seq_len=24))
+            seed=int(rng.integers(0, 1 << 30)), max_seq_len=24))
         universe = spread_universe(params, seed=int(rng.integers(0, 1 << 30)))
-        cfg = GsotConfig(theta=u(0.05, 0.4), tau_p=u(0.3, 0.7),
-                         tau_h=u(0.05, 0.5), tau_backtrack=u(0.05, 0.6),
+        # the digest was recorded with these draws in this order
+        set_constants(monkeypatch, theta=u(0.05, 0.4), tau_p=u(0.3, 0.7),
+                      tau_h=u(0.05, 0.5))
+        cfg = GsotConfig(tau_backtrack=u(0.05, 0.6),
                          K=int(rng.integers(1, 7)))
         X = rng.integers(0, 6, size=int(rng.integers(2, 24))).tolist()
         context = rng.normal((4,))
@@ -378,8 +402,8 @@ def random_pipelines_digest():
     return digest.hexdigest(), tally
 
 
-def test_random_pipelines_match_recorded_digest():
-    got, tally = random_pipelines_digest()
+def test_random_pipelines_match_recorded_digest(monkeypatch):
+    got, tally = random_pipelines_digest(monkeypatch)
     assert min(tally.values()) > 0, tally
     assert got == PIPELINE_PARITY_SHA256
 

@@ -1,13 +1,14 @@
 import dataclasses
 import decimal
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttm_lab import numerics, training
+from ttm_lab import model, numerics, training
 from ttm_lab.gsot import GsotConfig, build_universe, gsot_pipeline
 from ttm_lab.model import (ModelConfig, ModelParams, checkpoint_load,
                            checkpoint_save, model_forward)
@@ -247,6 +248,20 @@ class TestTrainLoop:
         assert history.aborted and not history.rows
         for name, t in params.named_tensors():
             assert t.values.tobytes() == before[name], name
+
+    @pytest.mark.parametrize("eta0, rows", [(1e308, 0), (1e200, 1)])
+    def test_diverging_run_aborts_without_numpy_warnings(self, eta0, rows):
+        # the step overflows in the update (1e308) or, a step later, in an
+        # attention matmul (1e200); either overflow is caught as a
+        # non-finite value, so a warning from numpy would only repeat it
+        params = ModelParams(ModelConfig(d_model=8, heads=2, layers=1, d_ff=16,
+                                         vocab_size=12, d_c=4, max_seq_len=8))
+        data = make_task(TaskSpec(kind="copy", length=4, count=8, alphabet=10))
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            history = train(params, data,
+                            TrainConfig(steps=5, batch=4, eta0=eta0))
+        assert history.aborted and len(history.rows) == rows
 
     @pytest.mark.parametrize("huge, node", [
         ("block0.attn.wqkv", "_project"), ("block0.attn.wo", "merge_heads"),
@@ -644,14 +659,16 @@ class TestBatchedParity:
 
     @pytest.mark.parametrize("task", sorted(BATCH_TASKS))
     @pytest.mark.parametrize("variant, spread", BATCH_VARIANTS)
-    def test_stacked_equals_per_example(self, variant, spread, task):
+    def test_stacked_equals_per_example(self, monkeypatch, variant, spread,
+                                        task):
         # spread widens the temperature head's init, so that each example's
         # field, and its field mean, sits far from the neutral 0.5
         spec, vocab = BATCH_TASKS[task]
+        monkeypatch.setattr(model, "TEMP_INIT_STD",
+                            model.TEMP_INIT_STD + spread)
         params = ModelParams(ModelConfig(
             d_model=16, heads=2, layers=2, d_ff=32, vocab_size=vocab, d_c=4,
-            seed=3, max_seq_len=spec.length, attention_variant=variant,
-            temp_init_std=ModelConfig.temp_init_std + spread))
+            seed=3, max_seq_len=spec.length, attention_variant=variant))
         data = make_task(spec)
         one = [model_forward(ex.inputs, params) for ex in data]
         one_ce = [float(cross_entropy(lg, ex.targets, ex.mask).values)
@@ -683,15 +700,17 @@ class TestBatchedParity:
 
     @pytest.mark.parametrize("task", sorted(BATCH_TASKS))
     @pytest.mark.parametrize("variant, spread", BATCH_VARIANTS)
-    def test_evaluation_equals_one_forward_per_16(self, variant, spread, task):
+    def test_evaluation_equals_one_forward_per_16(self, monkeypatch, variant,
+                                                  spread, task):
         # evaluate and dataset_loss forward EVAL_PASS examples at a time; a
         # reference loop with one forward per 16 examples must give the
         # same floats, so no golden moves
         spec, vocab = BATCH_TASKS[task]
+        monkeypatch.setattr(model, "TEMP_INIT_STD",
+                            model.TEMP_INIT_STD + spread)
         params = ModelParams(ModelConfig(
             d_model=16, heads=2, layers=2, d_ff=32, vocab_size=vocab, d_c=4,
-            seed=3, max_seq_len=spec.length, attention_variant=variant,
-            temp_init_std=ModelConfig.temp_init_std + spread))
+            seed=3, max_seq_len=spec.length, attention_variant=variant))
         data = make_task(dataclasses.replace(spec, count=100))
 
         def per_16(part, m):
