@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (DimensionError, Tensor, _softmax, _unbroadcast,
-                       check_finite, softmax_rows)
+from .numerics import (DimensionError, Tensor, _once, _softmax,
+                       _unbroadcast, check_finite, softmax_rows)
 
 
 @dataclass
@@ -44,6 +44,11 @@ class AttentionParams:
         if h * d_k > d_model:
             raise ValueError(
                 f"h * d_k = {h * d_k} exceeds d_model = {d_model}")
+        if self.W_o.shape != (h * d_k, d_model):
+            raise ValueError(
+                f"W_o must have shape (h * d_k, d_model) = "
+                f"{(h * d_k, d_model)} for W_qkv {shape}, got "
+                f"{self.W_o.shape}")
 
     @property
     def head_count(self):
@@ -72,31 +77,40 @@ def _side_by_side(heads):
     return heads.swapaxes(-3, -2).reshape(*lead, n, h * d_k)
 
 
-def merge_heads(head_values, W_o):
-    """(..., h, n, d_k) per-head outputs, laid side by side as
-    (..., n, h * d_k) with head 0 first, projected by W_o; one node.
+def merge_heads(weights, v, W_o):
+    """The heads' weighted values weights @ v, (..., h, n, d_k), laid side by
+    side as (..., n, h * d_k) with head 0 first and projected by W_o; one
+    node.
 
-    Values and gradients are those of the transpose, reshape and matmul chain
-    this replaces, bit for bit: the heads' gradient is the product's, folded
-    back into (..., h, n, d_k), and W_o's is merged^T @ g. The merged array
-    is not kept: W_o's vjp lays the heads side by side again.
+    Values and gradients are those of the matmul, transpose, reshape and
+    matmul chain this replaces, bit for bit. The heads' gradient is the
+    product's, folded back into (..., h, n, d_k) and copied with + 0.0 into
+    a C-ordered array, as the heads node's _accumulate copied it, so the
+    weights' and v's products sum in BLAS's order for that layout. It is
+    computed once per backward and shared by both. W_o's gradient is
+    merged^T @ g; the merged array is not kept, as W_o's vjp lays the heads
+    side by side again.
     """
-    *lead, h, n, d_k = head_values.shape
-    hv, wv = head_values.values, W_o.values
+    wv, vv, ov = weights.values, v.values, W_o.values
+    heads = wv @ vv
+    *lead, h, n, d_k = heads.shape
 
+    @_once
     def dheads(g):
-        side = (g @ wv.swapaxes(-1, -2)).reshape(*lead, n, h, d_k)
-        return side.swapaxes(-3, -2)
+        side = (g @ ov.swapaxes(-1, -2)).reshape(*lead, n, h, d_k)
+        return np.add(side.swapaxes(-3, -2), 0.0, out=np.empty_like(heads))
 
-    return Tensor(_side_by_side(hv) @ wv, _parents=(
-        (head_values, dheads),
-        (W_o, lambda g: _side_by_side(hv).swapaxes(-1, -2) @ g)))
+    return Tensor(_side_by_side(heads) @ ov, _parents=(
+        (weights, lambda g: dheads(g) @ vv.swapaxes(-1, -2)),
+        (v, lambda g: wv.swapaxes(-1, -2) @ dheads(g)),
+        (W_o, lambda g: _side_by_side(heads).swapaxes(-1, -2) @ g)))
 
 
 def _weigh(pre, v, W_o):
-    """Softmax over the logits `pre`, then the weighted values merged."""
+    """Softmax over the logits `pre`, then the weighted values merged. The
+    weights are a softmax_rows node of their own, so they keep a gradient."""
     weights = softmax_rows(pre)
-    return AttentionOutput(values=merge_heads(weights @ v, W_o),
+    return AttentionOutput(values=merge_heads(weights, v, W_o),
                            weights=weights, pre_softmax=pre, v=v)
 
 
@@ -209,6 +223,40 @@ def _check_field(base, field, params):
             f"h={params.head_count} and weights {base.weights.shape}")
 
 
+def _modulated(pre, field, outer):
+    """The (..., h, n, n) logits `pre` times the (..., h, n) field, as one
+    node: logit [h, i, j] times T[h, j], and with `outer` also times
+    T[h, i].
+
+    Values and gradients are those of the chain this replaces, bit for bit:
+    the field reshaped to (..., h, 1, n) and multiplied in, and with `outer`
+    first multiplied by its (..., h, n, 1) reshape. Each reshape's gradient
+    is the product's summed over the axis it broadcast along, and the
+    field's is their sum, as the field node added the two reshapes'. With
+    `outer`, the product T[h, i] * T[h, j] of a transposed field is not
+    C-ordered, and its gradient is copied with + 0.0 into an array laid out
+    like it, as that product node's _accumulate did, so each sum runs in
+    the chain's order.
+    """
+    *lead, h, n = field.shape
+    fv, pv = field.values, pre.values
+    cols = fv.reshape(*lead, h, 1, n)
+    if not outer:
+        return Tensor(pv * cols, _parents=(
+            (pre, lambda g: g * cols),
+            (field, lambda g: np.add.reduce(g * pv, axis=-2))))
+    rows = fv.reshape(*lead, h, n, 1)
+    mod = rows * cols
+
+    def dfield(g):
+        gm = np.add(g * pv, 0.0, out=np.empty_like(mod))
+        return np.add.reduce(gm * cols, axis=-1) \
+            + np.add.reduce(gm * rows, axis=-2)
+
+    return Tensor(pv * mod, _parents=((pre, lambda g: g * mod),
+                                      (field, dfield)))
+
+
 def attention_temp_broadcast(base, params, field):
     """Temperature-modulated attention, key-axis broadcast.
 
@@ -216,9 +264,8 @@ def attention_temp_broadcast(base, params, field):
     an information source.
     """
     _check_field(base, field, params)
-    *lead, h, n = field.shape
-    mod = field.reshape(*lead, h, 1, n)
-    return _weigh(base.pre_softmax * mod, base.v, params.W_o)
+    return _weigh(_modulated(base.pre_softmax, field, outer=False), base.v,
+                  params.W_o)
 
 
 def attention_temp_outer(base, params, field):
@@ -227,7 +274,6 @@ def attention_temp_outer(base, params, field):
     Logit [h, i, j] is multiplied by T[h, i] * T[h, j].
     """
     _check_field(base, field, params)
-    *lead, h, n = field.shape
-    outer = field.reshape(*lead, h, n, 1) * field.reshape(*lead, h, 1, n)
-    return _weigh(base.pre_softmax * outer, base.v, params.W_o)
+    return _weigh(_modulated(base.pre_softmax, field, outer=True), base.v,
+                  params.W_o)
 

@@ -28,8 +28,9 @@ from . import attention as attn_mod
 # into its LayerNorm; it stays imported because perfbench wraps
 # model.layer_norm and its tests require every wrap target to exist
 from .numerics import (DimensionError, Rng, Tensor, _add_layer_norm,
-                       _linear_rows, check_finite, concat, gelu, layer_norm,
-                       linear, softmax_rows)
+                       _linear_add_layer_norm, _linear_rows, _unbroadcast,
+                       check_finite, concat, gelu, layer_norm, linear,
+                       softmax_rows)
 from .temperature import (DEFAULT_EPS_MIN, TemperatureHeadParams,
                           compute_temperature)
 
@@ -406,13 +407,14 @@ def block_forward(x, block, cfg, temp_multiplier=1.0, positions=None):
     h1 = _add_layer_norm(x, att.values, block.ln1_gain, block.ln1_bias,
                          positions)
     if positions is None:
-        ff = linear(gelu(linear(h1, block.W_ff1, block.b_ff1)), block.W_ff2,
-                    block.b_ff2)
+        hidden = gelu(linear(h1, block.W_ff1, block.b_ff1))
+        out = _linear_add_layer_norm(h1, hidden, block.W_ff2, block.b_ff2,
+                                     block.ln2_gain, block.ln2_bias)
     else:
         n = x.shape[-2]
         hidden = gelu(_linear_rows(h1, block.W_ff1, block.b_ff1, positions, n))
         ff = _linear_rows(hidden, block.W_ff2, block.b_ff2, positions, n)
-    out = _add_layer_norm(h1, ff, block.ln2_gain, block.ln2_bias)
+        out = _add_layer_norm(h1, ff, block.ln2_gain, block.ln2_bias)
     return out, field
 
 
@@ -495,10 +497,28 @@ def forward_embedded(x, params, temp_multiplier=1.0, positions=None):
         logits = x @ params.W_out
     else:
         logits = _linear_rows(x, params.W_out, None, positions, n)
-    last = fields[-1]
-    mean_t = last.sum(axis=(-2, -1), keepdims=True) \
-        / float(last.shape[-2] * last.shape[-1])
-    return logits * mean_t, fields, x
+    return _scaled_by_mean(logits, fields[-1]), fields, x
+
+
+def _scaled_by_mean(logits, field):
+    """Each example's logits times the mean of its (..., h, n) field, as one
+    node.
+
+    Values and gradients are those of the sum, divide and multiply chain
+    this replaces, bit for bit: the mean's gradient is the product's summed
+    down to the mean's (..., 1, 1) shape and divided by h * n, and the
+    field's is that, broadcast over the field.
+    """
+    fv, lv = field.values, logits.values
+    count = float(fv.shape[-2] * fv.shape[-1])
+    mean = np.add.reduce(fv, axis=(-2, -1), keepdims=True) / count
+
+    def dfield(g):
+        return np.broadcast_to(_unbroadcast(g * lv, mean.shape) / count,
+                               fv.shape)
+
+    return Tensor(lv * mean, _parents=((logits, lambda g: g * mean),
+                                       (field, dfield)))
 
 
 def final_field(x, params):

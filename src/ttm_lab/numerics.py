@@ -452,10 +452,10 @@ class Tensor:
 
     # -- reductions and reshaping ------------------------------------------
 
-    def sum(self, axis=None, keepdims=False):
+    def sum(self, axis=None):
         shape = self.shape
-        dropped = () if axis is None or keepdims else axis
-        out = np.add.reduce(self.values, axis=axis, keepdims=keepdims)
+        dropped = () if axis is None else axis
+        out = np.add.reduce(self.values, axis=axis)
         return Tensor(out, _parents=(
             (self, lambda g: np.broadcast_to(np.expand_dims(g, dropped), shape)),))
 
@@ -793,6 +793,20 @@ def layer_norm(x, gain, bias):
     return Tensor(out, _parents=((x, dx), *affine))
 
 
+def _once(vjp):
+    """vjp, computed once per gradient: the result for the last gradient
+    handed in is kept, so every operand of a node that calls it gets that
+    one array."""
+    memo = [None, None]
+
+    def shared(g):
+        if memo[0] is not g:
+            memo[:] = g, vjp(g)
+        return memo[1]
+
+    return shared
+
+
 def _add_layer_norm(x, y, gain, bias, rows=None):
     """layer_norm(x + y, gain, bias) as one node: a residual add and the
     LayerNorm after it.
@@ -819,14 +833,30 @@ def _add_layer_norm(x, y, gain, bias, rows=None):
 
         def ds(g):
             return _spread(ds_rows(g), rows, n)
-    memo = [None, None]
-
-    def dsum(g):
-        if memo[0] is not g:
-            memo[:] = g, ds(g)
-        return memo[1]
-
+    dsum = _once(ds)
     return Tensor(out, _parents=((x, dsum), (y, dsum), *affine))
+
+
+def _linear_add_layer_norm(x, h, W, b, gain, bias):
+    """_add_layer_norm(x, linear(h, W, b), gain, bias) as one node: a dense
+    layer, the residual add after it and the LayerNorm after that.
+
+    Values and gradients are those of that chain, bit for bit. The dense
+    layer's output is computed as linear computes it, and x is added into
+    it in place, since the sum of two floats does not depend on their
+    order. The sum's gradient, once per backward, goes to x and to b as it
+    is, and to h and W through the dense layer's products, as the linear
+    node handed it on.
+    """
+    hv, wv = h.values, W.values
+    s = hv @ wv
+    s += b.values
+    s += x.values
+    out, ds, affine = _layer_norm(s, gain, bias, out=s)
+    dsum = _once(ds)
+    return Tensor(out, _parents=(
+        (x, dsum), (h, lambda g: dsum(g) @ wv.swapaxes(-1, -2)),
+        (W, lambda g: hv.swapaxes(-1, -2) @ dsum(g)), (b, dsum), *affine))
 
 
 def gelu(x):

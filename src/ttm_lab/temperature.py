@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DimensionError, Tensor, _sigmoid, linear
+from .numerics import (DimensionError, Tensor, _once, _sigmoid,
+                       _unbroadcast, check_finite)
 
 DEFAULT_EPS_MIN = 0.01
 
@@ -25,15 +26,21 @@ def squash(logits, eps_min=DEFAULT_EPS_MIN):
     if not 0.0 <= eps_min < 0.5:
         raise ValueError(f"eps_min {eps_min} outside [0, 0.5)")
     logits = Tensor._coerce(logits)
+    out, dlogits = _squashed(logits.values, eps_min)
+    return Tensor(out, _parents=((logits, dlogits),))
+
+
+def _squashed(v, eps_min):
+    """squash's arithmetic on the array v: the output and the vjp of v."""
     span = 1.0 - 2.0 * eps_min
-    s = _sigmoid(logits.values)
+    s = _sigmoid(v)
     out = s * span
     out += eps_min
 
-    def dlogits(g):
+    def dv(g):
         return g * span * s * (1.0 - s)
 
-    return Tensor(out, _parents=((logits, dlogits),))
+    return out, dv
 
 
 @dataclass
@@ -56,19 +63,39 @@ class TemperatureHeadParams:
 
 
 def compute_temperature(activations, params):
-    """Temperature field from per-token attention outputs.
+    """Temperature field from per-token attention outputs, as one node.
 
     Each token's logit vector is W_t . a_i + b_t (one logit per head), squashed
     into [eps_min, 1 - eps_min]. Activations of shape (n, d) give an (h, n)
     field, a (B, n, d) batch a (B, h, n) field.
+
+    Values and gradients are those of the W_t.T, linear, squash and .T chain
+    this replaces, bit for bit. The field is the transposed view of the
+    (..., n, h) squash output, as the .T node's was, so a sum over it keeps
+    its order. The logits' gradient is computed once per backward and handed
+    to each operand's product, as the linear node handed on its own. The
+    squash bounds a logit of +-inf, so the logits are checked here: an
+    overflow names this node, as the linear node named itself. Finite
+    logits give a field in [eps_min, 1 - eps_min], so the field is not
+    scanned again.
     """
     activations = Tensor._coerce(activations)
     d = activations.shape[-1]
-    if params.W_t.shape[1] != d:
+    W_t, b_t = params.W_t, params.b_t
+    if W_t.shape[1] != d:
         raise DimensionError(
-            f"W_t expects width {params.W_t.shape[1]}, activations have {d}")
-    logits = linear(activations, params.W_t.T, params.b_t)  # (..., n, h)
-    return squash(logits, params.eps_min).T
+            f"W_t expects width {W_t.shape[1]}, activations have {d}")
+    xv, wv = activations.values, W_t.values
+    logits = xv @ wv.swapaxes(-1, -2)  # (..., n, h)
+    logits += b_t.values
+    out, dsquash = _squashed(check_finite(logits, "compute_temperature"),
+                             params.eps_min)
+    dlogits = _once(lambda g: dsquash(g.swapaxes(-1, -2)))
+    return Tensor(out.swapaxes(-1, -2), _parents=(
+        (activations, lambda g: dlogits(g) @ wv),
+        (W_t, lambda g: _unbroadcast(xv.swapaxes(-1, -2) @ dlogits(g),
+                                     wv.shape[::-1]).swapaxes(-1, -2)),
+        (b_t, dlogits)), check=False)
 
 
 def collapse_penalty(field):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,16 @@ class TestBaseline:
     def test_zero_head_width_rejected(self):
         with pytest.raises(ValueError, match="W_qkv must have shape"):
             make_params(1, 4, 0)
+
+    @pytest.mark.parametrize("w_o", [(8,), (8, 5), (5, 8)])
+    def test_misshapen_output_projection_rejected(self, w_o):
+        # without the check a 1-D W_o gave an (n,) output, an (8, 5) one an
+        # (n, 5) output, and a (5, 8) one failed inside numpy's matmul
+        W_qkv = Tensor(Rng(0).normal((2, 3, 8, 4)))
+        with pytest.raises(ValueError, match=(
+                r"^W_o must have shape \(h \* d_k, d_model\) = \(8, 8\) for "
+                rf"W_qkv \(2, 3, 8, 4\), got {re.escape(str(w_o))}$")):
+            AttentionParams(W_qkv=W_qkv, W_o=Tensor(np.ones(w_o)))
 
 
 class TestModulatedVariants:

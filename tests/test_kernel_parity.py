@@ -25,15 +25,18 @@ from hypothesis import strategies as st
 
 from ttm_lab import model as model_mod
 from ttm_lab import numerics
-from ttm_lab.attention import (AttentionParams, _baseline_values, _project,
-                               _scaled_scores, attention_baseline,
+from ttm_lab.attention import (AttentionParams, _baseline_values, _modulated,
+                               _project, _scaled_scores, attention_baseline,
                                merge_heads)
 from ttm_lab.gsot import GsotConfig, build_universe, gsot_pipeline
-from ttm_lab.model import VARIANTS, ModelConfig, ModelParams, model_forward
+from ttm_lab.model import (VARIANTS, ModelConfig, ModelParams, _scaled_by_mean,
+                           model_forward)
 from ttm_lab.numerics import (NumericError, Rng, Tensor, _add_layer_norm,
-                              _erf, _linear_rows, _sigmoid, _unbroadcast,
-                              gelu, layer_norm, linear, softmax_rows)
-from ttm_lab.temperature import collapse_penalty, squash
+                              _erf, _linear_add_layer_norm, _linear_rows,
+                              _sigmoid, _unbroadcast, gelu, layer_norm,
+                              linear, softmax_rows)
+from ttm_lab.temperature import (TemperatureHeadParams, collapse_penalty,
+                                 compute_temperature, squash)
 from ttm_lab.training import (ARITH_VOCAB, EVAL_SLICE, Example, TaskSpec,
                               TrainConfig, cross_entropy, dataset_loss,
                               evaluate, make_task, train)
@@ -123,6 +126,40 @@ def ref_merge_heads(head_values, W_o):
     return Tensor(np.swapaxes(head_values.values, -3, -2), _parents=(
         (head_values, lambda g: np.swapaxes(g, -3, -2)),)
     ).reshape(*lead, n, h * d_k) @ W_o
+
+
+def ref_weighted_merge(weights, v, W_o):
+    """merge_heads as the chain it stands in for: weights @ v as a node of
+    its own, then the transpose, reshape and matmul chain."""
+    return ref_merge_heads(weights @ v, W_o)
+
+
+def ref_modulated(outer):
+    """_modulated as the chain it stands in for: the field reshaped to a
+    row (and with `outer` to a column, the two multiplied), then multiplied
+    into the logits."""
+    def run(pre, field):
+        *lead, h, n = field.shape
+        mod = field.reshape(*lead, h, 1, n)
+        if outer:
+            mod = field.reshape(*lead, h, n, 1) * mod
+        return pre * mod
+    return run
+
+
+def ref_compute_temperature(eps_min):
+    """compute_temperature as the chain it stands in for."""
+    return lambda a, W_t, b_t: squash(linear(a, W_t.T, b_t), eps_min).T
+
+
+def ref_scaled_by_mean(logits, field):
+    """_scaled_by_mean as the chain it stands in for: the field summed over
+    its last two axes with the axes kept, as Tensor.sum did with keepdims,
+    divided by their size, and multiplied into the logits."""
+    shape = field.shape
+    total = Tensor(np.add.reduce(field.values, axis=(-2, -1), keepdims=True),
+                   _parents=((field, lambda g: np.broadcast_to(g, shape)),))
+    return logits * (total / float(shape[-2] * shape[-1]))
 
 
 def ref_project(x, W_qkv):
@@ -349,6 +386,38 @@ class TestKernelParity:
                 lambda a, g, c: layer_norm(a + a, g, c), [x, gain, bias], 34,
                 upstream))
 
+    def test_linear_add_layer_norm(self, shape):
+        # h @ W + b added to x: the dense layer's extremes keep the sum's
+        # variance finite; x + the layer of x runs the sum's gradient into
+        # one parent twice
+        edges = np.array([0.0, -0.0, 5e-324, -5e-324, 5e74, -5e74, 2.0])
+        d = shape[-1]
+        rng = Rng(50)
+        x, h = inputs(shape, 51, edges=edges), inputs(shape, 52, edges=edges)
+        w, gain = rng.normal((d, d)), rng.normal((d,))
+        b, bias = rng.normal((d,)), rng.normal((d,))
+        for upstream in (None, tiny_upstream):
+            assert_same(run_both(
+                _linear_add_layer_norm,
+                lambda a, c, W, e, g, f: _add_layer_norm(
+                    a, linear(c, W, e), g, f),
+                [x, h, w, b, gain, bias], 53, upstream))
+            assert_same(run_both(
+                lambda a, W, e, g, f: _linear_add_layer_norm(a, a, W, e, g, f),
+                lambda a, W, e, g, f: layer_norm(a + linear(a, W, e), g, f),
+                [x, w, b, gain, bias], 54, upstream))
+
+    def test_scaled_by_mean(self, shape):
+        # shape is the logits' (..., n, vocab); a two-head field, C-ordered
+        # and as the transposed view compute_temperature gives
+        *lead, n, _ = shape
+        logits = inputs(shape, 55, edges=FINITE_PRODUCTS)
+        field = Rng(56).uniform((*lead, n, 2), 0.01, 0.99)
+        for f in (field.swapaxes(-1, -2), field.swapaxes(-1, -2).copy()):
+            for upstream in (None, tiny_upstream):
+                assert_same(run_both(_scaled_by_mean, ref_scaled_by_mean,
+                                     [logits, f], 57, upstream))
+
     @pytest.mark.parametrize("rows", [slice(0, 1), slice(4, 5), slice(1, 4)])
     def test_add_layer_norm_rows(self, shape, rows):
         # the fused node cut to some rows against the full node's rows
@@ -399,12 +468,48 @@ class TestKernelParity:
                                  tiny_upstream))
 
     def test_merge_heads(self, shape):
-        # (h, n, d_k) are the last three axes of (2, *shape)
-        *_, h, n, d_k = stacked = (2, *shape)
-        heads = inputs(stacked, 17, edges=FINITE_PRODUCTS)
-        w = Rng(18).normal((h * d_k, 7))
-        assert_same(run_both(merge_heads, ref_merge_heads, [heads, w], 19,
-                             tiny_upstream))
+        # (h, n, d_k) are the last three axes of (2, *shape); with one head
+        # the heads' swapped gradient is C-ordered already
+        for stacked in ((2, *shape), (2, *shape[:-2], 1, *shape[-2:])):
+            *lead, h, n, d_k = stacked
+            weights = Rng(17).uniform((*lead, h, n, n))
+            weights[..., 0] = 0.0
+            v = inputs(stacked, 17, edges=FINITE_PRODUCTS)
+            w = Rng(18).normal((h * d_k, 7))
+            assert_same(run_both(merge_heads, ref_weighted_merge,
+                                 [weights, v, w], 19, tiny_upstream))
+
+    @pytest.mark.parametrize("outer", [False, True])
+    def test_modulated(self, shape, outer):
+        # the field is (..., h, n + 8), as rows of 8 or more entries are
+        # summed pairwise, in an order their layout decides; it is tried
+        # C-ordered and as the transposed view compute_temperature gives
+        *lead, h, n = shape
+        n += 8
+        pre = inputs((*lead, h, n, n), 44, edges=FINITE_PRODUCTS)
+        field = Rng(45).uniform((*lead, n, h), 0.01, 0.99)
+        field.reshape(-1)[:3] = [0.0, -0.0, 5e-324]
+        for f in (field.swapaxes(-1, -2), field.swapaxes(-1, -2).copy()):
+            for upstream in (None, tiny_upstream):
+                assert_same(run_both(
+                    lambda a, b: _modulated(a, b, outer),
+                    ref_modulated(outer), [pre, f], 46, upstream))
+
+    @pytest.mark.parametrize("eps_min", [0.01, 0.2])
+    def test_compute_temperature(self, shape, eps_min):
+        # shape is the activations' (..., n, d); three heads
+        d = shape[-1]
+        rng = Rng(47)
+        arrays = [inputs(shape, 48, edges=FINITE_PRODUCTS),
+                  rng.normal((3, d)), rng.normal((3,))]
+
+        def kernel(a, W_t, b_t):
+            return compute_temperature(a, TemperatureHeadParams(
+                W_t=W_t, b_t=b_t, eps_min=eps_min))
+
+        for upstream in (None, tiny_upstream):
+            assert_same(run_both(kernel, ref_compute_temperature(eps_min),
+                                 arrays, 49, upstream))
 
     def test_linear(self, shape):
         d = shape[-1]
@@ -1178,7 +1283,8 @@ class TestBaselineValuesChecks:
 class TestFusedNodeChecks:
     """A non-finite value inside a fused node raises NumericError naming it,
     as the node of the chain it replaced would have. squash is bounded, so
-    no finite input makes it non-finite."""
+    no finite input makes it non-finite; compute_temperature checks the
+    logits it squashes."""
 
     @pytest.mark.parametrize("node, run", [
         ("linear", lambda: linear(Tensor(np.full((2, 3), 1e300)),
@@ -1188,8 +1294,24 @@ class TestFusedNodeChecks:
                                       Tensor(np.full((2, 3, 3, 2), 1e200)))),
         ("_scaled_scores", lambda: _scaled_scores(
             Tensor(np.full((2, 3, 4, 2), 1e200)), 0.5)),
-        ("merge_heads", lambda: merge_heads(Tensor(np.full((2, 4, 3), 1e200)),
+        ("merge_heads", lambda: merge_heads(Tensor(np.full((2, 4, 4), 0.25)),
+                                            Tensor(np.full((2, 4, 3), 1e200)),
                                             Tensor(np.full((6, 5), 1e200)))),
+        ("_modulated", lambda: _modulated(Tensor(np.full((2, 3, 3), 1e200)),
+                                          Tensor(np.full((2, 3), 1e200)),
+                                          False)),
+        ("_modulated", lambda: _modulated(Tensor(np.full((2, 3, 3), 1e200)),
+                                          Tensor(np.full((2, 3), 1e100)),
+                                          True)),
+        ("_linear_add_layer_norm", lambda: _linear_add_layer_norm(
+            Tensor(np.ones((2, 3))), Tensor(np.full((2, 3), 1e300)),
+            Tensor(np.full((3, 3), 1e300)), Tensor(np.zeros(3)),
+            Tensor(np.ones(3)), Tensor(np.zeros(3)))),
+        ("_scaled_by_mean", lambda: _scaled_by_mean(
+            Tensor(np.full((3, 4), 1e300)), Tensor(np.full((2, 3), 1e10)))),
+        ("compute_temperature", lambda: compute_temperature(
+            Tensor(np.full((4, 3), 1e200)), TemperatureHeadParams(
+                W_t=Tensor(np.full((2, 3), 1e200)), b_t=Tensor(np.zeros(2))))),
         ("_linear_rows", lambda: _linear_rows(
             Tensor(np.full((1, 3), 1e300)), Tensor(np.full((3, 2), 1e300)),
             Tensor(np.zeros(2)), slice(1, 2), 2)),

@@ -118,7 +118,8 @@ class TestBlockForward:
         out, _ = block_forward(x, block, cfg)
         # single-token attention mixes only that token's value rows
         from ttm_lab.attention import merge_heads
-        attn = merge_heads(x @ block.attn.W_qkv[:, 2], block.attn.W_o)
+        attn = merge_heads(Tensor(np.ones((cfg.heads, 1, 1))),
+                           x @ block.attn.W_qkv[:, 2], block.attn.W_o)
         h1 = layer_norm(x + attn, block.ln1_gain, block.ln1_bias)
         ff = gelu(h1 @ block.W_ff1 + block.b_ff1) @ block.W_ff2 + block.b_ff2
         want = layer_norm(h1 + ff, block.ln2_gain, block.ln2_bias)

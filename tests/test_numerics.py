@@ -13,11 +13,13 @@ from hypothesis.extra.numpy import arrays
 
 import ttm_lab
 from ttm_lab import gsot, numerics, training
-from ttm_lab.model import ModelConfig, ModelParams
+from ttm_lab.attention import _modulated, merge_heads
+from ttm_lab.model import ModelConfig, ModelParams, _scaled_by_mean
 from ttm_lab.numerics import (DimensionError, NumericError, Rng, Tensor,
-                              _erf, concat, gelu, grad_check, layer_norm,
-                              matmul, softmax_rows)
-from ttm_lab.temperature import squash
+                              _erf, _linear_add_layer_norm, concat, gelu,
+                              grad_check, layer_norm, matmul, softmax_rows)
+from ttm_lab.temperature import (TemperatureHeadParams, compute_temperature,
+                                 squash)
 
 
 def operands():
@@ -215,6 +217,35 @@ class TestGradCheck:
         ]
         for fn in fns:
             assert grad_check(fn, x) < 1e-5
+
+    def test_fused_nodes_under_tolerance(self):
+        # each operand of each node, under a random weighting of its output
+        rng = Rng(10)
+        h, n, d_k, d = 2, 3, 2, 5
+        nodes = [
+            (merge_heads, [rng.uniform((h, n, n)), rng.normal((h, n, d_k)),
+                           rng.normal((h * d_k, d))]),
+            (lambda pre, f: _modulated(pre, f, False),
+             [rng.normal((h, n, n)), rng.uniform((h, n), 0.1, 0.9)]),
+            (lambda pre, f: _modulated(pre, f, True),
+             [rng.normal((h, n, n)), rng.uniform((h, n), 0.1, 0.9)]),
+            (lambda a, W_t, b_t: compute_temperature(
+                a, TemperatureHeadParams(W_t=W_t, b_t=b_t)),
+             [rng.normal((n, d)), rng.normal((h, d)), rng.normal((h,))]),
+            (_scaled_by_mean, [rng.normal((2, n, d)),
+                               rng.uniform((2, h, n), 0.1, 0.9)]),
+            (_linear_add_layer_norm,
+             [rng.normal((n, d)), rng.normal((n, 4)), rng.normal((4, d)),
+              rng.normal((d,)), rng.normal((d,)), rng.normal((d,))]),
+        ]
+        for node, arrays in nodes:
+            weight = rng.normal(node(*map(Tensor, arrays)).shape)
+            for i in range(len(arrays)):
+                def loss(t, node=node, arrays=arrays, i=i, weight=weight):
+                    args = [t if j == i else Tensor(a)
+                            for j, a in enumerate(arrays)]
+                    return (node(*args) * weight).sum()
+                assert grad_check(loss, Tensor(arrays[i])) < 1e-5
 
     def test_eps_range_enforced(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import dataclasses
 import decimal
+import hashlib
 import math
 import warnings
 
@@ -180,6 +181,32 @@ class TestTrainLoop:
         a, b = run(), run()
         assert a.rows == b.rows
 
+    @pytest.mark.parametrize("variant, want", [
+        ("baseline",
+         "e31e1d4d5841072449bb69a5a32964c157e2e1a07779b887fa110252b1d69b93"),
+        ("broadcast",
+         "01d22c7bae5705b9a4174f2b08f1d97756b14ff2d6416719ce90fd35b1b5e0df"),
+        ("outer",
+         "8db8d07b972758dfb4546228033fa8dce7e41848768e7c6359e656be3c846582")])
+    def test_every_variant_trains_to_its_recorded_bits(self, variant, want):
+        # sha256 over 30 steps of test_10's arithmetic config: each logged
+        # row, the final parameter buffer and the loss at multiplier 0.37.
+        # A fused node must repeat the chain it replaces bit for bit, so no
+        # fusion may move these digests
+        params = ModelParams(ModelConfig(
+            d_model=32, heads=2, layers=2, d_ff=64, vocab_size=ARITH_VOCAB,
+            d_c=4, seed=10, max_seq_len=8, attention_variant=variant))
+        data = make_task(TaskSpec(kind="arithmetic_chain", length=8, count=64,
+                                  seed=10))
+        history = train(params, data, TrainConfig(steps=30, batch=8, seed=10))
+        assert len(history.rows) == 30
+        digest = hashlib.sha256()
+        for row in history.rows:
+            digest.update(repr(row).encode())
+        digest.update(buffer_of(params).tobytes())
+        digest.update(repr(dataset_loss(params, data, 0.37)).encode())
+        assert digest.hexdigest() == want
+
     def test_gradients_are_contiguous_like_their_values(self):
         # a gradient buffer laid out like a transposed view would change the
         # order in which BLAS sums later gradients into it, and so the last
@@ -265,7 +292,8 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("huge, node", [
         ("block0.attn.wqkv", "_project"), ("block0.attn.wo", "merge_heads"),
-        ("block0.temp.wt", "linear"), ("block0.ffn.w1", "linear")])
+        ("block0.temp.wt", "compute_temperature"),
+        ("block0.ffn.w1", "linear")])
     def test_overflow_in_a_fused_node_aborts_and_restores(self, huge, node):
         # constant parameters keep every sum one-signed, so the one set to
         # 1e308 overflows the first node that multiplies by it
@@ -283,11 +311,18 @@ class TestTrainLoop:
         for name, t in params.named_tensors():
             assert t.values is before[name], name
 
-    def test_step_records_at_most_52_tape_nodes(self, monkeypatch):
-        # one step of test_10's arithmetic config recorded 92 tape nodes
-        # before the model's composite ops became single nodes, and 56
-        # before each residual add joined its LayerNorm's node; per-node
-        # overhead, not arithmetic, is a step's cost at these sizes
+    @pytest.mark.parametrize("variant, most", [("baseline", 30),
+                                               ("broadcast", 36),
+                                               ("outer", 36)])
+    def test_step_records_at_most_its_tape_nodes(self, monkeypatch, variant,
+                                                 most):
+        # one broadcast step of test_10's arithmetic config recorded 92 tape
+        # nodes before the model's composite ops became single nodes, 56
+        # before each residual add joined its LayerNorm's node, and 52
+        # (baseline 42, outer 56) before the temperature head, the field's
+        # modulation, each weighted-value merge, the logits' scaling and
+        # each block's second FFN layer with LN2 became one node each;
+        # per-node overhead, not arithmetic, is a step's cost at these sizes
         nodes = []
         init = Tensor.__init__
 
@@ -298,9 +333,11 @@ class TestTrainLoop:
 
         monkeypatch.setattr(Tensor, "__init__", counting)
         data = make_task(TaskSpec(kind="arithmetic_chain", length=8, count=64))
-        history = train(arith_params(), data, TrainConfig(steps=1, batch=8))
+        params = ModelParams(dataclasses.replace(arith_params().cfg,
+                                                 attention_variant=variant))
+        history = train(params, data, TrainConfig(steps=1, batch=8))
         assert len(history.rows) == 1
-        assert len(nodes) <= 52
+        assert len(nodes) <= most
 
     def test_logged_total_is_optimized_loss(self, monkeypatch):
         # an event at step 4: the logged total must still be task +
